@@ -368,6 +368,14 @@ def cmd_verify(args):
     n_loops = int(samples.get("loops", 20))
     n_points = int(samples.get("points", 50))
     steps = int(config.get("steps", DEFAULT_STEPS))
+    wanted = config.get("checks")
+    if wanted is not None:
+        if not isinstance(wanted, list):
+            raise ConfigError("checks must be a list of check names")
+        unknown = set(wanted) - set(verify.CHECK_NAMES)
+        if unknown:
+            raise ConfigError(f"unknown checks: {sorted(unknown)}; "
+                              f"known: {list(verify.CHECK_NAMES)}")
     if "manifold" in config and "custom" in config["manifold"]:
         M = _build_custom_manifold(config["manifold"]["custom"])
         region = config.get("region")
@@ -382,18 +390,20 @@ def cmd_verify(args):
         entries = cat.default_entries()
     reports = verify.default_suite(entries, seed=seed, n_paths=n_paths,
                                    n_loops=n_loops, n_points=n_points, steps=steps)
-    wanted = config.get("checks")
     if wanted:
         reports = [r for r in reports if r.check_name in wanted]
     report = _base_report("verify", config, seed)
     report["results"] = [r.to_dict() for r in reports]
-    ok = all(r.passed for r in reports)
+    # a suite that ran no check has verified nothing
+    ok = bool(reports) and all(r.passed for r in reports)
     report["passed"] = ok
     for r in reports:
         print(f"{r.check_name:26s} {r.entry_name:14s} "
               f"max={r.max_violation:.3e} tol={r.tol:.0e} "
               f"{'ok' if r.passed else 'FAIL'}")
-    print(f"verification suite: {'all passed' if ok else 'FAILURES PRESENT'}")
+    status = ("all passed" if ok else
+              "FAILURES PRESENT" if reports else "NO CHECKS RAN")
+    print(f"verification suite: {status}")
     _write_report(report, config, args)
     return 0 if ok else 1
 

@@ -41,14 +41,24 @@ class NondifferentiablePoint(HololabError):
 
 # --- manifold layer ---
 
+def _plain(value):
+    """Nested tuples of built-in floats, so messages never show numpy reprs."""
+    try:
+        return tuple(_plain(v) for v in value)
+    except TypeError:
+        return float(value)
+
+
 class OutOfDomain(HololabError):
     def __init__(self, point, detail=""):
+        point = _plain(point)
         self.point = point
         super().__init__(f"point {point} outside chart domain{': ' + detail if detail else ''}")
 
 
 class SingularMetric(HololabError):
     def __init__(self, point, det):
+        point, det = _plain(point), float(det)
         self.point = point
         self.det = det
         super().__init__(f"metric singular at {point}: |det| = {abs(det):.3e}")
@@ -111,4 +121,4 @@ class UnknownExample(HololabError):
 
 class ConfigError(HololabError):
     """Invalid run configuration (bad JSON shape, unparsable expression,
-    loop outside the declared domain, ...)."""
+    unknown check name, ...)."""

@@ -15,6 +15,20 @@ back to central differences (step 1e-5 for first derivatives, nested
 3-point stencil with step 1e-4 for second derivatives).  Everything is
 evaluated in batch over (m, n) point arrays so path integration stays
 vectorized.
+
+``christoffel_many`` is the one coefficient kernel.  It evaluates g, d g
+and d phi once per point array.  Given a path velocity v it returns the
+contracted coefficients B^k_j = Gamma^k_ij v^i that parallel transport
+needs: c_aij = d_i g_aj + d_j g_ai - d_a g_ij is contracted with v before
+the index is raised, and the weighted and dual corrections enter in their
+contracted forms -(v.dphi) delta^k_j - v^k d_j phi and
++(g v)_j (g^-1 dphi)^k, so no (m, n, n, n) coefficient array is formed.
+Without a velocity it returns the full Gamma, assembled from the same
+contraction with each coordinate direction.  A metric records at
+construction which entries are variable-free (their partials are zero and
+are not evaluated) and whether every off-diagonal entry is the literal 0;
+such a diagonal metric is inverted as 1/diag with det = prod(diag), any
+other metric by LAPACK.
 """
 
 from __future__ import annotations
@@ -142,11 +156,13 @@ class ExprScalarField:
     def __init__(self, expression, chart):
         if isinstance(expression, str):
             expression = ex.parse(expression)
-        unknown = ex.variables(expression) - set(chart.coord_names)
+        free = ex.variables(expression)
+        unknown = free - set(chart.coord_names)
         if unknown:
             raise UnboundVariable(sorted(unknown)[0])
         self.expression = expression
         self.chart = chart
+        self.constant = not free  # every partial derivative is exactly 0
 
     def values(self, pts):
         env = self.chart.env(pts)
@@ -173,6 +189,7 @@ class CallableScalarField:
     differences (h=1e-5) and a nested 3-point stencil (h=1e-4)."""
 
     mode = "finite_difference"
+    constant = False
 
     def __init__(self, fn, chart, h_first=H_FIRST, h_second=H_SECOND):
         self.fn = fn
@@ -204,8 +221,18 @@ class CallableScalarField:
 # Metric and density fields
 # ---------------------------------------------------------------------------
 
+def _is_literal_zero(f):
+    e = getattr(f, "expression", None)
+    return isinstance(e, ex.Num) and e.value == 0
+
+
 class MetricField:
-    """Symmetric bilinear field with declared signature (p, q)."""
+    """Symmetric bilinear field with declared signature (p, q).
+
+    ``varying`` lists the upper-triangle entries (i, j) that are not
+    variable-free; ``diagonal`` is true when every off-diagonal entry is the
+    literal 0.  Both are fixed at construction from the entries' ASTs.
+    """
 
     def __init__(self, chart, entry_fields, signature, validate=True, sample_grid=None):
         n = chart.dim
@@ -216,6 +243,10 @@ class MetricField:
         self.entries = entry_fields  # n x n nested list of scalar fields (symmetric)
         self.signature = (p, q)
         self.mode = entry_fields[0][0].mode
+        self.varying = tuple((i, j) for i in range(n) for j in range(i, n)
+                             if not entry_fields[i][j].constant)
+        self.diagonal = all(_is_literal_zero(entry_fields[i][j])
+                            for i in range(n) for j in range(i + 1, n))
         if validate:
             self.validate(sample_grid)
 
@@ -277,29 +308,27 @@ class MetricField:
         """(m, n, n, n) array of d_l g_ij, index order [l, i, j]."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
-        dg = np.empty((m, n, n, n))
+        dg = np.zeros((m, n, n, n))
         for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    v = self.entries[i][j].derivatives(pts, l)
-                    dg[:, l, i, j] = v
-                    dg[:, l, j, i] = v
+            for i, j in self.varying:
+                v = self.entries[i][j].derivatives(pts, l)
+                dg[:, l, i, j] = v
+                dg[:, l, j, i] = v
         return dg
 
     def second_partials(self, pts):
         """(m, n, n, n, n) array of d_a d_b g_ij, index order [a, b, i, j]."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
-        d2g = np.empty((m, n, n, n, n))
+        d2g = np.zeros((m, n, n, n, n))
         for a in range(n):
             for b in range(a, n):
-                for i in range(n):
-                    for j in range(i, n):
-                        v = self.entries[i][j].second_derivatives(pts, a, b)
-                        d2g[:, a, b, i, j] = v
-                        d2g[:, a, b, j, i] = v
-                        d2g[:, b, a, i, j] = v
-                        d2g[:, b, a, j, i] = v
+                for i, j in self.varying:
+                    v = self.entries[i][j].second_derivatives(pts, a, b)
+                    d2g[:, a, b, i, j] = v
+                    d2g[:, a, b, j, i] = v
+                    d2g[:, b, a, i, j] = v
+                    d2g[:, b, a, j, i] = v
         return d2g
 
     # -- validation --------------------------------------------------------
@@ -422,31 +451,66 @@ def dphi_at(M: WeightedManifold, x) -> np.ndarray:
     return M.density.gradients(_one_point(x))[0]
 
 
-def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
-    """(m, n, n, n) connection coefficients gamma[., k, i, j] at each point."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = M.metric.matrices(pts)
-    dets = np.linalg.det(g)
+def _inverse_metric(metric, g, pts):
+    """g^{-1} at each point: (m, n) reciprocals of the diagonal for a
+    structurally diagonal metric, else (m, n, n) from LAPACK.  Raises
+    SingularMetric where |det g| <= DET_FLOOR."""
+    if metric.diagonal:
+        diag = np.diagonal(g, axis1=1, axis2=2)
+        dets = diag.prod(axis=1)
+    else:
+        dets = np.linalg.det(g)
     if np.abs(dets).min() <= DET_FLOOR:
         k = int(np.abs(dets).argmin())
-        raise SingularMetric(tuple(pts[k]), dets[k])
-    ginv = np.linalg.inv(g)
-    dg = M.metric.partials(pts)  # dg[m, l, i, j] = d_l g_ij
-    # Levi-Civita: 1/2 g^{ka} (d_i g_aj + d_j g_ai - d_a g_ij)
-    c = (np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg)
-    gamma = 0.5 * np.einsum('mka,maij->mkij', ginv, c)
+        raise SingularMetric(pts[k], dets[k])
+    return 1.0 / diag if metric.diagonal else np.linalg.inv(g)
+
+
+def _raise_index(ginv, x):
+    """Contract g^{ka} with the first index of x, shape (m, n, r)."""
+    return ginv[:, :, None] * x if ginv.ndim == 2 else ginv @ x
+
+
+def _contracted(kind, g, ginv, dg, dphi, v):
+    """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n)."""
+    # w[a, j] = v^i d_a g_ij = v^i d_j g_ai (dg is symmetric in its last pair)
+    w = np.einsum('maji,mi->maj', dg, v)
+    cv = np.einsum('mi,miaj->maj', v, dg) + np.swapaxes(w, 1, 2) - w
+    B = 0.5 * _raise_index(ginv, cv)
     if kind == ConnectionKind.LEVI_CIVITA:
-        return gamma
-    grad_phi = M.density.gradients(pts)
-    eye = np.eye(M.dim)
+        return B
     if kind == ConnectionKind.WEIGHTED:
-        corr = (np.einsum('mi,kj->mkij', grad_phi, eye)
-                + np.einsum('mj,ki->mkij', grad_phi, eye))
-        return gamma - corr
+        v_dphi = np.einsum('mi,mi->m', v, dphi)
+        return B - (v_dphi[:, None, None] * np.eye(v.shape[1])
+                    + v[:, :, None] * dphi[:, None, :])
     if kind == ConnectionKind.DUAL_WEIGHTED:
-        grad_up = np.einsum('mka,ma->mk', ginv, grad_phi)
-        return gamma + np.einsum('mij,mk->mkij', g, grad_up)
+        grad_up = _raise_index(ginv, dphi[:, :, None])
+        gv = (g @ v[:, :, None])[:, :, 0]
+        return B + grad_up * gv[:, None, :]
     raise ValueError(f"unknown connection kind {kind!r}")
+
+
+def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
+                     velocity=None) -> np.ndarray:
+    """Connection coefficients at each point of an (m, n) array.
+
+    Returns the (m, n, n, n) array gamma[., k, i, j], or, given velocities
+    (m, n), the contracted (m, n, n) array B[., k, j] = Gamma^k_ij v^i.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    g = M.metric.matrices(pts)
+    ginv = _inverse_metric(M.metric, g, pts)
+    dg = M.metric.partials(pts)
+    dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.gradients(pts)
+    if velocity is not None:
+        v = np.asarray(velocity, dtype=float).reshape(pts.shape)
+        return _contracted(kind, g, ginv, dg, dphi, v)
+    # Gamma^k_ij is B^k_j for the velocity e_i
+    m, n = pts.shape
+    eye = np.eye(n)
+    return np.stack([_contracted(kind, g, ginv, dg, dphi,
+                                 np.broadcast_to(eye[i], (m, n)))
+                     for i in range(n)], axis=2)
 
 
 def christoffel(M: WeightedManifold, kind: ConnectionKind, x) -> ConnectionCoefficients:

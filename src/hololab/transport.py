@@ -11,9 +11,16 @@ one step-halving: the returned matrix is the half-step result, and
 scaled by 1/(2^4 - 1).
 
 Because the coefficient matrix depends only on the (known) path position,
-all Christoffel evaluations are batched over the step grid, the per-step
-RK4 transfer matrices are built with stacked matmuls, and the ordered
-product is taken by pairwise reduction -- no Python-level inner loop.
+each segment is sampled once on the fine pass's half-step grid and its
+coefficients come from one call of the contracted kernel
+``christoffel_many(M, kind, positions, velocities)``, which returns
+B^k_j = Gamma^k_ij sigma'^i directly.  The per-step RK4 transfer matrices
+are built with stacked matmuls and the ordered product is taken by
+pairwise reduction -- no Python-level inner loop.  Holonomy, block
+prediction and frame trajectories share this path: the coarse pass reuses
+the even-index samples, block prediction integrates the fine pass only,
+and a frame trajectory splits one segment's per-step matrices into pieces
+and takes prefix products of the piece products.
 """
 
 from __future__ import annotations
@@ -200,11 +207,17 @@ def _ordered_product(mats):
     return mats[0]
 
 
-def _rk4_transfer(A_half, h):
+def _fine_grid(steps):
+    """Half-step sample grid of the fine pass (2*steps RK4 steps on [0, 1]);
+    its even-index subset is the coarse pass's grid."""
+    return np.linspace(0.0, 1.0, 4 * steps + 1)
+
+
+def _rk4_steps(A_half, h):
     """Per-step RK4 transfer matrices from A sampled on the half-step grid.
 
-    A_half has shape (2N+1, d, d); returns the ordered product over all N
-    steps of  I + h/6 (K1 + 2 K2 + 2 K3 + K4).
+    A_half has shape (2N+1, d, d); returns the (N, d, d) stack of
+    I + h/6 (K1 + 2 K2 + 2 K3 + K4), one per step.
     """
     d = A_half.shape[1]
     A1 = A_half[0:-1:2]
@@ -215,47 +228,17 @@ def _rk4_transfer(A_half, h):
     K2 = A2 @ (eye + (h / 2) * K1)
     K3 = A2 @ (eye + (h / 2) * K2)
     K4 = A3 @ (eye + h * K3)
-    steps = eye + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4)
-    return _ordered_product(steps)
+    return eye + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4)
 
 
-def _segment_transfer_pair(sample_A, steps):
-    """(fine, coarse) transfer matrices for one segment.
-
-    ``sample_A(ts) -> (m, d, d)`` evaluates the coefficient matrix; the fine
-    pass uses 2*steps RK4 steps and shares its sample grid with the coarse
-    pass (the even-index subset).
-    """
-    n_fine = 2 * steps
-    ts = np.linspace(0.0, 1.0, 2 * n_fine + 1)
-    A = sample_A(ts)
-    fine = _rk4_transfer(A, 1.0 / n_fine)
-    coarse = _rk4_transfer(A[::2], 1.0 / steps)
-    return fine, coarse
-
-
-def _transport_sampler(M, kind, segment, matrix_map):
-    """Coefficient sampler for one segment; matrix_map turns the contracted
-    Christoffel array B^k_j = Gamma^k_ij sigma'^i into the ODE matrix."""
-
-    def sample_A(ts):
-        pos, vel = segment.sample(ts)
-        inside = M.chart.contains(pos)
-        if not inside.all():
-            raise OutOfDomain(tuple(pos[~inside][0]), "path exits the chart")
-        gamma = christoffel_many(M, kind, pos)
-        B = np.einsum('mkij,mi->mkj', gamma, vel)
-        return matrix_map(B)
-
-    return sample_A
-
-
-def _vector_map(B):
-    return -B
-
-
-def _covector_map(B):
-    return np.swapaxes(B, 1, 2)
+def _transport_matrices(M, kind, pos, vel, covector=False):
+    """Matrix A(t) of the transport ODE Y' = A Y at sampled path points:
+    -B for vectors, B^T for covectors, B^k_j = Gamma^k_ij sigma'^i."""
+    inside = M.chart.contains(pos)
+    if not inside.all():
+        raise OutOfDomain(pos[~inside][0], "path exits the chart")
+    B = christoffel_many(M, kind, pos, vel)
+    return np.swapaxes(B, 1, 2) if covector else -B
 
 
 def path_transport_matrix(M, kind, path, steps=DEFAULT_STEPS, covector=False,
@@ -265,13 +248,13 @@ def path_transport_matrix(M, kind, path, steps=DEFAULT_STEPS, covector=False,
     Returns (matrix, est_error).  Raises StepUnderflow when an explicit
     error target is not met at the given step count.
     """
-    mmap = _covector_map if covector else _vector_map
+    ts = _fine_grid(steps)
     fine = np.eye(M.dim)
     coarse = np.eye(M.dim)
     for seg in path:
-        f, c = _segment_transfer_pair(_transport_sampler(M, kind, seg, mmap), steps)
-        fine = f @ fine
-        coarse = c @ coarse
+        A = _transport_matrices(M, kind, *seg.sample(ts), covector=covector)
+        fine = _ordered_product(_rk4_steps(A, 1.0 / (2 * steps))) @ fine
+        coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / steps)) @ coarse
     est = float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
     if error_target is not None and est > error_target:
         raise StepUnderflow(f"estimated error {est:.3e} exceeds target {error_target:.3e}")
@@ -429,34 +412,20 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     s = len(free)
     d = s + N.dim
 
-    def make_sampler(segment):
-        def sample_A(ts):
-            pos, vel = segment.sample(ts)
-            inside = N.chart.contains(pos)
-            if not inside.all():
-                raise OutOfDomain(tuple(pos[~inside][0]), "path exits the chart")
-            sub_pos = pos[:, free]
-            sub_vel = vel[:, free]
-            gamma_sub = christoffel_many(sub, ConnectionKind.WEIGHTED, sub_pos)
-            B_sub = np.einsum('mkij,mi->mkj', gamma_sub, sub_vel)
-            gamma_amb = christoffel_many(N, ConnectionKind.LEVI_CIVITA, pos)
-            B_amb = np.einsum('mkij,mi->mkj', gamma_amb, vel)
-            lam = np.exp(N.density.values(pos) - base_phi)
-            dphi = N.density.gradients(pos)
-            m = pos.shape[0]
-            A = np.zeros((m, d, d))
-            A[:, :s, :s] = -B_sub
-            A[:, s:, s:] = -B_amb
-            # source: lambda(t) * sigma'_tangent (x) dphi acting on the normal flow
-            A[:, :s, s:] = lam[:, None, None] * np.einsum('mi,mj->mij', sub_vel, dphi)
-            return A
-
-        return sample_A
-
+    ts = _fine_grid(steps)
     fine = np.eye(d)
     for seg in loop.segments:
-        f, _ = _segment_transfer_pair(make_sampler(seg), steps)
-        fine = f @ fine
+        pos, vel = seg.sample(ts)
+        sub_vel = vel[:, free]
+        A = np.zeros((pos.shape[0], d, d))
+        A[:, s:, s:] = _transport_matrices(N, ConnectionKind.LEVI_CIVITA, pos, vel)
+        A[:, :s, :s] = -christoffel_many(sub, ConnectionKind.WEIGHTED, pos[:, free],
+                                         sub_vel)
+        # source: lambda(t) * sigma'_tangent (x) dphi acting on the normal flow
+        lam = np.exp(N.density.values(pos) - base_phi)
+        dphi = N.density.gradients(pos)
+        A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
+        fine = _ordered_product(_rk4_steps(A, 1.0 / (2 * steps))) @ fine
 
     top = fine[:s, :s]
     mix = fine[:s, s:]          # acting on full ambient normal start vectors
@@ -485,23 +454,25 @@ def transport_frame_trajectory(M, kind, loop: Loop, samples_per_segment=50,
 
     Returns (positions, frames): positions is (m, n), frames is (m, n, n)
     with frames[t] mapping basepoint components to components at positions[t].
-    Used by the CLI --plot output; accuracy matches the holonomy integrator.
+    Used by the CLI --plot output.  Each segment is integrated on the same
+    fine grid as ``holonomy`` with the same ``steps``; its per-step transfer
+    matrices are split into ``samples_per_segment`` pieces of whole steps
+    (at most one piece per step) and the frames are prefix products of the
+    piece products, so the frame at each segment end is the holonomy
+    integrator's transport along the path so far.
     """
+    n_fine = 2 * steps
+    ts = _fine_grid(steps)
+    pieces = min(max(1, samples_per_segment), n_fine)
+    cuts = np.arange(pieces + 1) * n_fine // pieces  # step index of each piece end
     P = np.eye(M.dim)
     positions = [np.asarray(loop.basepoint, dtype=float)]
-    frames = [P.copy()]
-    per_seg = max(1, samples_per_segment)
-    sub_steps = max(1, steps // per_seg)
+    frames = [P]
     for seg in loop.segments:
-        for k in range(per_seg):
-            t0, t1 = k / per_seg, (k + 1) / per_seg
-            piece = PathSegment(
-                position=lambda ts, s=seg, a=t0, b=t1: s.position(a + (b - a) * np.asarray(ts, dtype=float)),
-                velocity=lambda ts, s=seg, a=t0, b=t1: (b - a) * np.asarray(s.velocity(a + (b - a) * np.asarray(ts, dtype=float))),
-                start=seg.position(np.asarray([t0]))[0], end=seg.position(np.asarray([t1]))[0])
-            f, _ = _segment_transfer_pair(
-                _transport_sampler(M, kind, piece, _vector_map), sub_steps)
-            P = f @ P
-            positions.append(np.asarray(piece.end, dtype=float))
-            frames.append(P.copy())
+        pos, vel = seg.sample(ts)
+        step_mats = _rk4_steps(_transport_matrices(M, kind, pos, vel), 1.0 / n_fine)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            P = _ordered_product(step_mats[a:b]) @ P
+            positions.append(pos[2 * b])
+            frames.append(P)
     return np.stack(positions), np.stack(frames)

@@ -22,6 +22,9 @@ from .transport import (DEFAULT_STEPS, Loop, holonomy, path_transport_matrix,
                         random_rectangle_loops)
 
 MAX_DETAILS = 5
+# every check_name a CheckReport can carry
+CHECK_NAMES = ("codazzi", "dual_holonomy", "dual_vector_fields", "duality_pairing",
+               "projective_equivalence", "totally_geodesic_blocks", "unimodularity")
 
 
 @dataclass

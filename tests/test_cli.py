@@ -181,6 +181,30 @@ def test_verify_custom_flat_manifold(tmp_path):
     assert [r["check_name"] for r in doc["results"]] == ["duality_pairing"]
 
 
+def test_verify_rejects_unknown_check_names(tmp_path, capsys):
+    for checks in (["duality_paring"], ["codazzi", "dual_holonomy", "typo"], "codazzi"):
+        cfg = write_config(tmp_path, "v.json", {"entries": ["borel2d"],
+                                                "checks": checks})
+        assert run(["verify", cfg]) == 2
+        assert "checks" in capsys.readouterr().err
+
+
+def test_verify_with_no_reports_does_not_pass(tmp_path, capsys):
+    # borel2d has no companion metric, so this selection leaves no report
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "entries": ["borel2d"],
+        "checks": ["projective_equivalence"],
+        "samples": {"paths": 1, "loops": 1, "points": 2},
+        "steps": 20,
+        "output": str(out),
+    })
+    assert run(["verify", cfg]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["results"] == [] and doc["passed"] is False
+    assert "all passed" not in capsys.readouterr().out
+
+
 def test_verify_selected_entries(tmp_path):
     cfg = write_config(tmp_path, "v.json", {
         "entries": ["borel2d"],

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hololab import catalog
 from hololab.errors import BadSignature, OutOfDomain, SingularMetric
-from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
-                              MetricField, WeightedManifold,
+from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
+                              DensityField, MetricField, WeightedManifold,
                               WeightedMetricTensorField, amari_chentsov,
                               christoffel, christoffel_many, conformal_metric_at,
                               covariant_derivative_of_tensor, curvature_at,
@@ -223,3 +224,105 @@ def test_chart_invariants():
         CoordinateChart(dim=2, coord_names=("x", "y"), periodicity=(0.0, None))
     with pytest.raises(ValueError):
         CoordinateChart(dim=1, coord_names=("x",), domain=((1.0, 1.0),))
+
+
+# ---------------------------------------------------------------------------
+# The contracted kernel against the plain einsum assembly
+# ---------------------------------------------------------------------------
+
+def reference_christoffel(M, kind, pts):
+    """Full Gamma by the textbook assembly: LAPACK det/inv, the (m, n, n, n)
+    array c_aij and each correction as its own (m, n, n, n) array."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    g = M.metric.matrices(pts)
+    dets = np.linalg.det(g)
+    if np.abs(dets).min() <= DET_FLOOR:
+        k = int(np.abs(dets).argmin())
+        raise SingularMetric(tuple(pts[k]), dets[k])
+    ginv = np.linalg.inv(g)
+    dg = M.metric.partials(pts)
+    c = (np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg)
+    gamma = 0.5 * np.einsum('mka,maij->mkij', ginv, c)
+    if kind == LC:
+        return gamma
+    grad_phi = M.density.gradients(pts)
+    eye = np.eye(M.dim)
+    if kind == W:
+        return gamma - (np.einsum('mi,kj->mkij', grad_phi, eye)
+                        + np.einsum('mj,ki->mkij', grad_phi, eye))
+    grad_up = np.einsum('mka,ma->mk', ginv, grad_phi)
+    return gamma + np.einsum('mij,mk->mkij', g, grad_up)
+
+
+def full_metric_3d():
+    """Non-diagonal metric, positive definite on the box by diagonal dominance."""
+    chart = CoordinateChart(dim=3, coord_names=("x", "y", "z"),
+                            domain=((-0.9, 0.9),) * 3)
+    metric = MetricField.from_expressions(
+        chart, [["2+sin(y)", "0.3*cos(z)", "0"],
+                ["0.3*cos(z)", "2+cos(x)", "0.2*sin(x*y)"],
+                ["0", "0.2*sin(x*y)", "exp(x*z/2)"]], signature=(3, 0))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x*y+0.5*sin(z)"))
+    return catalog.CatalogEntry(name="full3", manifold=M, basepoint=np.zeros(3),
+                                sample_region=((-0.8, 0.8),) * 3)
+
+
+def _kernel_cases():
+    entries = catalog.default_entries() + [catalog.sphere_with_density(4)]
+    cases = []
+    for e in entries:
+        cases.append(pytest.param(e, e.manifold, id=e.name))
+        if e.companion is not None:
+            cases.append(pytest.param(e, e.companion, id=e.companion.name))
+    return cases + [pytest.param(None, None, id="full3")]
+
+
+@pytest.mark.parametrize("entry,M", _kernel_cases())
+@pytest.mark.parametrize("kind", [LC, W, DW], ids=lambda k: k.value)
+def test_kernel_matches_reference_assembly(entry, M, kind):
+    if entry is None:
+        entry = full_metric_3d()
+        M = entry.manifold
+        assert not M.metric.diagonal
+    else:
+        assert M.metric.diagonal  # every catalog metric takes the 1/diag path
+    pts = entry.random_points(40, seed=5)
+    ref = reference_christoffel(M, kind, pts)
+    got = christoffel_many(M, kind, pts)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    vel = np.random.default_rng(6).standard_normal(pts.shape)
+    ref_b = np.einsum('mkij,mi->mkj', ref, vel)
+    got_b = christoffel_many(M, kind, pts, vel)
+    assert got_b.shape == ref_b.shape
+    assert np.abs(got_b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
+
+
+def test_constant_entries_are_recorded(sphere2):
+    metric = sphere2.manifold.metric  # diag(1, sin(r)^2)
+    assert metric.diagonal and metric.varying == ((1, 1),)
+    full = full_metric_3d().manifold.metric
+    assert not full.diagonal
+    assert (0, 2) not in full.varying and len(full.varying) == 5
+
+
+@pytest.mark.parametrize("entries,diagonal,singular_at", [
+    (["x", "1"], True, (0.0, -0.3)),                       # 1/diag path
+    ([["1", "x"], ["x", "1"]], False, (1.0, -0.3)),        # LAPACK path
+], ids=["diagonal", "general"])
+def test_runtime_singular_metric_detection(entries, diagonal, singular_at):
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    metric = MetricField.from_expressions(chart, entries, signature=(2, 0),
+                                          validate=False)
+    assert metric.diagonal == diagonal
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x"))
+    pts = np.array([[0.5, 0.2], [1.0, -0.3], [0.0, -0.3]])
+    for kind in (LC, W, DW):
+        with pytest.raises(SingularMetric) as info:
+            christoffel_many(M, kind, pts, velocity=np.ones_like(pts))
+        with pytest.raises(SingularMetric):
+            christoffel_many(M, kind, pts)
+    assert info.value.point == singular_at
+    assert "np.float64" not in str(info.value)

@@ -107,10 +107,12 @@ def test_loop_closure_validation(borel, sphere2):
 
 
 def test_out_of_domain_path(sphere2):
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain) as info:
         transport_vector(sphere2.manifold, W,
                          [Line([math.pi / 2, 0.0], [math.pi + 1.0, 0.0])],
                          [1.0, 0.0], steps=50)
+    assert all(type(x) is float for x in info.value.point)
+    assert "np.float64" not in str(info.value)
 
 
 def test_step_underflow():
@@ -264,3 +266,29 @@ def test_frame_trajectory_endpoint_matches_holonomy(borel):
     P = holonomy(borel.manifold, W, loop, steps=200).matrix
     assert positions.shape[0] == frames.shape[0] == 41
     assert np.abs(frames[-1] - P).max() < 1e-9
+
+
+def _curve_loop():
+    # out along the equator as a Curve with scalar-only callables, back by a Line
+    h = math.pi / 2
+    out = Curve(lambda t: np.array([h + 0.2 * math.sin(math.pi * t), 1.0 + t]),
+                lambda t: np.array([0.2 * math.pi * math.cos(math.pi * t), 1.0]))
+    return Loop(segments=[out, Line(out.end, out.start)], basepoint=out.start)
+
+
+@pytest.mark.parametrize("steps,per_segment", [(205, 10), (205, 7), (30, 100)])
+@pytest.mark.parametrize("which", ["borel_square", "sphere_curve"])
+def test_frames_at_segment_ends_match_prefix_transport(borel, sphere2, which,
+                                                       steps, per_segment):
+    if which == "borel_square":
+        M, loop = borel.manifold, borel.loops["golden1"]
+    else:
+        M, loop = sphere2.manifold, _curve_loop()
+    positions, frames = transport_frame_trajectory(M, W, loop, per_segment, steps)
+    pieces = min(per_segment, 2 * steps)
+    assert positions.shape[0] == frames.shape[0] == 1 + pieces * len(loop.segments)
+    assert np.array_equal(frames[0], np.eye(M.dim))
+    for k, seg in enumerate(loop.segments, start=1):
+        P, _ = path_transport_matrix(M, W, loop.segments[:k], steps=steps)
+        assert np.abs(frames[k * pieces] - P).max() <= 1e-12
+        assert np.abs(positions[k * pieces] - seg.end).max() <= 1e-12
