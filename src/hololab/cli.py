@@ -33,11 +33,11 @@ from .errors import (ConfigError, ExprSyntaxError, HololabError, NotClosed,
 from .experiments import run_closure_experiment
 from .manifold import (ConnectionKind, CoordinateChart, DensityField, MetricField,
                        WeightedManifold, metric_at, ricci_at)
-from .transport import (DEFAULT_STEPS, Loop, LoopFamily, family_derivative,
-                        holonomy, polyline_segments, random_rectangle_loops,
-                        rectangle_loop, transport_frame_trajectory)
+from .transport import (Loop, LoopFamily, family_derivative, holonomy,
+                        polyline_segments, random_rectangle_loops, rectangle_loop)
 
 SCHEMA_VERSION = 1
+PLOT_SAMPLES = 50  # CSV frames per loop segment with --plot
 
 _KINDS = {
     "levi_civita": ConnectionKind.LEVI_CIVITA,
@@ -59,6 +59,13 @@ def _load_config(path):
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+
+
+def _steps_from_config(config):
+    """An explicit ``steps`` pins a fixed grid; without it transports are
+    step-controlled."""
+    steps = config.get("steps")
+    return None if steps is None else int(steps)
 
 
 def _resolve_seed(config):
@@ -220,7 +227,11 @@ def _tasks_from_config(config, default):
     tasks = config.get("tasks", default)
     if not tasks:
         raise ConfigError("tasks must be a nonempty list")
-    unknown = set(tasks) - {"holonomy", "algebra", "verify", "curvature"}
+    separate = set(tasks) & {"algebra", "verify"}
+    if separate:
+        raise ConfigError(f"tasks {sorted(separate)} are separate commands "
+                          f"(hololab algebra, hololab verify)")
+    unknown = set(tasks) - {"holonomy", "curvature"}
     if unknown:
         raise ConfigError(f"unknown tasks: {sorted(unknown)}")
     return tasks
@@ -233,7 +244,7 @@ def cmd_holonomy(args):
     kind = _KINDS.get(config.get("connection", "weighted"))
     if kind is None:
         raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
-    steps = int(config.get("steps", DEFAULT_STEPS))
+    steps = _steps_from_config(config)
     include_log = bool(config.get("include_log", False))
     tasks = _tasks_from_config(config, ["holonomy"])
     loops, families = _loops_from_config(config, M)
@@ -249,14 +260,15 @@ def cmd_holonomy(args):
     for i, loop in enumerate(loops):
         item = {"loop": i}
         try:
-            h = holonomy(M, kind, loop, steps=steps)
+            h = holonomy(M, kind, loop, steps=steps,
+                         frames_per_segment=PLOT_SAMPLES if args.plot else 0)
             item.update(matrix=h.matrix.tolist(),
                         det=float(np.linalg.det(h.matrix)),
                         est_error=h.est_error, steps_used=h.steps_used)
             if include_log:
                 item["log"] = liealg.mat_log(h.matrix).tolist()
             if args.plot:
-                item["plot_csv"] = _write_plot_csv(args.plot, i, M, kind, loop, steps)
+                item["plot_csv"] = _write_plot_csv(args.plot, i, M, h)
         except NotClosed as exc:
             item["error"] = f"not closed: {exc}"
             exit_code = 1
@@ -280,16 +292,16 @@ def cmd_holonomy(args):
     return exit_code
 
 
-def _write_plot_csv(prefix, index, M, kind, loop, steps):
+def _write_plot_csv(prefix, index, M, h):
+    """Write the frame trajectory carried by the holonomy element ``h``."""
     path = f"{prefix}_loop{index}.csv"
-    positions, frames = transport_frame_trajectory(M, kind, loop, steps=steps)
     n = M.dim
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         names = list(M.chart.coord_names)
         frame_cols = [f"P{i}{j}" for i in range(n) for j in range(n)]
         writer.writerow(["sample"] + names + frame_cols)
-        for k, (pos, P) in enumerate(zip(positions, frames)):
+        for k, (pos, P) in enumerate(zip(h.positions, h.frames)):
             writer.writerow([k] + [repr(float(v)) for v in pos] +
                             [repr(float(v)) for v in P.ravel()])
     return path
@@ -302,7 +314,7 @@ def cmd_algebra(args):
     kind = _KINDS.get(config.get("connection", "weighted"))
     if kind is None:
         raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
-    steps = int(config.get("steps", DEFAULT_STEPS))
+    steps = _steps_from_config(config)
     aspec = config.get("algebra", {})
     loops, families = _loops_from_config(config, M)
     n_random = int(aspec.get("random_loops", 40 if not loops else 0))
@@ -367,7 +379,7 @@ def cmd_verify(args):
     n_paths = int(samples.get("paths", 20))
     n_loops = int(samples.get("loops", 20))
     n_points = int(samples.get("points", 50))
-    steps = int(config.get("steps", DEFAULT_STEPS))
+    steps = _steps_from_config(config)
     wanted = config.get("checks")
     if wanted is not None:
         if not isinstance(wanted, list):

@@ -85,8 +85,9 @@ class NotClosed(HololabError):
 
 
 class StepUnderflow(HololabError):
-    """Integrator error estimate exceeded the requested target at the
-    maximum step count."""
+    """Integrator error estimate exceeded the requested target: a
+    step-controlled segment at the maximum step count, or a fixed grid
+    given an explicit target."""
 
 
 class FamilyNotTrivial(HololabError):

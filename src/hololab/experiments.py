@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import liealg
-from .transport import DEFAULT_STEPS, holonomy
+from .transport import holonomy
 
 # transports farther than this from I are skipped (log accuracy degrades
 # and the group-level information is redundant once brackets run)
@@ -39,7 +39,7 @@ class AlgebraExperiment:
         return self.basis.dim
 
 
-def generators_from_loops(M, kind, loops, steps=DEFAULT_STEPS,
+def generators_from_loops(M, kind, loops, steps=None,
                           log_window=LOG_WINDOW, min_log_norm=MIN_LOG_NORM):
     """Principal logs of the usable loop transports, plus det diagnostics."""
     gens = []
@@ -76,7 +76,7 @@ def condition_generators(gens, n, floor=1e-6):
 
 
 def run_closure_experiment(M, kind, loops, extra_generators=(), form=None,
-                           steps=DEFAULT_STEPS, max_dim=None,
+                           steps=None, max_dim=None,
                            log_window=LOG_WINDOW, min_log_norm=MIN_LOG_NORM,
                            classify_tol=1e-6, svd_floor=1e-6) -> AlgebraExperiment:
     gens, det_errors = generators_from_loops(M, kind, loops, steps=steps,

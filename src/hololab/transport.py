@@ -5,26 +5,39 @@ The transport equation for a vector field U along sigma is linear,
     dU^k/dt + Gamma^k_ij(sigma(t)) sigma'^i(t) U^j = 0,
 
 so each segment contributes a transfer matrix.  We integrate with classical
-fixed-step RK4 (default 2000 steps per segment) and estimate the error by
-one step-halving: the returned matrix is the half-step result, and
-``est_error`` is the max-entry difference between the two resolutions
-scaled by 1/(2^4 - 1).
+RK4 and compare a fine pass of 2N steps with a coarse pass of N steps on
+the same samples; the returned matrix is the fine product.  Without an
+explicit ``steps`` each segment is step-controlled (Hairer, Norsett and
+Wanner, Solving ODEs I, section II.4): N starts at ``MIN_STEPS`` and
+doubles until the segment's Richardson estimate |fine - coarse| / 15
+meets its share (target / number of segments) of the error target,
+``DEFAULT_ERROR_TARGET`` unless one is given.  A doubling samples only
+the new odd-index points of the half-step grid, interleaves them with the
+kept ones, and reuses the previous fine product as the new coarse
+product.  Past ``MAX_FINE_STEPS`` fine steps on one segment the target is
+out of reach and ``StepUnderflow`` is raised.  An explicit ``steps`` pins
+a fixed grid of N = steps on every segment.
+
+``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
+plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
+the number of accepted fine steps summed over the segments.
 
 Because the coefficient matrix depends only on the (known) path position,
-each segment is sampled once on the fine pass's half-step grid and its
-coefficients come from one call of the contracted kernel
+the coefficients at the sampled points come from the contracted kernel
 ``christoffel_many(M, kind, positions, velocities)``, which returns
 B^k_j = Gamma^k_ij sigma'^i directly.  The per-step RK4 transfer matrices
 are built with stacked matmuls and the ordered product is taken by
 pairwise reduction -- no Python-level inner loop.  Holonomy, block
-prediction and frame trajectories share this path: the coarse pass reuses
-the even-index samples, block prediction integrates the fine pass only,
-and a frame trajectory splits one segment's per-step matrices into pieces
-and takes prefix products of the piece products.
+prediction and frame trajectories share this path: block prediction
+integrates the fine pass only on a fixed grid, and a frame trajectory
+splits each segment's accepted per-step matrices into pieces and takes
+prefix products of the piece products, in the same integration that gives
+the holonomy matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +48,12 @@ from .errors import (EmptyRegion, FamilyNotTrivial, NotClosed, NotTotallyGeodesi
 from .manifold import (ConnectionKind, WeightedManifold, christoffel_many,
                        restrict_manifold)
 
-DEFAULT_STEPS = 2000
+DEFAULT_STEPS = 2000   # fixed grid of loop families and block predictions
+DEFAULT_ERROR_TARGET = 1e-10
+MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
+MAX_FINE_STEPS = 2 ** 16
 RK4_RICHARDSON = 15.0  # 2^order - 1
+EPS = np.finfo(float).eps
 CLOSURE_TOL = 1e-9
 ENDPOINT_TOL = 1e-12
 
@@ -174,10 +191,16 @@ class Loop:
 
 @dataclass(frozen=True)
 class HolonomyElement:
+    """A loop's transport matrix with its error estimate and the accepted
+    fine steps summed over segments; ``positions`` and ``frames`` are set
+    when ``holonomy`` was asked for frames."""
+
     matrix: np.ndarray
     loop: Loop
     steps_used: int
     est_error: float
+    positions: np.ndarray = None
+    frames: np.ndarray = None
 
 
 @dataclass(frozen=True)
@@ -241,56 +264,145 @@ def _transport_matrices(M, kind, pos, vel, covector=False):
     return np.swapaxes(B, 1, 2) if covector else -B
 
 
-def path_transport_matrix(M, kind, path, steps=DEFAULT_STEPS, covector=False,
-                          error_target=None):
-    """Transfer matrix of a piecewise path with its Richardson error estimate.
+def _interleave(even, odd):
+    """Rows even[0], odd[0], even[1], ..., even[-1] (len(even) = len(odd) + 1)."""
+    out = np.empty((even.shape[0] + odd.shape[0],) + even.shape[1:])
+    out[0::2] = even
+    out[1::2] = odd
+    return out
 
-    Returns (matrix, est_error).  Raises StepUnderflow when an explicit
-    error target is not met at the given step count.
+
+def _richardson(fine, coarse):
+    """Richardson estimate of the fine product's truncation error."""
+    return float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
+
+
+def _segment_transport(M, kind, seg, steps, covector, share):
+    """Fine and coarse transfer matrices of one segment, with the sample
+    positions of its accepted half-step grid and the fine pass's per-step
+    matrices.  N starts at ``steps`` and doubles until the segment's
+    Richardson estimate is at most ``share`` (math.inf: the first grid)."""
+    n = steps
+    pos, vel = seg.sample(_fine_grid(n))
+    A = _transport_matrices(M, kind, pos, vel, covector)
+    coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
+    while True:
+        step_mats = _rk4_steps(A, 1.0 / (2 * n))
+        fine = _ordered_product(step_mats)
+        est = _richardson(fine, coarse)
+        if est <= share:
+            return fine, coarse, pos, step_mats
+        if 4 * n > MAX_FINE_STEPS:
+            raise StepUnderflow(f"segment error estimate {est:.3e} exceeds its share "
+                                f"{share:.3e} of the target at {2 * n} steps")
+        # the new half-step grid's even points are the current grid
+        n *= 2
+        new_pos, new_vel = seg.sample(np.arange(1, 4 * n, 2) / (4 * n))
+        A = _interleave(A, _transport_matrices(M, kind, new_pos, new_vel, covector))
+        pos = _interleave(pos, new_pos)
+        coarse = fine
+
+
+def path_transport_matrix(M, kind, path, steps=None, covector=False,
+                          error_target=None, on_segment=None):
+    """Transfer matrix of a piecewise path with its error estimate.
+
+    Returns (matrix, est_error).  Without ``steps`` every segment is
+    step-controlled to its share of ``error_target`` (default
+    DEFAULT_ERROR_TARGET).  With ``steps`` the grid is fixed, and an
+    explicit ``error_target`` that the estimate misses raises
+    StepUnderflow.  ``on_segment(positions, step_matrices)``, if given, is
+    called with each segment's accepted half-step sample positions and
+    fine per-step RK4 matrices.
     """
-    ts = _fine_grid(steps)
-    fine = np.eye(M.dim)
-    coarse = np.eye(M.dim)
+    if steps is None:
+        target = DEFAULT_ERROR_TARGET if error_target is None else error_target
+        start, share = MIN_STEPS, target / max(1, len(path))
+    else:
+        start, share = steps, math.inf
+    fine = coarse = np.eye(M.dim)
+    fine_steps = 0
     for seg in path:
-        A = _transport_matrices(M, kind, *seg.sample(ts), covector=covector)
-        fine = _ordered_product(_rk4_steps(A, 1.0 / (2 * steps))) @ fine
-        coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / steps)) @ coarse
-    est = float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
-    if error_target is not None and est > error_target:
+        f, c, pos, step_mats = _segment_transport(M, kind, seg, start, covector, share)
+        fine = f @ fine
+        coarse = c @ coarse
+        fine_steps += step_mats.shape[0]
+        if on_segment is not None:
+            on_segment(pos, step_mats)
+    # whole-path Richardson estimate plus the roundoff floor of the product
+    est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
+    if steps is not None and error_target is not None and est > error_target:
         raise StepUnderflow(f"estimated error {est:.3e} exceeds target {error_target:.3e}")
     return fine, est
 
 
-def transport_vector(M, kind, path, v0, steps=DEFAULT_STEPS, error_target=None):
+def transport_vector(M, kind, path, v0, steps=None, error_target=None):
     """Parallel-transport the vector v0 along the path; returns endpoint
     components in the coordinate basis."""
     P, _ = path_transport_matrix(M, kind, path, steps=steps, error_target=error_target)
     return P @ np.asarray(v0, dtype=float)
 
 
-def transport_covector(M, kind, path, a0, steps=DEFAULT_STEPS, error_target=None):
+def transport_covector(M, kind, path, a0, steps=None, error_target=None):
     """Parallel-transport the 1-form a0 (row of components) along the path."""
     P, _ = path_transport_matrix(M, kind, path, steps=steps, covector=True,
                                  error_target=error_target)
     return P @ np.asarray(a0, dtype=float)
 
 
-def holonomy(M, kind, loop: Loop, steps=DEFAULT_STEPS, error_target=None) -> HolonomyElement:
+def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
+             frames_per_segment=0) -> HolonomyElement:
+    """Transport around a closed loop (see ``path_transport_matrix`` for
+    ``steps`` and ``error_target``).
+
+    With ``frames_per_segment`` > 0 the element also carries the
+    transported frame along the loop (the CLI's --plot output):
+    ``positions`` (m, n) and ``frames`` (m, n, n), frames[t] mapping
+    basepoint components to components at positions[t].  Each segment's
+    accepted per-step matrices are split into that many pieces of whole
+    steps (at most one piece per step) and the frames are prefix products
+    of the piece products, so the frame at each segment end is the
+    transport along the path so far and the last frame is the matrix.
+    """
     loop.validate(M.chart)
+    fine_steps = []
+    positions = [loop.basepoint]
+    frames = [np.eye(M.dim)]
+
+    def on_segment(pos, step_mats):
+        n_fine = step_mats.shape[0]
+        fine_steps.append(n_fine)
+        if frames_per_segment > 0:
+            pieces = min(frames_per_segment, n_fine)
+            # step index of each piece end
+            cuts = np.arange(pieces + 1) * n_fine // pieces
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                frames.append(_ordered_product(step_mats[a:b]) @ frames[-1])
+                positions.append(pos[2 * b])
+
     P, est = path_transport_matrix(M, kind, loop.segments, steps=steps,
-                                   error_target=error_target)
-    return HolonomyElement(matrix=P, loop=loop,
-                           steps_used=2 * steps * len(loop.segments), est_error=est)
+                                   error_target=error_target, on_segment=on_segment)
+    trajectory = ({} if frames_per_segment <= 0 else
+                  {"positions": np.stack(positions), "frames": np.stack(frames)})
+    return HolonomyElement(matrix=P, loop=loop, steps_used=sum(fine_steps),
+                           est_error=est, **trajectory)
 
 
 # ---------------------------------------------------------------------------
 # Loop families and their s-derivative at 0
 # ---------------------------------------------------------------------------
 
-def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=DEFAULT_STEPS,
+def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
                       trivial_tol=1e-6):
     """One-sided derivative of s -> P(s) at 0, Richardson-extrapolated over
-    s, s/2, s/4.  The family must integrate to the identity at s = 0."""
+    s, s/2, s/4.  The family must integrate to the identity at s = 0.
+
+    Every loop is integrated on one fixed grid of ``steps`` (default
+    DEFAULT_STEPS): the RK4 truncation error cancels in the difference
+    quotients only when s, s/2 and s/4 share a grid, so step control is
+    never used here."""
+    if steps is None:
+        steps = DEFAULT_STEPS
     if fam.trivial_at_zero:
         P0 = holonomy(M, kind, fam.family(0.0), steps=steps)
         gap = np.abs(P0.matrix - np.eye(M.dim)).max()
@@ -374,7 +486,7 @@ def random_rectangle_loops(M, region, count, seed, basepoint=None,
 # ---------------------------------------------------------------------------
 
 def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
-                              loop: Loop, steps=DEFAULT_STEPS, geodesy_tol=1e-8):
+                              loop: Loop, steps=None, geodesy_tol=1e-8):
     """Predicted ambient weighted transport along a loop inside the slice
     {x_j = c_j, j not free}, assembled block by block:
 
@@ -385,8 +497,11 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     connection and feeds e^{phi(sigma(t)) - phi(p)} dphi(normal) sigma'
     into the induced weighted equation.  The slice must be totally geodesic
     (checked numerically along the loop) and metric-orthogonal to the
-    normal coordinate directions.
+    normal coordinate directions.  Like ``family_derivative`` it integrates
+    on one fixed grid of ``steps`` (default DEFAULT_STEPS).
     """
+    if steps is None:
+        steps = DEFAULT_STEPS
     free = sorted(int(i) for i in free_indices)
     normal = [j for j in range(N.dim) if j not in free]
     if not normal:
@@ -442,37 +557,3 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         for j in normal:
             out[i, j] = amb[i, j]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Trajectory recording (CSV plotting support)
-# ---------------------------------------------------------------------------
-
-def transport_frame_trajectory(M, kind, loop: Loop, samples_per_segment=50,
-                               steps=DEFAULT_STEPS):
-    """Coordinate positions and transported-frame components along a loop.
-
-    Returns (positions, frames): positions is (m, n), frames is (m, n, n)
-    with frames[t] mapping basepoint components to components at positions[t].
-    Used by the CLI --plot output.  Each segment is integrated on the same
-    fine grid as ``holonomy`` with the same ``steps``; its per-step transfer
-    matrices are split into ``samples_per_segment`` pieces of whole steps
-    (at most one piece per step) and the frames are prefix products of the
-    piece products, so the frame at each segment end is the holonomy
-    integrator's transport along the path so far.
-    """
-    n_fine = 2 * steps
-    ts = _fine_grid(steps)
-    pieces = min(max(1, samples_per_segment), n_fine)
-    cuts = np.arange(pieces + 1) * n_fine // pieces  # step index of each piece end
-    P = np.eye(M.dim)
-    positions = [np.asarray(loop.basepoint, dtype=float)]
-    frames = [P]
-    for seg in loop.segments:
-        pos, vel = seg.sample(ts)
-        step_mats = _rk4_steps(_transport_matrices(M, kind, pos, vel), 1.0 / n_fine)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            P = _ordered_product(step_mats[a:b]) @ P
-            positions.append(pos[2 * b])
-            frames.append(P)
-    return np.stack(positions), np.stack(frames)

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CatalogEntry
-from .manifold import (ConnectionKind, WeightedMetricTensorField, amari_chentsov,
-                       christoffel_many, covariant_derivative_of_tensor,
-                       weighted_metric_at)
-from .transport import (DEFAULT_STEPS, Loop, holonomy, path_transport_matrix,
-                        polyline_segments, predicted_block_transport,
-                        random_rectangle_loops)
+from .manifold import ConnectionKind, christoffel_many, weighted_metric_at
+from .transport import (holonomy, path_transport_matrix, polyline_segments,
+                        predicted_block_transport, random_rectangle_loops)
 
 MAX_DETAILS = 5
+# step-controlled transports of a check integrate to this fraction of its
+# tolerance, so the transport error stays three digits below it
+TARGET_FRACTION = 1e-3
 # every check_name a CheckReport can carry
 CHECK_NAMES = ("codazzi", "dual_holonomy", "dual_vector_fields", "duality_pairing",
                "projective_equivalence", "totally_geodesic_blocks", "unimodularity")
@@ -50,7 +50,8 @@ class CheckReport:
 
 
 def _report(check_name, entry_name, tol, violations):
-    """violations: list of (where, value); worst five kept as details."""
+    """violations: list of (where, value); worst five kept as details.  A
+    report without samples has checked nothing and does not pass."""
     if violations:
         worst = sorted(violations, key=lambda t: -t[1])[:MAX_DETAILS]
         max_violation = float(max(v for _, v in violations))
@@ -63,7 +64,7 @@ def _report(check_name, entry_name, tol, violations):
         samples=len(violations),
         max_violation=max_violation,
         tol=tol,
-        passed=bool(max_violation <= tol),
+        passed=bool(violations) and max_violation <= tol,
         details=[{"where": w, "violation": float(v)} for w, v in worst],
     )
 
@@ -80,6 +81,11 @@ def _random_open_paths(entry: CatalogEntry, count, seed, waypoints=2):
     return paths
 
 
+def _target(tol, steps):
+    """Transport error target of a check: none on a fixed grid of ``steps``."""
+    return tol * TARGET_FRACTION if steps is None else None
+
+
 def _require_riemannian(entry):
     p, q = entry.manifold.metric.signature
     if q != 0:
@@ -87,48 +93,52 @@ def _require_riemannian(entry):
 
 
 def check_duality_pairing(entry: CatalogEntry, n_paths=20, seed=0, tol=1e-6,
-                          steps=DEFAULT_STEPS) -> CheckReport:
+                          steps=None) -> CheckReport:
     """Transport dual pairs along open paths: the e^{-phi} g pairing of a
     weighted-transported frame with a dual-transported frame is constant."""
     _require_riemannian(entry)
+    target = _target(tol, steps)
     violations = []
     for k, path in enumerate(_random_open_paths(entry, n_paths, seed)):
         start, end = path[0].start, path[-1].end
         h0 = weighted_metric_at(entry.manifold, start)
         h1 = weighted_metric_at(entry.manifold, end)
         Pw, _ = path_transport_matrix(entry.manifold, ConnectionKind.WEIGHTED,
-                                      path, steps=steps)
+                                      path, steps=steps, error_target=target)
         Pd, _ = path_transport_matrix(entry.manifold, ConnectionKind.DUAL_WEIGHTED,
-                                      path, steps=steps)
+                                      path, steps=steps, error_target=target)
         viol = float(np.abs(Pw.T @ h1 @ Pd - h0).max())
         violations.append((f"path {k} from {start.tolist()}", viol))
     return _report("duality_pairing", entry.name, tol, violations)
 
 
 def check_dual_holonomy(entry: CatalogEntry, n_loops=20, seed=1, tol=1e-6,
-                        steps=DEFAULT_STEPS) -> CheckReport:
+                        steps=None) -> CheckReport:
     """Loop transports of the dual pair are adjoint-inverse in the weighted
     pairing at the basepoint."""
     _require_riemannian(entry)
+    target = _target(tol, steps)
     loops = random_rectangle_loops(entry.manifold, entry.sample_region, n_loops,
                                    seed, basepoint=entry.basepoint)
     H = weighted_metric_at(entry.manifold, entry.basepoint)
     Hinv = np.linalg.inv(H)
     violations = []
     for k, loop in enumerate(loops):
-        Pw = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps).matrix
+        Pw = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps,
+                      error_target=target).matrix
         Pd = holonomy(entry.manifold, ConnectionKind.DUAL_WEIGHTED, loop,
-                      steps=steps).matrix
+                      steps=steps, error_target=target).matrix
         predicted = Hinv @ np.linalg.inv(Pw).T @ H
         violations.append((f"loop {k}", float(np.abs(Pd - predicted).max())))
     return _report("dual_holonomy", entry.name, tol, violations)
 
 
 def check_dual_vector_fields(entry: CatalogEntry, n_paths=20, seed=2, tol=1e-6,
-                             steps=DEFAULT_STEPS) -> CheckReport:
+                             steps=None) -> CheckReport:
     """A weighted-parallel vector field stays paired with the
     dual-transported 1-form h(V, .)."""
     _require_riemannian(entry)
+    target = _target(tol, steps)
     rng = np.random.default_rng(seed + 1000)
     violations = []
     for k, path in enumerate(_random_open_paths(entry, n_paths, seed)):
@@ -139,32 +149,49 @@ def check_dual_vector_fields(entry: CatalogEntry, n_paths=20, seed=2, tol=1e-6,
         v0 /= np.linalg.norm(v0)
         a0 = h0 @ v0
         Pw, _ = path_transport_matrix(entry.manifold, ConnectionKind.WEIGHTED,
-                                      path, steps=steps)
+                                      path, steps=steps, error_target=target)
         Pcov, _ = path_transport_matrix(entry.manifold, ConnectionKind.DUAL_WEIGHTED,
-                                        path, steps=steps, covector=True)
+                                        path, steps=steps, covector=True,
+                                        error_target=target)
         viol = float(np.abs(Pcov @ a0 - h1 @ (Pw @ v0)).max())
         violations.append((f"path {k}", viol))
     return _report("dual_vector_fields", entry.name, tol, violations)
 
 
+def _covariant_derivative(gamma, h, dh):
+    """(nabla_i h)_jk = d_i h_jk - Gamma^a_ij h_ak - Gamma^a_ik h_ja at each
+    point, for gamma (m, n, n, n), h (m, n, n) and dh (m, n, n, n)."""
+    return (dh - np.einsum('maij,mak->mijk', gamma, h)
+            - np.einsum('maik,mja->mijk', gamma, h))
+
+
 def check_codazzi(entry: CatalogEntry, n_points=50, seed=3, tol=1e-6) -> CheckReport:
     """nabla^w of e^{-phi} g is totally symmetric and equals the symmetric
-    density 3-tensor; the dual derivative equals its negative."""
+    density 3-tensor; the dual derivative equals its negative.
+
+    Evaluated in batch over the sample points: h = e^{-phi} g and its
+    partials once, one coefficient call per connection."""
+    M = entry.manifold
     pts = entry.random_points(n_points, seed)
-    hfield = WeightedMetricTensorField(entry.manifold)
-    violations = []
-    for k, x in enumerate(pts):
-        D = amari_chentsov(entry.manifold, x)
-        Tw = covariant_derivative_of_tensor(entry.manifold, ConnectionKind.WEIGHTED,
-                                            hfield, x)
-        Td = covariant_derivative_of_tensor(entry.manifold,
-                                            ConnectionKind.DUAL_WEIGHTED, hfield, x)
-        sym_gap = max(float(np.abs(Tw - np.transpose(Tw, perm)).max())
-                      for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])
-        viol = max(sym_gap,
-                   float(np.abs(Tw - D).max()),
-                   float(np.abs(Td + D).max()))
-        violations.append((f"point {np.round(x, 4).tolist()}", viol))
+    M.chart.require_inside(pts)
+    g = M.metric.matrices(pts)
+    dphi = M.density.gradients(pts)
+    w = np.exp(-M.density.values(pts))
+    h = w[:, None, None] * g
+    dh = w[:, None, None, None] * (M.metric.partials(pts)
+                                   - dphi[:, :, None, None] * g[:, None])
+    # Amari-Chentsov tensor dphi (x) h, totally symmetrized
+    D = (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
+         + np.einsum('mk,mij->mijk', dphi, h))
+    Tw = _covariant_derivative(christoffel_many(M, ConnectionKind.WEIGHTED, pts), h, dh)
+    Td = _covariant_derivative(christoffel_many(M, ConnectionKind.DUAL_WEIGHTED, pts),
+                               h, dh)
+    gaps = [np.abs(Tw - np.transpose(Tw, perm))
+            for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]]
+    gaps += [np.abs(Tw - D), np.abs(Td + D)]
+    viol = np.max([gap.reshape(len(pts), -1).max(axis=1) for gap in gaps], axis=0)
+    violations = [(f"point {np.round(x, 4).tolist()}", float(v))
+                  for x, v in zip(pts, viol)]
     return _report("codazzi", entry.name, tol, violations)
 
 
@@ -184,26 +211,28 @@ def check_projective_equivalence(entry: CatalogEntry, n_points=50, seed=4,
 
 
 def check_totally_geodesic_blocks(entry: CatalogEntry, free_indices, fixed_values,
-                                  loops, tol=1e-6, steps=DEFAULT_STEPS) -> CheckReport:
-    """Block-assembled prediction vs full ambient weighted holonomy."""
+                                  loops, tol=1e-6, steps=None) -> CheckReport:
+    """Block-assembled prediction (on its fixed grid) vs full ambient
+    weighted holonomy."""
     violations = []
     for k, loop in enumerate(loops):
         predicted = predicted_block_transport(entry.manifold, free_indices,
                                               fixed_values, loop, steps=steps)
         ambient = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop,
-                           steps=steps).matrix
+                           steps=steps, error_target=_target(tol, steps)).matrix
         violations.append((f"loop {k}", float(np.abs(predicted - ambient).max())))
     return _report("totally_geodesic_blocks", entry.name, tol, violations)
 
 
 def check_unimodularity(entry: CatalogEntry, n_loops=20, seed=5, tol=1e-6,
-                        steps=DEFAULT_STEPS) -> CheckReport:
+                        steps=None) -> CheckReport:
     """Weighted loop transports have unit determinant on orientable charts."""
     loops = random_rectangle_loops(entry.manifold, entry.sample_region, n_loops,
                                    seed, basepoint=entry.basepoint)
     violations = []
     for k, loop in enumerate(loops):
-        P = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps).matrix
+        P = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps,
+                     error_target=_target(tol, steps)).matrix
         violations.append((f"loop {k}", float(abs(np.linalg.det(P) - 1.0))))
     return _report("unimodularity", entry.name, tol, violations)
 
@@ -213,9 +242,10 @@ def check_unimodularity(entry: CatalogEntry, n_loops=20, seed=5, tol=1e-6,
 # ---------------------------------------------------------------------------
 
 def default_suite(entries, seed=0, n_paths=20, n_loops=20, n_points=50,
-                  steps=DEFAULT_STEPS):
+                  steps=None):
     """Run every applicable check over the given entries; reports are
-    ordered by (check_name, entry_name)."""
+    ordered by (check_name, entry_name).  Transports are step-controlled
+    unless ``steps`` pins a fixed grid."""
     reports = []
     for entry in entries:
         riemannian = entry.manifold.metric.signature[1] == 0

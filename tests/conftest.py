@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from hololab import catalog
+
+# property tests replay the same examples on every run and are not timed:
+# a slow shared host must not turn a passing example into a failure
+settings.register_profile("hololab", derandomize=True, deadline=None)
+settings.load_profile("hololab")
 
 
 @pytest.fixture(scope="session")

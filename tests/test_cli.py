@@ -298,3 +298,50 @@ def test_float_roundtrip_in_reports(tmp_path):
     # serialize-parse-serialize is the identity on the payload floats
     again = json.loads(json.dumps(m))
     assert again == m
+
+
+def test_plot_integrates_once_and_matches_report(tmp_path):
+    # step-controlled loops: the matrix is the same with and without --plot,
+    # and the last CSV frame is that matrix
+    loops = [{"polyline": [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]},
+             {"rect": [[-0.5, -0.3], [0.4, 0.6]]}]
+    docs = {}
+    for tag, extra in (("plain", []), ("plot", ["--plot", str(tmp_path / "fr")])):
+        out = tmp_path / f"{tag}.json"
+        cfg = write_config(tmp_path, f"{tag}_c.json", {
+            "manifold": {"catalog": "borel2d"}, "loops": loops, "output": str(out)})
+        assert run(["holonomy", cfg] + extra) == 0
+        docs[tag] = json.loads(out.read_text())["results"]
+    for plain, plotted in zip(docs["plain"], docs["plot"]):
+        assert plain["matrix"] == plotted["matrix"]
+        assert plain["est_error"] == plotted["est_error"]
+        assert plain["steps_used"] == plotted["steps_used"]
+        rows = (tmp_path / f"fr_loop{plain['loop']}.csv").read_text().splitlines()
+        last = np.array([float(v) for v in rows[-1].split(",")[3:]]).reshape(2, 2)
+        assert np.abs(last - np.array(plotted["matrix"])).max() <= 1e-12
+
+
+def test_verify_zero_sample_reports_do_not_pass(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "entries": ["borel2d"],
+        "checks": ["duality_pairing", "unimodularity"],
+        "samples": {"paths": 0, "loops": 0, "points": 2},
+        "output": str(out),
+    })
+    assert run(["verify", cfg]) == 1
+    doc = json.loads(out.read_text())
+    assert [r["check_name"] for r in doc["results"]] == ["duality_pairing",
+                                                         "unimodularity"]
+    assert all(r["samples"] == 0 and r["passed"] is False for r in doc["results"])
+    assert doc["passed"] is False
+    assert "all passed" not in capsys.readouterr().out
+
+
+def test_holonomy_rejects_other_commands_as_tasks(tmp_path, capsys):
+    for task in ("algebra", "verify"):
+        cfg = write_config(tmp_path, "c.json", {
+            "manifold": {"catalog": "so11_2d"}, "loops": [],
+            "tasks": ["holonomy", task]})
+        assert run(["holonomy", cfg]) == 2
+        assert task in capsys.readouterr().err

@@ -5,17 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from hololab import transport
 from hololab.catalog import (ALPHA_DERIVATIVE, BETA_DERIVATIVE, BOREL_LOOP1_MATRIX,
                              BOREL_LOOP2_MATRIX, HEIS_SQUARE_MATRIX, XI)
 from hololab.errors import (EmptyRegion, FamilyNotTrivial, NotClosed,
                             NotTotallyGeodesic, OutOfDomain, StepUnderflow)
 from hololab.manifold import ConnectionKind, metric_at
-from hololab.transport import (Curve, Line, Loop, LoopFamily, holonomy,
+from hololab.transport import (MIN_STEPS, Curve, Line, Loop, LoopFamily, holonomy,
                                path_transport_matrix, polyline_segments,
                                predicted_block_transport, random_rectangle_loops,
                                rectangle_loop, shrinking_rectangle_family,
                                family_derivative, transport_covector,
-                               transport_frame_trajectory, transport_vector)
+                               transport_vector)
 
 E = math.e
 W = ConnectionKind.WEIGHTED
@@ -122,6 +123,50 @@ def test_step_underflow():
         path_transport_matrix(borel.manifold, W,
                               borel.loops["golden1"].segments, steps=4,
                               error_target=1e-14)
+
+
+def test_step_underflow_without_steps(borel):
+    # no grid reaches 1e-18: doubling stops at the step cap
+    with pytest.raises(StepUnderflow):
+        holonomy(borel.manifold, W, borel.loops["golden1"], error_target=1e-18)
+
+
+@pytest.mark.parametrize("steps", [None, 2000])
+def test_est_error_bounds_true_error(borel, tri3, steps):
+    # the default target, and the fixed grid whose estimate once read 0.08x
+    cases = [(borel, "golden1", BOREL_LOOP1_MATRIX),
+             (borel, "golden2", BOREL_LOOP2_MATRIX),
+             (tri3, "square", HEIS_SQUARE_MATRIX)]
+    for entry, key, exact in cases:
+        h = holonomy(entry.manifold, W, entry.loops[key], steps=steps)
+        true_error = np.abs(h.matrix - exact).max()
+        assert h.est_error >= true_error
+        if steps is None:
+            assert h.est_error < transport.DEFAULT_ERROR_TARGET
+
+
+def test_step_doubling_samples_each_point_once(borel, monkeypatch):
+    calls = []
+    kernel = transport.christoffel_many
+
+    def counting(M, kind, pts, velocity=None):
+        calls.append(len(pts))
+        return kernel(M, kind, pts, velocity)
+
+    monkeypatch.setattr(transport, "christoffel_many", counting)
+    segments = []
+
+    def on_segment(pos, step_mats):
+        segments.append((sum(calls), step_mats.shape[0]))
+        calls.clear()
+
+    path_transport_matrix(borel.manifold, W, borel.loops["golden1"].segments,
+                          on_segment=on_segment)
+    assert max(n_fine for _, n_fine in segments) > 2 * MIN_STEPS  # it doubled
+    for points, n_fine in segments:
+        n = n_fine // 2  # coarse steps of the accepted grid
+        assert points <= 2 * (4 * n + 1)
+        assert points == 4 * n + 1  # every half-step grid point exactly once
 
 
 def test_composition_and_inverse(borel):
@@ -260,9 +305,8 @@ def test_predicted_block_rejects_non_geodesic_slice(sphere3):
 
 def test_frame_trajectory_endpoint_matches_holonomy(borel):
     loop = borel.loops["golden1"]
-    positions, frames = transport_frame_trajectory(borel.manifold, W, loop,
-                                                   samples_per_segment=10,
-                                                   steps=200)
+    h = holonomy(borel.manifold, W, loop, steps=200, frames_per_segment=10)
+    positions, frames = h.positions, h.frames
     P = holonomy(borel.manifold, W, loop, steps=200).matrix
     assert positions.shape[0] == frames.shape[0] == 41
     assert np.abs(frames[-1] - P).max() < 1e-9
@@ -284,7 +328,8 @@ def test_frames_at_segment_ends_match_prefix_transport(borel, sphere2, which,
         M, loop = borel.manifold, borel.loops["golden1"]
     else:
         M, loop = sphere2.manifold, _curve_loop()
-    positions, frames = transport_frame_trajectory(M, W, loop, per_segment, steps)
+    h = holonomy(M, W, loop, steps=steps, frames_per_segment=per_segment)
+    positions, frames = h.positions, h.frames
     pieces = min(per_segment, 2 * steps)
     assert positions.shape[0] == frames.shape[0] == 1 + pieces * len(loop.segments)
     assert np.array_equal(frames[0], np.eye(M.dim))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from hololab import catalog, verify
-from hololab.manifold import (CoordinateChart, DensityField, MetricField,
-                              WeightedManifold)
+from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
+                              MetricField, WeightedManifold,
+                              WeightedMetricTensorField, amari_chentsov,
+                              covariant_derivative_of_tensor)
 
 STEPS = 300  # reduced step count keeps unit tests quick; tolerances still hold
 
@@ -43,6 +45,34 @@ def test_duality_checks_on_catalog(borel, so11, tri3):
 def test_codazzi_on_catalog(sphere2, tri3):
     assert verify.check_codazzi(sphere2, n_points=25, seed=4).passed
     assert verify.check_codazzi(tri3, n_points=25, seed=4).passed
+
+
+def test_codazzi_batch_matches_pointwise_reference(monkeypatch):
+    # the pointwise covariant derivative and Amari-Chentsov tensor stay the
+    # reference for the batched check; every point is kept as a detail
+    monkeypatch.setattr(verify, "MAX_DETAILS", 12)
+    for entry in catalog.default_entries():
+        M = entry.manifold
+        hfield = WeightedMetricTensorField(M)
+        expected = {}
+        for x in entry.random_points(12, seed=7):
+            D = amari_chentsov(M, x)
+            Tw = covariant_derivative_of_tensor(M, ConnectionKind.WEIGHTED, hfield, x)
+            Td = covariant_derivative_of_tensor(M, ConnectionKind.DUAL_WEIGHTED,
+                                                hfield, x)
+            sym_gap = max(float(np.abs(Tw - np.transpose(Tw, perm)).max())
+                          for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])
+            expected[f"point {np.round(x, 4).tolist()}"] = max(
+                sym_gap, float(np.abs(Tw - D).max()), float(np.abs(Td + D).max()))
+        r = verify.check_codazzi(entry, n_points=12, seed=7)
+        assert r.samples == 12 and len(r.details) == 12
+        for d in r.details:
+            assert abs(d["violation"] - expected[d["where"]]) <= 1e-14
+
+
+def test_report_without_samples_does_not_pass():
+    r = verify._report("unimodularity", "flat", 1e-6, [])
+    assert r.samples == 0 and r.max_violation == 0.0 and r.passed is False
 
 
 def test_projective_check(so11, sopq12):
