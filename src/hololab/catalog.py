@@ -77,7 +77,6 @@ class CatalogEntry:
     # totally geodesic coordinate slices: (free_indices, fixed_values, loops)
     block_slices: tuple = ()
     self_dual_frame_map: Optional[np.ndarray] = None
-    orientable: bool = True
 
     @property
     def dim(self):

@@ -277,17 +277,21 @@ def cmd_holonomy(args):
             exit_code = 1
         results.append(item)
     for j, (fam, s_step) in enumerate(families):
-        D = family_derivative(M, kind, fam, s_step=s_step, steps=steps)
-        results.append({"family": j, "derivative": D.tolist()})
+        try:
+            D = family_derivative(M, kind, fam, s_step=s_step, steps=steps)
+            results.append({"family": j, "derivative": D.tolist()})
+        except HololabError as exc:
+            results.append({"family": j, "error": str(exc)})
+            exit_code = 1
     report["results"] = results
     for item in results:
+        label = f"loop {item['loop']}" if "loop" in item else f"family {item['family']}"
         if "matrix" in item:
-            print(f"loop {item['loop']}: det={item['det']:.12f} "
-                  f"est_error={item['est_error']:.2e}")
+            print(f"{label}: det={item['det']:.12f} est_error={item['est_error']:.2e}")
         elif "derivative" in item:
-            print(f"family {item['family']}: derivative computed")
+            print(f"{label}: derivative computed")
         else:
-            print(f"loop {item['loop']}: ERROR {item['error']}")
+            print(f"{label}: ERROR {item['error']}")
     _write_report(report, config, args)
     return exit_code
 
@@ -351,6 +355,10 @@ def cmd_algebra(args):
     print(f"algebra dimension: {exp.dim}   tag: {exp.tag}")
     print(f"generators: {exp.used_count} usable of {exp.loop_count} loops; "
           f"max |det-1| = {report['results']['max_det_error']:.2e}")
+    # without a loop or a family generator the dimension rests on nothing
+    evidence = exp.loop_count > 0 or bool(extra)
+    if not evidence:
+        print("algebra: NO LOOPS (no loop integrated and no family given)")
     if args.conjecture:
         n = M.dim
         full = n * (n - 1) // 2
@@ -369,7 +377,7 @@ def cmd_algebra(args):
               f"equality: {exp.dim == full}; "
               f"strictly upper: {strictly_upper}")
     _write_report(report, config, args)
-    return 0
+    return 0 if evidence else 1
 
 
 def cmd_verify(args):
@@ -401,9 +409,8 @@ def cmd_verify(args):
     else:
         entries = cat.default_entries()
     reports = verify.default_suite(entries, seed=seed, n_paths=n_paths,
-                                   n_loops=n_loops, n_points=n_points, steps=steps)
-    if wanted:
-        reports = [r for r in reports if r.check_name in wanted]
+                                   n_loops=n_loops, n_points=n_points, steps=steps,
+                                   checks=wanted)
     report = _base_report("verify", config, seed)
     report["results"] = [r.to_dict() for r in reports]
     # a suite that ran no check has verified nothing

@@ -34,11 +34,6 @@ class DomainError(HololabError):
     of a nonpositive base, division by zero)."""
 
 
-class NondifferentiablePoint(HololabError):
-    """Reserved for future non-smooth primitives; not raised by the current
-    grammar."""
-
-
 # --- manifold layer ---
 
 def _plain(value):

@@ -7,6 +7,14 @@ exactly with dual numbers.  Second derivatives come from nesting duals
 (dual-over-dual), so user-defined manifolds reach the same accuracy as the
 built-in catalog.
 
+``eval_dual`` with a tuple of k names is vector forward mode: each name is
+seeded with a one-hot tangent row, so one pass over the AST yields the
+value and the (k, ...) stack of partials in all k names; the Dual
+arithmetic broadcasts the rows.  A Dual computes its value exactly as
+plain evaluation does (``tan`` by ``np.tan``, powers by ``**``), so the
+value of a jet equals ``eval_expr`` and each partial row equals the
+single-name pass bit for bit.
+
 Grammar (see docs/grammar.md for the EBNF):
 
     expr   = term  { ("+"|"-") term }
@@ -253,7 +261,8 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers (value + one tangent); nestable for second derivatives
+# Dual numbers (value + tangent, or a stack of tangent rows); nestable for
+# second derivatives
 # ---------------------------------------------------------------------------
 
 def _sin(x):
@@ -274,6 +283,14 @@ def _log(x):
     if np.any(np.asarray(x) <= 0):
         raise DomainError("log of a nonpositive value")
     return np.log(x)
+
+
+def _tan(x):
+    return x.tan() if isinstance(x, Dual) else np.tan(x)
+
+
+def _ipow(x, k):
+    return x.ipow(k) if isinstance(x, Dual) else x ** k
 
 
 def _sqrt(x):
@@ -342,7 +359,7 @@ class Dual:
 
     def tan(self):
         c = _cos(self.val)
-        return Dual(_sin(self.val) / c, self.eps / (c * c))
+        return Dual(_tan(self.val), self.eps / (c * c))
 
     def exp(self):
         v = _exp(self.val)
@@ -366,15 +383,11 @@ class Dual:
         return Dual(np.sinh(self.val), np.cosh(self.val) * self.eps)
 
     def ipow(self, k):
-        """Integer power by repeated multiplication (valid for any base)."""
+        """Integer power (valid for any nonzero base, and for zero when
+        k >= 0); the value is ``base ** k`` as in plain evaluation."""
         if k == 0:
-            return self * 0.0 + 1.0
-        if k < 0:
-            return 1.0 / self.ipow(-k)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+            return Dual(_ipow(self.val, 0), self.eps * 0.0)
+        return Dual(_ipow(self.val, k), k * _ipow(self.val, k - 1) * self.eps)
 
 
 def _primitive_value(x):
@@ -383,31 +396,38 @@ def _primitive_value(x):
     return x
 
 
+def _exp_valued(x, value):
+    """exp of ``x`` whose innermost value is the given ``value``."""
+    if not isinstance(x, Dual):
+        return value
+    v = _exp_valued(x.val, value)
+    return Dual(v, v * x.eps)
+
+
 def _pow(base, expo):
     """base ^ expo with the real-domain rules: any base for integral
     exponents, positive base otherwise."""
     expo_primitive = _primitive_value(expo)
+    base_primitive = _primitive_value(base)
     expo_is_const = not isinstance(expo, Dual)
     if expo_is_const and np.ndim(expo_primitive) == 0 and float(expo_primitive) == int(expo_primitive):
         k = int(expo_primitive)
-        if isinstance(base, Dual):
-            return base.ipow(k)
-        if k < 0 and np.any(np.asarray(base) == 0):
+        if k < 0 and np.any(np.asarray(base_primitive) == 0):
             raise DomainError("zero raised to a negative power")
-        return base ** k
-    base_primitive = _primitive_value(base)
+        return _ipow(base, k)
     if np.any(np.asarray(base_primitive) <= 0):
         raise DomainError("fractional power of a nonpositive base")
+    value = base_primitive ** expo_primitive
     if isinstance(base, Dual) or isinstance(expo, Dual):
+        # d(b^e) = b^e d(e log b), with b^e itself computed as above
         lb = base.log() if isinstance(base, Dual) else np.log(base)
-        prod = expo * lb if isinstance(expo, Dual) else lb * expo
-        return prod.exp() if isinstance(prod, Dual) else np.exp(prod)
-    return base ** expo
+        return _exp_valued(expo * lb if isinstance(expo, Dual) else lb * expo, value)
+    return value
 
 
 _CALL_TABLE = {
     "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
-    "tan": lambda x: x.tan() if isinstance(x, Dual) else np.tan(x),
+    "tan": _tan,
     "cosh": lambda x: x.cosh() if isinstance(x, Dual) else np.cosh(x),
     "sinh": lambda x: x.sinh() if isinstance(x, Dual) else np.sinh(x),
 }
@@ -450,15 +470,31 @@ def eval_expr(e: Expr, env: dict) -> float:
     return _eval(e, env)
 
 
-def eval_dual(e: Expr, env: dict, wrt: str):
-    """Return (value, d/d<wrt>) by forward-mode dual evaluation."""
-    denv = {k: (Dual(v, np.ones_like(v) if np.ndim(v) else 1.0) if k == wrt else v)
-            for k, v in env.items()}
+def eval_dual(e: Expr, env: dict, wrt):
+    """Return (value, partials) by forward-mode dual evaluation.
+
+    ``wrt`` is a variable name, giving d/d<wrt>, or a tuple of k names,
+    giving the (k, ...) stack of partials, row r in wrt[r], from the same
+    single pass over the AST.
+    """
+    if isinstance(wrt, str):
+        denv = {k: (Dual(v, np.ones_like(v) if np.ndim(v) else 1.0) if k == wrt else v)
+                for k, v in env.items()}
+        out = _eval(e, denv)
+        if isinstance(out, Dual):
+            return out.val, out.eps
+        zero = np.zeros_like(env[wrt]) if np.ndim(env.get(wrt, 0.0)) else 0.0
+        return out, zero
+    denv = dict(env)
+    for r, name in enumerate(wrt):
+        if name in env:
+            tangent = np.zeros((len(wrt),) + np.shape(env[name]))
+            tangent[r] = 1.0
+            denv[name] = Dual(env[name], tangent)
     out = _eval(e, denv)
     if isinstance(out, Dual):
         return out.val, out.eps
-    zero = np.zeros_like(env[wrt]) if np.ndim(env.get(wrt, 0.0)) else 0.0
-    return out, zero
+    return out, np.zeros((len(wrt),) + np.shape(out))
 
 
 def eval_dual2(e: Expr, env: dict, wrt1: str, wrt2: str):

@@ -16,19 +16,31 @@ back to central differences (step 1e-5 for first derivatives, nested
 evaluated in batch over (m, n) point arrays so path integration stays
 vectorized.
 
-``christoffel_many`` is the one coefficient kernel.  It evaluates g, d g
-and d phi once per point array.  Given a path velocity v it returns the
-contracted coefficients B^k_j = Gamma^k_ij v^i that parallel transport
-needs: c_aij = d_i g_aj + d_j g_ai - d_a g_ij is contracted with v before
+Geometry is evaluated as first-order jets: ``jet(pts)`` returns a field's
+values with all its coordinate partials.  An expression field records at
+construction which coordinates its expression contains and takes the
+value and those partials from one vector-dual pass (``expr.eval_dual``
+with a tuple of names); its partials in the other coordinates are exactly
+0 and are never evaluated, and a variable-free expression is evaluated
+once with no dual pass.  ``MetricField.jet`` gives (g, d g), skipping the
+literal 0 entries altogether, and ``DensityField.jet`` gives
+(phi, d phi); ``partials`` and ``gradients`` are views of them.
+
+``christoffel_many`` is the one coefficient kernel.  It evaluates the
+metric and density jets once per point array.  Given a path velocity v it
+returns the contracted coefficients B^k_j = Gamma^k_ij v^i that parallel
+transport needs: c_aij = d_i g_aj + d_j g_ai - d_a g_ij is contracted with v before
 the index is raised, and the weighted and dual corrections enter in their
 contracted forms -(v.dphi) delta^k_j - v^k d_j phi and
 +(g v)_j (g^-1 dphi)^k, so no (m, n, n, n) coefficient array is formed.
 Without a velocity it returns the full Gamma, assembled from the same
 contraction with each coordinate direction.  A metric records at
-construction which entries are variable-free (their partials are zero and
-are not evaluated) and whether every off-diagonal entry is the literal 0;
-such a diagonal metric is inverted as 1/diag with det = prod(diag), any
-other metric by LAPACK.
+construction whether every off-diagonal entry is the literal 0; such a
+diagonal metric is inverted as 1/diag with det = prod(diag).  Any other
+metric of dimension 2 or 3 is inverted from one cofactor factorization:
+the symmetric adjugate, det g expanded along its first row, g^-1 =
+adj / det.  Larger non-diagonal metrics use LAPACK.  Every path checks
+|det g| against DET_FLOOR.
 """
 
 from __future__ import annotations
@@ -149,7 +161,11 @@ def grid_points(box, per_axis=3):
 # ---------------------------------------------------------------------------
 
 class ExprScalarField:
-    """Scalar field backed by an expression AST; derivatives are exact."""
+    """Scalar field backed by an expression AST; derivatives are exact.
+
+    ``axes`` lists the coordinates the expression contains; the partials
+    in every other coordinate are exactly 0.
+    """
 
     mode = "autodiff"
 
@@ -162,6 +178,7 @@ class ExprScalarField:
             raise UnboundVariable(sorted(unknown)[0])
         self.expression = expression
         self.chart = chart
+        self.axes = tuple(i for i, name in enumerate(chart.coord_names) if name in free)
         self.constant = not free  # every partial derivative is exactly 0
 
     def values(self, pts):
@@ -170,11 +187,17 @@ class ExprScalarField:
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (np.atleast_2d(pts).shape[0],)).copy()
 
-    def derivatives(self, pts, i):
-        env = self.chart.env(pts)
-        _, d = ex.eval_dual(self.expression, env, self.chart.coord_names[i])
-        return np.broadcast_to(np.asarray(d, dtype=float),
-                               (np.atleast_2d(pts).shape[0],)).copy()
+    def jet(self, pts):
+        """(m,) values and (m, n) gradient from one vector-dual pass over
+        the contained coordinates; a constant is evaluated without one."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        grad = np.zeros(pts.shape)
+        if self.constant:
+            return self.values(pts), grad
+        names = tuple(self.chart.coord_names[i] for i in self.axes)
+        val, d = ex.eval_dual(self.expression, self.chart.env(pts), names)
+        grad[:, self.axes] = d.T
+        return val, grad
 
     def second_derivatives(self, pts, i, j):
         env = self.chart.env(pts)
@@ -201,11 +224,15 @@ class CallableScalarField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.array([float(self.fn(p)) for p in pts])
 
-    def derivatives(self, pts, i):
+    def jet(self, pts):
+        """(m,) values and (m, n) central-difference gradient."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        step = np.zeros(pts.shape[1])
-        step[i] = self.h1
-        return (self.values(pts + step) - self.values(pts - step)) / (2 * self.h1)
+        grad = np.empty(pts.shape)
+        for i in range(pts.shape[1]):
+            step = np.zeros(pts.shape[1])
+            step[i] = self.h1
+            grad[:, i] = (self.values(pts + step) - self.values(pts - step)) / (2 * self.h1)
+        return self.values(pts), grad
 
     def second_derivatives(self, pts, i, j):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -230,8 +257,9 @@ class MetricField:
     """Symmetric bilinear field with declared signature (p, q).
 
     ``varying`` lists the upper-triangle entries (i, j) that are not
-    variable-free; ``diagonal`` is true when every off-diagonal entry is the
-    literal 0.  Both are fixed at construction from the entries' ASTs.
+    variable-free, ``nonzero`` those that are not the literal 0;
+    ``diagonal`` is true when every off-diagonal entry is the literal 0.
+    All are fixed at construction from the entries' ASTs.
     """
 
     def __init__(self, chart, entry_fields, signature, validate=True, sample_grid=None):
@@ -245,8 +273,9 @@ class MetricField:
         self.mode = entry_fields[0][0].mode
         self.varying = tuple((i, j) for i in range(n) for j in range(i, n)
                              if not entry_fields[i][j].constant)
-        self.diagonal = all(_is_literal_zero(entry_fields[i][j])
-                            for i in range(n) for j in range(i + 1, n))
+        self.nonzero = tuple((i, j) for i in range(n) for j in range(i, n)
+                             if not _is_literal_zero(entry_fields[i][j]))
+        self.diagonal = all(i == j for i, j in self.nonzero)
         if validate:
             self.validate(sample_grid)
 
@@ -304,17 +333,24 @@ class MetricField:
                 g[:, j, i] = v
         return g
 
-    def partials(self, pts):
-        """(m, n, n, n) array of d_l g_ij, index order [l, i, j]."""
+    def jet(self, pts):
+        """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
+        [l, i, j], one field jet per entry that is not the literal 0."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
+        g = np.zeros((m, n, n))
         dg = np.zeros((m, n, n, n))
-        for l in range(n):
-            for i, j in self.varying:
-                v = self.entries[i][j].derivatives(pts, l)
-                dg[:, l, i, j] = v
-                dg[:, l, j, i] = v
-        return dg
+        for i, j in self.nonzero:
+            v, d = self.entries[i][j].jet(pts)
+            g[:, i, j] = v
+            g[:, j, i] = v
+            dg[:, :, i, j] = d
+            dg[:, :, j, i] = d
+        return g, dg
+
+    def partials(self, pts):
+        """(m, n, n, n) array of d_l g_ij, index order [l, i, j]."""
+        return self.jet(pts)[1]
 
     def second_partials(self, pts):
         """(m, n, n, n, n) array of d_a d_b g_ij, index order [a, b, i, j]."""
@@ -376,11 +412,13 @@ class DensityField:
     def values(self, pts):
         return self.field.values(pts)
 
+    def jet(self, pts):
+        """(m,) values phi and (m, n) rows of coordinate partials d_i phi."""
+        return self.field.jet(pts)
+
     def gradients(self, pts):
         """(m, n) rows of coordinate partials d_i phi."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.chart.dim
-        return np.stack([self.field.derivatives(pts, i) for i in range(n)], axis=1)
+        return self.jet(pts)[1]
 
     def hessians(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -451,19 +489,44 @@ def dphi_at(M: WeightedManifold, x) -> np.ndarray:
     return M.density.gradients(_one_point(x))[0]
 
 
+def _adjugate(g):
+    """Symmetric adjugate (m, n, n) of symmetric (m, n, n) matrices, n = 2 or
+    3, and det g expanded along the first row."""
+    if g.shape[1] == 2:
+        a, b, d = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        row0 = (d, -b)
+        adj = (row0, (-b, a))
+    else:
+        a, b, c = g[:, 0, 0], g[:, 0, 1], g[:, 0, 2]
+        d, e, f = g[:, 1, 1], g[:, 1, 2], g[:, 2, 2]
+        row0 = (d * f - e * e, c * e - b * f, b * e - c * d)
+        c12 = b * c - a * e
+        adj = (row0, (row0[1], a * f - c * c, c12), (row0[2], c12, a * d - b * b))
+    det = sum(g[:, 0, j] * row0[j] for j in range(len(row0)))
+    return np.stack([np.stack(row, axis=1) for row in adj], axis=1), det
+
+
 def _inverse_metric(metric, g, pts):
     """g^{-1} at each point: (m, n) reciprocals of the diagonal for a
-    structurally diagonal metric, else (m, n, n) from LAPACK.  Raises
+    structurally diagonal metric, (m, n, n) adj/det from one cofactor
+    factorization for n = 2 or 3, else (m, n, n) from LAPACK.  Raises
     SingularMetric where |det g| <= DET_FLOOR."""
+    n = g.shape[1]
     if metric.diagonal:
         diag = np.diagonal(g, axis1=1, axis2=2)
         dets = diag.prod(axis=1)
+    elif n <= 3:
+        adj, dets = _adjugate(g)
     else:
         dets = np.linalg.det(g)
     if np.abs(dets).min() <= DET_FLOOR:
         k = int(np.abs(dets).argmin())
         raise SingularMetric(pts[k], dets[k])
-    return 1.0 / diag if metric.diagonal else np.linalg.inv(g)
+    if metric.diagonal:
+        return 1.0 / diag
+    if n <= 3:
+        return adj / dets[:, None, None]
+    return np.linalg.inv(g)
 
 
 def _raise_index(ginv, x):
@@ -498,10 +561,9 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     (m, n), the contracted (m, n, n) array B[., k, j] = Gamma^k_ij v^i.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = M.metric.matrices(pts)
+    g, dg = M.metric.jet(pts)
     ginv = _inverse_metric(M.metric, g, pts)
-    dg = M.metric.partials(pts)
-    dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.gradients(pts)
+    dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.jet(pts)[1]
     if velocity is not None:
         v = np.asarray(velocity, dtype=float).reshape(pts.shape)
         return _contracted(kind, g, ginv, dg, dphi, v)
@@ -527,9 +589,12 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     the inverse metric), so curvature inherits the field's derivative mode.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = M.metric.matrices(pts)
-    ginv = np.linalg.inv(g)
-    dg = M.metric.partials(pts)          # [l, i, j]
+    n = M.dim
+    g, dg = M.metric.jet(pts)            # dg: [l, i, j]
+    ginv = _inverse_metric(M.metric, g, pts)
+    if ginv.ndim == 2:
+        diag, ginv = ginv, np.zeros(g.shape)
+        ginv[:, range(n), range(n)] = diag
     d2g = M.metric.second_partials(pts)  # [a, b, i, j]
     # c_{aij} = d_i g_aj + d_j g_ai - d_a g_ij, and its l-derivative
     c = np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg
@@ -540,14 +605,13 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     if kind == ConnectionKind.LEVI_CIVITA:
         return dgamma
     hess = M.density.hessians(pts)
-    n = M.dim
     eye = np.eye(n)
     if kind == ConnectionKind.WEIGHTED:
         corr = (np.einsum('mli,kj->mlkij', hess, eye)
                 + np.einsum('mlj,ki->mlkij', hess, eye))
         return dgamma - corr
     if kind == ConnectionKind.DUAL_WEIGHTED:
-        grad_phi = M.density.gradients(pts)
+        grad_phi = M.density.jet(pts)[1]
         grad_up = np.einsum('mka,ma->mk', ginv, grad_phi)
         dgrad_up = (np.einsum('mlka,ma->mlk', dginv, grad_phi)
                     + np.einsum('mka,mla->mlk', ginv, hess))
@@ -582,11 +646,9 @@ class WeightedMetricTensorField:
 
     def partials(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = np.exp(-self.M.density.values(pts))
-        g = self.M.metric.matrices(pts)
-        dg = self.M.metric.partials(pts)
-        dphi = self.M.density.gradients(pts)
-        return w[:, None, None, None] * (dg - np.einsum('ml,mij->mlij', dphi, g))
+        phi, dphi = self.M.density.jet(pts)
+        g, dg = self.M.metric.jet(pts)
+        return np.exp(-phi)[:, None, None, None] * (dg - np.einsum('ml,mij->mlij', dphi, g))
 
 
 class _CallableTensorField:

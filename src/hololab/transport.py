@@ -209,7 +209,6 @@ class LoopFamily:
 
     family: Callable
     s_max: float
-    trivial_at_zero: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +402,10 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
     never used here."""
     if steps is None:
         steps = DEFAULT_STEPS
-    if fam.trivial_at_zero:
-        P0 = holonomy(M, kind, fam.family(0.0), steps=steps)
-        gap = np.abs(P0.matrix - np.eye(M.dim)).max()
-        if gap > max(10.0 * P0.est_error, trivial_tol):
-            raise FamilyNotTrivial(f"P(0) differs from identity by {gap:.3e}")
+    P0 = holonomy(M, kind, fam.family(0.0), steps=steps)
+    gap = np.abs(P0.matrix - np.eye(M.dim)).max()
+    if gap > max(10.0 * P0.est_error, trivial_tol):
+        raise FamilyNotTrivial(f"P(0) differs from identity by {gap:.3e}")
     if not 0 < s_step <= fam.s_max:
         raise ValueError("s_step must lie in (0, s_max]")
 
@@ -537,8 +535,8 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         A[:, :s, :s] = -christoffel_many(sub, ConnectionKind.WEIGHTED, pos[:, free],
                                          sub_vel)
         # source: lambda(t) * sigma'_tangent (x) dphi acting on the normal flow
-        lam = np.exp(N.density.values(pos) - base_phi)
-        dphi = N.density.gradients(pos)
+        phi, dphi = N.density.jet(pos)
+        lam = np.exp(phi - base_phi)
         A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
         fine = _ordered_product(_rk4_steps(A, 1.0 / (2 * steps))) @ fine
 

@@ -174,12 +174,11 @@ def check_codazzi(entry: CatalogEntry, n_points=50, seed=3, tol=1e-6) -> CheckRe
     M = entry.manifold
     pts = entry.random_points(n_points, seed)
     M.chart.require_inside(pts)
-    g = M.metric.matrices(pts)
-    dphi = M.density.gradients(pts)
-    w = np.exp(-M.density.values(pts))
+    g, dg = M.metric.jet(pts)
+    phi, dphi = M.density.jet(pts)
+    w = np.exp(-phi)
     h = w[:, None, None] * g
-    dh = w[:, None, None, None] * (M.metric.partials(pts)
-                                   - dphi[:, :, None, None] * g[:, None])
+    dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
     # Amari-Chentsov tensor dphi (x) h, totally symmetrized
     D = (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
          + np.einsum('mk,mij->mijk', dphi, h))
@@ -242,24 +241,34 @@ def check_unimodularity(entry: CatalogEntry, n_loops=20, seed=5, tol=1e-6,
 # ---------------------------------------------------------------------------
 
 def default_suite(entries, seed=0, n_paths=20, n_loops=20, n_points=50,
-                  steps=None):
+                  steps=None, checks=None):
     """Run every applicable check over the given entries; reports are
     ordered by (check_name, entry_name).  Transports are step-controlled
-    unless ``steps`` pins a fixed grid."""
+    unless ``steps`` pins a fixed grid.  ``checks``, if given, names the
+    checks to run; the others are skipped, and each check keeps its seed,
+    so its reports equal those of the full suite."""
+    def wanted(name):
+        return checks is None or name in checks
+
     reports = []
     for entry in entries:
         riemannian = entry.manifold.metric.signature[1] == 0
-        if riemannian:
+        if riemannian and wanted("duality_pairing"):
             reports.append(check_duality_pairing(entry, n_paths, seed, steps=steps))
+        if riemannian and wanted("dual_holonomy"):
             reports.append(check_dual_holonomy(entry, n_loops, seed + 1, steps=steps))
+        if riemannian and wanted("dual_vector_fields"):
             reports.append(check_dual_vector_fields(entry, n_paths, seed + 2,
                                                     steps=steps))
-        reports.append(check_codazzi(entry, n_points, seed + 3))
-        if entry.companion is not None:
+        if wanted("codazzi"):
+            reports.append(check_codazzi(entry, n_points, seed + 3))
+        if entry.companion is not None and wanted("projective_equivalence"):
             reports.append(check_projective_equivalence(entry, n_points, seed + 4))
-        reports.append(check_unimodularity(entry, n_loops, seed + 5, steps=steps))
-        for free, fixed, slice_loops in entry.block_slices:
-            reports.append(check_totally_geodesic_blocks(
-                entry, free, fixed, list(slice_loops), steps=steps))
+        if wanted("unimodularity"):
+            reports.append(check_unimodularity(entry, n_loops, seed + 5, steps=steps))
+        if wanted("totally_geodesic_blocks"):
+            for free, fixed, slice_loops in entry.block_slices:
+                reports.append(check_totally_geodesic_blocks(
+                    entry, free, fixed, list(slice_loops), steps=steps))
     reports.sort(key=lambda r: (r.check_name, r.entry_name))
     return reports

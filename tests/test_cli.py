@@ -345,3 +345,80 @@ def test_holonomy_rejects_other_commands_as_tasks(tmp_path, capsys):
             "tasks": ["holonomy", task]})
         assert run(["holonomy", cfg]) == 2
         assert task in capsys.readouterr().err
+
+
+def test_verify_runs_only_the_selected_checks(tmp_path, monkeypatch):
+    from hololab import catalog, verify
+    samples = {"paths": 1, "loops": 1, "points": 5}
+    full = verify.default_suite([catalog.get_entry("so_pq(1,2)")], seed=3,
+                                n_paths=1, n_loops=1, n_points=5, steps=50)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check that was not asked for ran")
+
+    for name in ("check_duality_pairing", "check_dual_holonomy",
+                 "check_dual_vector_fields", "check_unimodularity",
+                 "check_totally_geodesic_blocks"):
+        monkeypatch.setattr(verify, name, never)
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "entries": ["so_pq(1,2)"], "checks": ["projective_equivalence", "codazzi"],
+        "samples": samples, "steps": 50, "seed": 3, "output": str(out)})
+    assert run(["verify", cfg]) == 0
+    got = json.loads(out.read_text())["results"]
+    want = [r.to_dict() for r in full
+            if r.check_name in ("projective_equivalence", "codazzi")]
+    assert [r["check_name"] for r in got] == ["codazzi", "projective_equivalence"]
+    assert json.dumps(got) == json.dumps(want)
+
+
+def test_verify_with_an_empty_check_list_runs_nothing(tmp_path, monkeypatch, capsys):
+    from hololab import verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("no check was asked for")
+
+    for name in ("check_codazzi", "check_unimodularity", "check_duality_pairing"):
+        monkeypatch.setattr(verify, name, never)
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {"entries": ["borel2d"], "checks": [],
+                                            "output": str(out)})
+    assert run(["verify", cfg]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["results"] == [] and doc["passed"] is False
+    assert "NO CHECKS RAN" in capsys.readouterr().out
+
+
+def test_holonomy_failing_family_keeps_loop_results(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "sphere2"},
+        "loops": [{"rect": [[1.5, 0.5], [1.7, 0.7]]},
+                  {"family": {"rect": [[3.2, 0.5], [3.3, 0.7]], "s_max": 1.0}}],
+        "output": str(out)})
+    assert run(["holonomy", cfg]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results[0]["loop"] == 0 and "matrix" in results[0]
+    assert results[1]["family"] == 0
+    assert "outside chart domain" in results[1]["error"]
+    assert "family 0: ERROR" in capsys.readouterr().out
+
+
+def test_algebra_without_loops_does_not_pass(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "algebra": {"random_loops": 0},
+        "output": str(out)})
+    assert run(["algebra", cfg]) == 1
+    assert json.loads(out.read_text())["results"]["loop_count"] == 0
+    assert "NO LOOPS" in capsys.readouterr().out
+    # a flat plane's loops are evidence of a trivial algebra
+    cfg = write_config(tmp_path, "flat.json", {
+        "manifold": {"custom": {"dim": 2, "coords": ["x", "y"],
+                                "metric": {"diag": ["1", "1"]}, "phi": "0"}},
+        "loops": [{"rect": [[0, 0], [0.5, 0.5]]}], "steps": 20,
+        "output": str(out)})
+    assert run(["algebra", cfg]) == 0
+    doc = json.loads(out.read_text())["results"]
+    assert doc["loop_count"] == 1 and doc["dimension"] == 0
+    assert "NO LOOPS" not in capsys.readouterr().out

@@ -1,18 +1,22 @@
 """Metric/density fields, connection coefficients, curvature."""
 
 import math
+import types
 
 import numpy as np
 import pytest
 
 from hololab import catalog
+from hololab import expr as ex
 from hololab.errors import BadSignature, OutOfDomain, SingularMetric
 from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
-                              DensityField, MetricField, WeightedManifold,
-                              WeightedMetricTensorField, amari_chentsov,
-                              christoffel, christoffel_many, conformal_metric_at,
-                              covariant_derivative_of_tensor, curvature_at,
-                              dphi_at, metric_at, ricci_at, weighted_metric_at)
+                              DensityField, ExprScalarField, MetricField,
+                              WeightedManifold, WeightedMetricTensorField,
+                              _inverse_metric, amari_chentsov, christoffel,
+                              christoffel_derivative_many, christoffel_many,
+                              conformal_metric_at, covariant_derivative_of_tensor,
+                              curvature_at, dphi_at, metric_at, ricci_at,
+                              weighted_metric_at)
 
 E = math.e
 LC = ConnectionKind.LEVI_CIVITA
@@ -326,3 +330,122 @@ def test_runtime_singular_metric_detection(entries, diagonal, singular_at):
             christoffel_many(M, kind, pts)
     assert info.value.point == singular_at
     assert "np.float64" not in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Field jets and the single factorization
+# ---------------------------------------------------------------------------
+
+def _fields(M):
+    n = M.dim
+    return ([M.metric.entries[i][j] for i in range(n) for j in range(i, n)]
+            + [M.density.field])
+
+
+@pytest.mark.parametrize("entry", catalog.default_entries(), ids=lambda e: e.name)
+def test_jet_equals_per_coordinate_duals_on_catalog(entry):
+    pts = entry.random_points(30, seed=9)
+    env = entry.manifold.chart.env(pts)
+    names = entry.manifold.chart.coord_names
+    models = [entry.manifold] + ([entry.companion] if entry.companion else [])
+    for field in (f for M in models for f in _fields(M)):
+        assert isinstance(field, ExprScalarField)
+        val, grad = field.jet(pts)
+        assert val.shape == (30,) and grad.shape == (30, len(names))
+        assert np.array_equal(val, field.values(pts))
+        for i, name in enumerate(names):
+            _, d = ex.eval_dual(field.expression, env, name)
+            assert np.array_equal(grad[:, i], np.broadcast_to(d, (30,)))
+
+
+def test_metric_and_density_jets_match_their_views():
+    M = full_metric_3d().manifold
+    pts = np.random.default_rng(2).uniform(-0.8, 0.8, (25, 3))
+    g, dg = M.metric.jet(pts)
+    assert np.array_equal(g, M.metric.matrices(pts))
+    assert np.array_equal(dg, M.metric.partials(pts))
+    assert np.array_equal(dg, np.swapaxes(dg, 2, 3))
+    phi, dphi = M.density.jet(pts)
+    assert np.array_equal(phi, M.density.values(pts))
+    assert np.array_equal(dphi, M.density.gradients(pts))
+
+
+def test_callable_jet_is_values_and_central_differences():
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    field = DensityField.from_callable(chart, lambda p: math.sin(p[0]) * p[1])
+    pts = np.array([[0.3, 0.7], [-0.4, 1.1]])
+    phi, dphi = field.jet(pts)
+    assert np.array_equal(phi, np.sin(pts[:, 0]) * pts[:, 1])
+    h = field.field.h1
+    for i in range(2):
+        step = np.zeros(2)
+        step[i] = h
+        fd = (field.values(pts + step) - field.values(pts - step)) / (2 * h)
+        assert np.array_equal(dphi[:, i], fd)
+
+
+def _random_metrics(rng, n, m, signs):
+    """m symmetric n x n matrices Q diag(lam) Q^T, |lam| in [0.5, 2]."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
+    lam = rng.uniform(0.5, 2.0, (m, n)) * np.asarray(signs, dtype=float)
+    g = (q * lam[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return 0.5 * (g + np.swapaxes(g, 1, 2))
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (1, 1, 1), (1, -1, 1), (-1, -1, 1)],
+                         ids=["2d-definite", "2d-indefinite", "3d-definite",
+                              "3d-indefinite", "3d-indefinite2"])
+def test_cofactor_inverse_matches_lapack(signs):
+    rng = np.random.default_rng(len(signs) * 10 + sum(signs))
+    g = _random_metrics(rng, len(signs), 500, signs)
+    got = _inverse_metric(types.SimpleNamespace(diagonal=False), g, np.zeros((500, 2)))
+    ref = np.linalg.inv(g)
+    scale = np.abs(ref).max(axis=(1, 2))
+    assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale).all()
+
+
+def test_singular_metric_on_cofactor_3d_and_lapack_4d_paths():
+    chart3 = CoordinateChart(dim=3, coord_names=("x", "y", "z"))
+    m3 = MetricField.from_expressions(
+        chart3, [["1", "x", "0"], ["x", "1", "0"], ["0", "0", "1"]],
+        signature=(3, 0), validate=False)
+    chart4 = CoordinateChart(dim=4, coord_names=("x", "y", "z", "w"))
+    m4 = MetricField.from_expressions(
+        chart4, [["1", "x", "0", "0"], ["x", "1", "0", "0"],
+                 ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        signature=(4, 0), validate=False)
+    for chart, metric in ((chart3, m3), (chart4, m4)):
+        assert not metric.diagonal
+        M = WeightedManifold(chart=chart, metric=metric,
+                             density=DensityField.from_expression(chart, "y"))
+        pts = np.full((3, chart.dim), 0.1)
+        pts[1, 0] = 1.0  # g_00 g_11 - g_01^2 = 0 there
+        for kind in (LC, W, DW):
+            with pytest.raises(SingularMetric) as info:
+                christoffel_many(M, kind, pts)
+            assert info.value.point == tuple(pts[1])
+            with pytest.raises(SingularMetric):
+                christoffel_derivative_many(M, kind, pts)
+
+
+def test_christoffel_evaluates_each_varying_field_once(monkeypatch):
+    """sphereN(4): three varying diagonal entries and the density take one
+    dual pass each, the constant entry one plain evaluation, and the six
+    literal-0 off-diagonal entries none."""
+    entry = catalog.sphere_with_density(4)
+    pts = entry.random_points(50, seed=1)
+    vel = np.ones_like(pts)
+    calls = {"eval_dual": [], "eval_expr": []}
+    for name in calls:
+        original = getattr(ex, name)
+
+        def counting(e, *args, _name=name, _original=original, **kwargs):
+            calls[_name].append(e)
+            return _original(e, *args, **kwargs)
+
+        monkeypatch.setattr(ex, name, counting)
+    christoffel_many(entry.manifold, W, pts, vel)
+    assert len(calls["eval_dual"]) == 4
+    assert len(calls["eval_expr"]) == 1
+    zero = ex.Num(0.0)
+    assert all(e != zero for e in calls["eval_dual"] + calls["eval_expr"])
