@@ -39,8 +39,8 @@ construction whether every off-diagonal entry is the literal 0; such a
 diagonal metric is inverted as 1/diag with det = prod(diag).  Any other
 metric of dimension 2 or 3 is inverted from one cofactor factorization:
 the symmetric adjugate, det g expanded along its first row, g^-1 =
-adj / det.  Larger non-diagonal metrics use LAPACK.  Every path checks
-|det g| against DET_FLOOR.
+adj / det.  Larger non-diagonal metrics use LAPACK.  Every path rejects
+a det g that is not finite or whose size is at most DET_FLOOR.
 """
 
 from __future__ import annotations
@@ -448,15 +448,6 @@ class WeightedManifold:
         return self.chart.dim
 
 
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Gamma^k_ij at a point; gamma[k, i, j], symmetric in (i, j)."""
-
-    gamma: np.ndarray
-    point: tuple
-    kind: ConnectionKind
-
-
 # ---------------------------------------------------------------------------
 # Pointwise operations
 # ---------------------------------------------------------------------------
@@ -510,7 +501,8 @@ def _inverse_metric(metric, g, pts):
     """g^{-1} at each point: (m, n) reciprocals of the diagonal for a
     structurally diagonal metric, (m, n, n) adj/det from one cofactor
     factorization for n = 2 or 3, else (m, n, n) from LAPACK.  Raises
-    SingularMetric where |det g| <= DET_FLOOR."""
+    SingularMetric at the first point where det g is not finite, else at
+    the smallest |det g| if it is <= DET_FLOOR."""
     n = g.shape[1]
     if metric.diagonal:
         diag = np.diagonal(g, axis1=1, axis2=2)
@@ -519,6 +511,10 @@ def _inverse_metric(metric, g, pts):
         adj, dets = _adjugate(g)
     else:
         dets = np.linalg.det(g)
+    finite = np.isfinite(dets)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise SingularMetric(pts[k], dets[k])
     if np.abs(dets).min() <= DET_FLOOR:
         k = int(np.abs(dets).argmin())
         raise SingularMetric(pts[k], dets[k])
@@ -573,13 +569,6 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     return np.stack([_contracted(kind, g, ginv, dg, dphi,
                                  np.broadcast_to(eye[i], (m, n)))
                      for i in range(n)], axis=2)
-
-
-def christoffel(M: WeightedManifold, kind: ConnectionKind, x) -> ConnectionCoefficients:
-    M.chart.require_inside(x)
-    gamma = christoffel_many(M, kind, _one_point(x))[0]
-    return ConnectionCoefficients(gamma=gamma, point=tuple(np.asarray(x, dtype=float)),
-                                  kind=kind)
 
 
 def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:

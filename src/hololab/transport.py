@@ -6,17 +6,25 @@ The transport equation for a vector field U along sigma is linear,
 
 so each segment contributes a transfer matrix.  We integrate with classical
 RK4 and compare a fine pass of 2N steps with a coarse pass of N steps on
-the same samples; the returned matrix is the fine product.  Without an
-explicit ``steps`` each segment is step-controlled (Hairer, Norsett and
-Wanner, Solving ODEs I, section II.4): N starts at ``MIN_STEPS`` and
-doubles until the segment's Richardson estimate |fine - coarse| / 15
-meets its share (target / number of segments) of the error target,
-``DEFAULT_ERROR_TARGET`` unless one is given.  A doubling samples only
-the new odd-index points of the half-step grid, interleaves them with the
-kept ones, and reuses the previous fine product as the new coarse
-product.  Past ``MAX_FINE_STEPS`` fine steps on one segment the target is
-out of reach and ``StepUnderflow`` is raised.  An explicit ``steps`` pins
-a fixed grid of N = steps on every segment.
+the same samples; the returned matrix is the fine product.  A segment is
+worked in levels N, 2N, 4N, ...: a level samples a coefficient function
+``coeffs(positions, velocities) -> A`` on its half-step grid, the next
+level samples only the new odd-index points and interleaves them with the
+kept ones, and the previous level's fine product is the next one's coarse
+product.  Without an explicit ``steps`` the levels are step-controlled
+(Hairer, Norsett and Wanner, Solving ODEs I, section II.4): N starts at
+``MIN_STEPS`` and doubles until the Richardson estimate |fine - coarse| /
+15 meets the error target, ``DEFAULT_ERROR_TARGET`` unless one is given;
+past ``MAX_FINE_STEPS`` fine steps the target is out of reach and
+``StepUnderflow`` is raised.  An explicit ``steps`` pins a fixed grid of
+N = steps, the first level, accepted whatever its estimate.
+
+Path transport and block prediction test each segment against its share
+(target / number of segments).  A loop family's derivative is a
+Richardson-in-s combination of the loops at s, s/2 and s/4, which cancels
+the RK4 error only when they share a grid, so all their segments step
+through the levels together and the test is on the derivative itself:
+the same combination of the fine and of the coarse products.
 
 ``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
 plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
@@ -27,12 +35,12 @@ the coefficients at the sampled points come from the contracted kernel
 ``christoffel_many(M, kind, positions, velocities)``, which returns
 B^k_j = Gamma^k_ij sigma'^i directly.  The per-step RK4 transfer matrices
 are built with stacked matmuls and the ordered product is taken by
-pairwise reduction -- no Python-level inner loop.  Holonomy, block
-prediction and frame trajectories share this path: block prediction
-integrates the fine pass only on a fixed grid, and a frame trajectory
-splits each segment's accepted per-step matrices into pieces and takes
-prefix products of the piece products, in the same integration that gives
-the holonomy matrix.
+pairwise reduction -- no Python-level inner loop.  Holonomy, loop
+families, block prediction and frame trajectories share this path: block
+prediction hands its assembled block coefficients to the same levels, and
+a frame trajectory splits each segment's accepted per-step matrices into
+pieces and takes prefix products of the piece products, in the same
+integration that gives the holonomy matrix.
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ from .errors import (EmptyRegion, FamilyNotTrivial, NotClosed, NotTotallyGeodesi
 from .manifold import (ConnectionKind, WeightedManifold, christoffel_many,
                        restrict_manifold)
 
-DEFAULT_STEPS = 2000   # fixed grid of loop families and block predictions
 DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
 MAX_FINE_STEPS = 2 ** 16
@@ -276,30 +283,95 @@ def _richardson(fine, coarse):
     return float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
 
 
-def _segment_transport(M, kind, seg, steps, covector, share):
-    """Fine and coarse transfer matrices of one segment, with the sample
-    positions of its accepted half-step grid and the fine pass's per-step
-    matrices.  N starts at ``steps`` and doubles until the segment's
-    Richardson estimate is at most ``share`` (math.inf: the first grid)."""
-    n = steps
+def _sample(seg, coeffs, n):
+    """Positions and coefficient matrices ``coeffs(pos, vel)`` on the
+    half-step grid of level n (2n fine steps, n coarse steps)."""
     pos, vel = seg.sample(_fine_grid(n))
-    A = _transport_matrices(M, kind, pos, vel, covector)
-    coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
+    return pos, coeffs(pos, vel)
+
+
+def _refine(seg, coeffs, pos, A, n):
+    """Samples of level 2n from those of level n: the kept grid is the new
+    grid's even-index subset, so only the odd-index points are sampled."""
+    new_pos, new_vel = seg.sample(np.arange(1, 8 * n, 2) / (8 * n))
+    return _interleave(pos, new_pos), _interleave(A, coeffs(new_pos, new_vel))
+
+
+def _products(A, n, coarse=None):
+    """Fine and coarse transfer matrices of level n with the fine pass's
+    per-step matrices; a known coarse product (the previous level's fine
+    product) is reused."""
+    step_mats = _rk4_steps(A, 1.0 / (2 * n))
+    if coarse is None:
+        coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
+    return _ordered_product(step_mats), coarse, step_mats
+
+
+def _levels(seg, coeffs, n):
+    """Levels n, 2n, 4n, ... of one segment, computed as they are asked
+    for: yields (fine, coarse, positions, step_matrices) of each."""
+    pos, A = _sample(seg, coeffs, n)
+    coarse = None
     while True:
-        step_mats = _rk4_steps(A, 1.0 / (2 * n))
-        fine = _ordered_product(step_mats)
+        fine, coarse, step_mats = _products(A, n, coarse)
+        yield fine, coarse, pos, step_mats
+        pos, A = _refine(seg, coeffs, pos, A, n)
+        n *= 2
+        coarse = fine
+
+
+def _check_refinable(fine_steps, miss):
+    """StepUnderflow, saying ``miss``, if doubling ``fine_steps`` would pass
+    MAX_FINE_STEPS."""
+    if 2 * fine_steps > MAX_FINE_STEPS:
+        raise StepUnderflow(f"{miss} at {fine_steps} steps")
+
+
+def _segment_transport(seg, coeffs, steps, share):
+    """The first level from N = ``steps`` whose Richardson estimate is at
+    most ``share`` (math.inf: the first level)."""
+    for fine, coarse, pos, step_mats in _levels(seg, coeffs, steps):
         est = _richardson(fine, coarse)
         if est <= share:
             return fine, coarse, pos, step_mats
-        if 4 * n > MAX_FINE_STEPS:
-            raise StepUnderflow(f"segment error estimate {est:.3e} exceeds its share "
-                                f"{share:.3e} of the target at {2 * n} steps")
-        # the new half-step grid's even points are the current grid
-        n *= 2
-        new_pos, new_vel = seg.sample(np.arange(1, 4 * n, 2) / (4 * n))
-        A = _interleave(A, _transport_matrices(M, kind, new_pos, new_vel, covector))
-        pos = _interleave(pos, new_pos)
-        coarse = fine
+        _check_refinable(step_mats.shape[0], f"segment error estimate {est:.3e} "
+                         f"exceeds its share {share:.3e} of the target")
+
+
+def _start_and_target(steps, error_target):
+    """First level and error target: MIN_STEPS and ``error_target``
+    (default DEFAULT_ERROR_TARGET), or ``steps`` and math.inf (a fixed
+    grid) when ``steps`` is given."""
+    if steps is not None:
+        return steps, math.inf
+    return MIN_STEPS, DEFAULT_ERROR_TARGET if error_target is None else error_target
+
+
+def _kernel(M, kind, covector=False):
+    """Coefficient function of the transport ODE of ``kind`` on M."""
+    return lambda pos, vel: _transport_matrices(M, kind, pos, vel, covector)
+
+
+def _path_transport(coeffs, dim, path, steps=None, error_target=None,
+                    on_segment=None):
+    """``path_transport_matrix`` for any coefficient function
+    ``coeffs(positions, velocities) -> (m, dim, dim)``."""
+    start, target = _start_and_target(steps, error_target)
+    share = target / max(1, len(path))
+    fine = coarse = np.eye(dim)
+    fine_steps = 0
+    for seg in path:
+        f, c, pos, step_mats = _segment_transport(seg, coeffs, start, share)
+        fine = f @ fine
+        coarse = c @ coarse
+        fine_steps += step_mats.shape[0]
+        if on_segment is not None:
+            on_segment(pos, step_mats)
+    # whole-path Richardson estimate plus the roundoff floor of the product
+    est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
+    if steps is not None and error_target is not None and est > error_target:
+        raise StepUnderflow(f"estimated error {est:.3e} exceeds target {error_target:.3e}")
+    return fine, est
 
 
 def path_transport_matrix(M, kind, path, steps=None, covector=False,
@@ -314,25 +386,8 @@ def path_transport_matrix(M, kind, path, steps=None, covector=False,
     called with each segment's accepted half-step sample positions and
     fine per-step RK4 matrices.
     """
-    if steps is None:
-        target = DEFAULT_ERROR_TARGET if error_target is None else error_target
-        start, share = MIN_STEPS, target / max(1, len(path))
-    else:
-        start, share = steps, math.inf
-    fine = coarse = np.eye(M.dim)
-    fine_steps = 0
-    for seg in path:
-        f, c, pos, step_mats = _segment_transport(M, kind, seg, start, covector, share)
-        fine = f @ fine
-        coarse = c @ coarse
-        fine_steps += step_mats.shape[0]
-        if on_segment is not None:
-            on_segment(pos, step_mats)
-    # whole-path Richardson estimate plus the roundoff floor of the product
-    est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
-    if steps is not None and error_target is not None and est > error_target:
-        raise StepUnderflow(f"estimated error {est:.3e} exceeds target {error_target:.3e}")
-    return fine, est
+    return _path_transport(_kernel(M, kind, covector), M.dim, path, steps=steps,
+                           error_target=error_target, on_segment=on_segment)
 
 
 def transport_vector(M, kind, path, v0, steps=None, error_target=None):
@@ -391,32 +446,59 @@ def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
 # Loop families and their s-derivative at 0
 # ---------------------------------------------------------------------------
 
+def _s_extrapolated(Ps, s_step, eye):
+    """Richardson-in-s derivative at 0 from P(s), P(s/2), P(s/4)."""
+    f1, f2, f4 = ((P - eye) / s for P, s in zip(Ps, (s_step, s_step / 2, s_step / 4)))
+    return (8.0 * f4 - 6.0 * f2 + f1) / 3.0
+
+
 def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
-                      trivial_tol=1e-6):
+                      error_target=None, trivial_tol=1e-6):
     """One-sided derivative of s -> P(s) at 0, Richardson-extrapolated over
     s, s/2, s/4.  The family must integrate to the identity at s = 0.
 
-    Every loop is integrated on one fixed grid of ``steps`` (default
-    DEFAULT_STEPS): the RK4 truncation error cancels in the difference
-    quotients only when s, s/2 and s/4 share a grid, so step control is
-    never used here."""
-    if steps is None:
-        steps = DEFAULT_STEPS
-    P0 = holonomy(M, kind, fam.family(0.0), steps=steps)
-    gap = np.abs(P0.matrix - np.eye(M.dim)).max()
-    if gap > max(10.0 * P0.est_error, trivial_tol):
-        raise FamilyNotTrivial(f"P(0) differs from identity by {gap:.3e}")
+    The RK4 truncation error cancels in the difference quotients only on
+    one shared grid, so every segment of the loops at s, s/2 and s/4 uses
+    the same N.  Without ``steps``, N starts at MIN_STEPS and doubles
+    (sampling only the new points) until the derivative's Richardson
+    estimate |D_fine - D_coarse| / 15 is at most ``error_target`` (default
+    DEFAULT_ERROR_TARGET), where D_fine and D_coarse are the derivatives
+    from the loops' fine and coarse products on that grid; past
+    MAX_FINE_STEPS StepUnderflow is raised.  With ``steps`` the grid is
+    fixed at N = steps.  P(0) is integrated at the accepted N."""
+    trivial = fam.family(0.0)
+    trivial.validate(M.chart)
     if not 0 < s_step <= fam.s_max:
         raise ValueError("s_step must lie in (0, s_max]")
-
-    def diff_quotient(s):
-        P = holonomy(M, kind, fam.family(s), steps=steps).matrix
-        return (P - np.eye(M.dim)) / s
-
-    f1 = diff_quotient(s_step)
-    f2 = diff_quotient(s_step / 2)
-    f4 = diff_quotient(s_step / 4)
-    return (8.0 * f4 - 6.0 * f2 + f1) / 3.0
+    loops = [fam.family(s) for s in (s_step, s_step / 2, s_step / 4)]
+    for loop in loops:
+        loop.validate(M.chart)
+    start, target = _start_and_target(steps, error_target)
+    coeffs = _kernel(M, kind)
+    eye = np.eye(M.dim)
+    levels = [[_levels(seg, coeffs, start) for seg in loop.segments] for loop in loops]
+    while True:
+        fine, coarse = [], []
+        for segments in levels:
+            f = c = eye
+            for level in segments:
+                seg_fine, seg_coarse, _, step_mats = next(level)
+                f = seg_fine @ f
+                c = seg_coarse @ c
+            fine.append(f)
+            coarse.append(c)
+        n_fine = step_mats.shape[0]  # the same on every segment
+        D = _s_extrapolated(fine, s_step, eye)
+        est = _richardson(D, _s_extrapolated(coarse, s_step, eye))
+        if est <= target:
+            break
+        _check_refinable(n_fine, f"family derivative error estimate {est:.3e} "
+                         f"exceeds the target {target:.3e}")
+    P0, P0_est = path_transport_matrix(M, kind, trivial.segments, steps=n_fine // 2)
+    gap = np.abs(P0 - eye).max()
+    if gap > max(10.0 * P0_est, trivial_tol):
+        raise FamilyNotTrivial(f"P(0) differs from identity by {gap:.3e}")
+    return D
 
 
 def shrinking_rectangle_family(corner, axis_a, axis_b, extent_a, extent_b, s_max=1.0):
@@ -484,7 +566,8 @@ def random_rectangle_loops(M, region, count, seed, basepoint=None,
 # ---------------------------------------------------------------------------
 
 def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
-                              loop: Loop, steps=None, geodesy_tol=1e-8):
+                              loop: Loop, steps=None, error_target=None,
+                              geodesy_tol=1e-8):
     """Predicted ambient weighted transport along a loop inside the slice
     {x_j = c_j, j not free}, assembled block by block:
 
@@ -495,11 +578,11 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     connection and feeds e^{phi(sigma(t)) - phi(p)} dphi(normal) sigma'
     into the induced weighted equation.  The slice must be totally geodesic
     (checked numerically along the loop) and metric-orthogonal to the
-    normal coordinate directions.  Like ``family_derivative`` it integrates
-    on one fixed grid of ``steps`` (default DEFAULT_STEPS).
+    normal coordinate directions.  The block system is integrated like any
+    transport (see ``path_transport_matrix`` for ``steps`` and
+    ``error_target``): step-controlled per segment unless ``steps`` fixes
+    the grid.
     """
-    if steps is None:
-        steps = DEFAULT_STEPS
     free = sorted(int(i) for i in free_indices)
     normal = [j for j in range(N.dim) if j not in free]
     if not normal:
@@ -525,10 +608,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     s = len(free)
     d = s + N.dim
 
-    ts = _fine_grid(steps)
-    fine = np.eye(d)
-    for seg in loop.segments:
-        pos, vel = seg.sample(ts)
+    def coeffs(pos, vel):
         sub_vel = vel[:, free]
         A = np.zeros((pos.shape[0], d, d))
         A[:, s:, s:] = _transport_matrices(N, ConnectionKind.LEVI_CIVITA, pos, vel)
@@ -538,7 +618,10 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         phi, dphi = N.density.jet(pos)
         lam = np.exp(phi - base_phi)
         A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
-        fine = _ordered_product(_rk4_steps(A, 1.0 / (2 * steps))) @ fine
+        return A
+
+    fine, _ = _path_transport(coeffs, d, loop.segments, steps=steps,
+                              error_target=error_target)
 
     top = fine[:s, :s]
     mix = fine[:s, s:]          # acting on full ambient normal start vectors

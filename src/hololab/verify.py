@@ -211,14 +211,16 @@ def check_projective_equivalence(entry: CatalogEntry, n_points=50, seed=4,
 
 def check_totally_geodesic_blocks(entry: CatalogEntry, free_indices, fixed_values,
                                   loops, tol=1e-6, steps=None) -> CheckReport:
-    """Block-assembled prediction (on its fixed grid) vs full ambient
-    weighted holonomy."""
+    """Block-assembled prediction vs full ambient weighted holonomy, both
+    integrated to the same error target."""
+    target = _target(tol, steps)
     violations = []
     for k, loop in enumerate(loops):
         predicted = predicted_block_transport(entry.manifold, free_indices,
-                                              fixed_values, loop, steps=steps)
+                                              fixed_values, loop, steps=steps,
+                                              error_target=target)
         ambient = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop,
-                           steps=steps, error_target=_target(tol, steps)).matrix
+                           steps=steps, error_target=target).matrix
         violations.append((f"loop {k}", float(np.abs(predicted - ambient).max())))
     return _report("totally_geodesic_blocks", entry.name, tol, violations)
 

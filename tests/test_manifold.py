@@ -12,7 +12,7 @@ from hololab.errors import BadSignature, OutOfDomain, SingularMetric
 from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               DensityField, ExprScalarField, MetricField,
                               WeightedManifold, WeightedMetricTensorField,
-                              _inverse_metric, amari_chentsov, christoffel,
+                              _inverse_metric, amari_chentsov,
                               christoffel_derivative_many, christoffel_many,
                               conformal_metric_at, covariant_derivative_of_tensor,
                               curvature_at, dphi_at, metric_at, ricci_at,
@@ -72,7 +72,7 @@ def test_dphi_at(sphere2, tri2):
 
 
 def test_euclidean_christoffels_vanish():
-    gamma = christoffel(euclidean(), W, [0.4, 0.9]).gamma
+    gamma = christoffel_many(euclidean(), W, [0.4, 0.9])[0]
     assert np.abs(gamma).max() == 0.0
 
 
@@ -426,6 +426,31 @@ def test_singular_metric_on_cofactor_3d_and_lapack_4d_paths():
             assert info.value.point == tuple(pts[1])
             with pytest.raises(SingularMetric):
                 christoffel_derivative_many(M, kind, pts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("off", ["0", "0.1"])
+def test_non_finite_metric_raises_at_first_such_point(off):
+    """exp(exp(exp(2))) overflows: det g is inf (or NaN through the
+    cofactors), which the DET_FLOOR comparison alone lets through."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    metric = MetricField.from_expressions(
+        chart, [["1+exp(exp(exp(x)))", off], [off, "1"]], signature=(2, 0),
+        validate=False)
+    assert metric.diagonal == (off == "0")
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "y"))
+    pts = np.array([[0.5, 0.0], [2.0, 0.3], [2.0, -0.3]])
+    for kind in (LC, W, DW):
+        with pytest.raises(SingularMetric) as info:
+            christoffel_many(M, kind, pts, velocity=np.ones_like(pts))
+        assert info.value.point == (2.0, 0.3)
+        with pytest.raises(SingularMetric) as info:
+            christoffel_many(M, kind, pts)
+        assert info.value.point == (2.0, 0.3)
+        with pytest.raises(SingularMetric) as info:
+            christoffel_derivative_many(M, kind, pts)
+        assert info.value.point == (2.0, 0.3)
 
 
 def test_christoffel_evaluates_each_varying_field_once(monkeypatch):

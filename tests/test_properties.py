@@ -1,13 +1,17 @@
-"""Properties of step-controlled holonomy over random expression-defined
-2-d manifolds: a loop followed by its reversal transports to I, and the
-weighted holonomy is unimodular, each within the reported error bars."""
+"""Properties of step-controlled transport over random expression-defined
+2-d manifolds: a loop followed by its reversal transports to I, the
+weighted holonomy is unimodular, and the weighted/dual pairing is constant
+along open paths, each within the reported error bars; a shrinking
+rectangle family has derivative 0 at s = 0."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
-                              MetricField, WeightedManifold)
-from hololab.transport import holonomy, rectangle_loop
+                              MetricField, WeightedManifold, weighted_metric_at)
+from hololab.transport import (family_derivative, holonomy, path_transport_matrix,
+                               polyline_segments, rectangle_loop,
+                               shrinking_rectangle_family)
 
 CHART = CoordinateChart(dim=2, coord_names=("x", "y"))
 
@@ -33,8 +37,14 @@ def manifolds(draw):
                             density=DensityField.from_expression(CHART, phi))
 
 
-loops = st.builds(lambda cx, cy, ea, eb: rectangle_loop(np.array([cx, cy]), 0, 1, ea, eb),
-                  _num(-0.6, 0.2), _num(-0.6, 0.2), _num(0.2, 0.7), _num(0.2, 0.7))
+def _rectangles(make):
+    return st.builds(lambda cx, cy, ea, eb: make(np.array([cx, cy]), 0, 1, ea, eb),
+                     _num(-0.6, 0.2), _num(-0.6, 0.2), _num(0.2, 0.7), _num(0.2, 0.7))
+
+
+loops = _rectangles(rectangle_loop)
+families = _rectangles(shrinking_rectangle_family)
+polylines = st.lists(st.tuples(_num(-0.8, 0.8), _num(-0.8, 0.8)), min_size=2, max_size=4)
 
 
 @settings(max_examples=30)
@@ -51,3 +61,26 @@ def test_loop_then_reversal_is_identity(M, loop, kind):
 def test_weighted_holonomy_is_unimodular(M, loop):
     h = holonomy(M, ConnectionKind.WEIGHTED, loop)
     assert abs(np.linalg.det(h.matrix) - 1.0) <= 10 * h.est_error + 1e-12
+
+
+@settings(max_examples=30)
+@given(M=manifolds(), points=polylines)
+def test_duality_pairing_is_constant_along_open_paths(M, points):
+    path = polyline_segments(points)
+    Pw, est_w = path_transport_matrix(M, ConnectionKind.WEIGHTED, path)
+    Pd, est_d = path_transport_matrix(M, ConnectionKind.DUAL_WEIGHTED, path)
+    h0 = weighted_metric_at(M, points[0])
+    h1 = weighted_metric_at(M, points[-1])
+    gap = np.abs(Pw.T @ h1 @ Pd - h0).max()
+    # entry errors up to est in Pw and Pd reach the pairing through h1 Pd
+    # and Pw^T h1 (max column and row sums), which can exceed 20 here
+    spread = (est_w * np.linalg.norm(h1 @ Pd, 1)
+              + est_d * np.linalg.norm(Pw.T @ h1, np.inf))
+    assert gap <= 10 * spread + 1e-12
+
+
+@settings(max_examples=30)
+@given(M=manifolds(), family=families, kind=st.sampled_from(list(ConnectionKind)))
+def test_shrinking_rectangle_family_has_zero_derivative(M, family, kind):
+    # P(s) = I + O(s^2), so P'(0) = 0
+    assert np.abs(family_derivative(M, kind, family)).max() <= 1e-5

@@ -24,6 +24,20 @@ DW = ConnectionKind.DUAL_WEIGHTED
 LC = ConnectionKind.LEVI_CIVITA
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Points of every christoffel_many call that transport makes."""
+    calls = []
+    kernel = transport.christoffel_many
+
+    def counting(M, kind, pts, velocity=None):
+        calls.append(len(pts))
+        return kernel(M, kind, pts, velocity)
+
+    monkeypatch.setattr(transport, "christoffel_many", counting)
+    return calls
+
+
 def test_constant_path_is_identity(borel):
     seg = [Line([0.2, 0.3], [0.2, 0.3])]
     v = transport_vector(borel.manifold, W, seg, [1.5, -0.5])
@@ -145,20 +159,12 @@ def test_est_error_bounds_true_error(borel, tri3, steps):
             assert h.est_error < transport.DEFAULT_ERROR_TARGET
 
 
-def test_step_doubling_samples_each_point_once(borel, monkeypatch):
-    calls = []
-    kernel = transport.christoffel_many
-
-    def counting(M, kind, pts, velocity=None):
-        calls.append(len(pts))
-        return kernel(M, kind, pts, velocity)
-
-    monkeypatch.setattr(transport, "christoffel_many", counting)
+def test_step_doubling_samples_each_point_once(borel, kernel_calls):
     segments = []
 
     def on_segment(pos, step_mats):
-        segments.append((sum(calls), step_mats.shape[0]))
-        calls.clear()
+        segments.append((sum(kernel_calls), step_mats.shape[0]))
+        kernel_calls.clear()
 
     path_transport_matrix(borel.manifold, W, borel.loops["golden1"].segments,
                           on_segment=on_segment)
@@ -221,6 +227,50 @@ def test_family_not_trivial_raises(borel):
                           LoopFamily(family=fam, s_max=1.0), steps=200)
 
 
+def test_family_not_trivial_raises_at_default_target(borel):
+    fam = LoopFamily(family=lambda s: borel.loops["golden1"], s_max=1.0)
+    with pytest.raises(FamilyNotTrivial):
+        family_derivative(borel.manifold, W, fam)
+
+
+def test_family_derivative_golden_at_default_target(sphere2):
+    # on the fixed 2000-step grid roundoff left 6.1e-12 of beta
+    Db = family_derivative(sphere2.manifold, W, sphere2.families["beta"])
+    assert np.abs(Db - BETA_DERIVATIVE).max() <= 1e-10
+    # roundoff divided by s floors the estimate near 3e-12: 1e-11 is in reach
+    tight = family_derivative(sphere2.manifold, W, sphere2.families["alpha"],
+                              error_target=1e-11)
+    Da = family_derivative(sphere2.manifold, W, sphere2.families["alpha"])
+    assert np.abs(Da - tight).max() <= 1e-10
+
+
+def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls):
+    """Every segment of the loops at s, s/2, s/4 and 0 is sampled on one
+    grid of 4N + 1 points, each point once."""
+    fam = sphere2.families["alpha"]
+    family_derivative(sphere2.manifold, W, fam)
+    grid = kernel_calls[-1]  # last segment of P(0), at the accepted N
+    assert grid > 4 * MIN_STEPS + 1  # it doubled
+    segments = sum(len(fam.family(s).segments) for s in (0.0, 1e-2, 5e-3, 2.5e-3))
+    assert sum(kernel_calls) == segments * grid
+
+
+def test_default_family_derivative_kernel_points(borel, kernel_calls):
+    """The fixed 2000-step grid took 4 loops x 4 segments x 8001 = 128,016
+    kernel points for a shrinking rectangle; step control needs <= 5%."""
+    fam = shrinking_rectangle_family(np.array([0.1, -0.2]), 0, 1, 0.5, 0.6)
+    D = family_derivative(borel.manifold, W, fam)
+    assert np.abs(D).max() < 1e-5
+    assert sum(kernel_calls) <= 0.05 * 128016
+
+
+def test_family_derivative_step_underflow(borel, monkeypatch):
+    monkeypatch.setattr(transport, "MAX_FINE_STEPS", 64)
+    fam = shrinking_rectangle_family(np.array([0.1, -0.2]), 0, 1, 0.5, 0.6)
+    with pytest.raises(StepUnderflow):
+        family_derivative(borel.manifold, W, fam, error_target=1e-30)
+
+
 def test_random_rectangle_loops_deterministic(borel):
     a = random_rectangle_loops(borel.manifold, borel.sample_region, 5, seed=3)
     b = random_rectangle_loops(borel.manifold, borel.sample_region, 5, seed=3)
@@ -269,6 +319,22 @@ def test_predicted_block_transport_heisenberg(tri3):
     amb = holonomy(tri3.manifold, W, tri3.loops["square"]).matrix
     assert np.abs(pred - amb).max() < 1e-6
     assert abs(pred[2, 0]) < 1e-12 and abs(pred[2, 1]) < 1e-12
+
+
+def test_predicted_block_default_target_matches_fixed_grid(tri3, sphere3):
+    for entry in (tri3, sphere3):
+        for free, fixed, loops in entry.block_slices:
+            for loop in loops:
+                pred = predicted_block_transport(entry.manifold, free, fixed, loop)
+                fixed_grid = predicted_block_transport(entry.manifold, free, fixed,
+                                                       loop, steps=2000)
+                assert np.abs(pred - fixed_grid).max() <= 2e-9
+
+
+def test_predicted_block_fixed_grid_misses_target_raises(tri3):
+    with pytest.raises(StepUnderflow):
+        predicted_block_transport(tri3.manifold, [0, 1], {2: 0.0},
+                                  tri3.loops["square"], steps=4, error_target=1e-14)
 
 
 def test_predicted_block_flat_density_is_block_diagonal():
