@@ -24,7 +24,8 @@ Path transport and block prediction test each segment against its share
 Richardson-in-s combination of the loops at s, s/2 and s/4, which cancels
 the RK4 error only when they share a grid, so all their segments step
 through the levels together and the test is on the derivative itself:
-the same combination of the fine and of the coarse products.
+the same combination of the fine and of the coarse products, allowing
+for the roundoff floor that dividing by s puts under that estimate.
 
 ``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
 plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
@@ -283,39 +284,21 @@ def _richardson(fine, coarse):
     return float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
 
 
-def _sample(seg, coeffs, n):
-    """Positions and coefficient matrices ``coeffs(pos, vel)`` on the
-    half-step grid of level n (2n fine steps, n coarse steps)."""
-    pos, vel = seg.sample(_fine_grid(n))
-    return pos, coeffs(pos, vel)
-
-
-def _refine(seg, coeffs, pos, A, n):
-    """Samples of level 2n from those of level n: the kept grid is the new
-    grid's even-index subset, so only the odd-index points are sampled."""
-    new_pos, new_vel = seg.sample(np.arange(1, 8 * n, 2) / (8 * n))
-    return _interleave(pos, new_pos), _interleave(A, coeffs(new_pos, new_vel))
-
-
-def _products(A, n, coarse=None):
-    """Fine and coarse transfer matrices of level n with the fine pass's
-    per-step matrices; a known coarse product (the previous level's fine
-    product) is reused."""
-    step_mats = _rk4_steps(A, 1.0 / (2 * n))
-    if coarse is None:
-        coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
-    return _ordered_product(step_mats), coarse, step_mats
-
-
 def _levels(seg, coeffs, n):
     """Levels n, 2n, 4n, ... of one segment, computed as they are asked
-    for: yields (fine, coarse, positions, step_matrices) of each."""
-    pos, A = _sample(seg, coeffs, n)
-    coarse = None
+    for: yields (fine, coarse, positions, step_matrices) of each.  The
+    next level's grid keeps this one's points at its even indices, so only
+    the odd-index points are sampled, and this level's fine product is the
+    next one's coarse product."""
+    pos, vel = seg.sample(_fine_grid(n))
+    A = coeffs(pos, vel)
+    coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
     while True:
-        fine, coarse, step_mats = _products(A, n, coarse)
+        step_mats = _rk4_steps(A, 1.0 / (2 * n))
+        fine = _ordered_product(step_mats)
         yield fine, coarse, pos, step_mats
-        pos, A = _refine(seg, coeffs, pos, A, n)
+        new_pos, new_vel = seg.sample(np.arange(1, 8 * n, 2) / (8 * n))
+        pos, A = _interleave(pos, new_pos), _interleave(A, coeffs(new_pos, new_vel))
         n *= 2
         coarse = fine
 
@@ -453,7 +436,7 @@ def _s_extrapolated(Ps, s_step, eye):
 
 
 def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
-                      error_target=None, trivial_tol=1e-6):
+                      trivial_tol=1e-6):
     """One-sided derivative of s -> P(s) at 0, Richardson-extrapolated over
     s, s/2, s/4.  The family must integrate to the identity at s = 0.
 
@@ -461,11 +444,13 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
     one shared grid, so every segment of the loops at s, s/2 and s/4 uses
     the same N.  Without ``steps``, N starts at MIN_STEPS and doubles
     (sampling only the new points) until the derivative's Richardson
-    estimate |D_fine - D_coarse| / 15 is at most ``error_target`` (default
-    DEFAULT_ERROR_TARGET), where D_fine and D_coarse are the derivatives
-    from the loops' fine and coarse products on that grid; past
-    MAX_FINE_STEPS StepUnderflow is raised.  With ``steps`` the grid is
-    fixed at N = steps.  P(0) is integrated at the accepted N."""
+    estimate |D_fine - D_coarse| / 15 is at most DEFAULT_ERROR_TARGET plus
+    the roundoff floor of the difference quotients, fine_steps * eps *
+    max|P| / s_step, where D_fine and D_coarse are the derivatives from the
+    loops' fine and coarse products on that grid and fine_steps is summed
+    over a loop's segments; past MAX_FINE_STEPS StepUnderflow is raised.
+    With ``steps`` the grid is fixed at N = steps.  P(0) is integrated at
+    the accepted N."""
     trivial = fam.family(0.0)
     trivial.validate(M.chart)
     if not 0 < s_step <= fam.s_max:
@@ -473,15 +458,16 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
     loops = [fam.family(s) for s in (s_step, s_step / 2, s_step / 4)]
     for loop in loops:
         loop.validate(M.chart)
-    start, target = _start_and_target(steps, error_target)
+    start, target = _start_and_target(steps, None)
     coeffs = _kernel(M, kind)
     eye = np.eye(M.dim)
     levels = [[_levels(seg, coeffs, start) for seg in loop.segments] for loop in loops]
+    segments = max(len(loop.segments) for loop in loops)
     while True:
         fine, coarse = [], []
-        for segments in levels:
+        for loop_levels in levels:
             f = c = eye
-            for level in segments:
+            for level in loop_levels:
                 seg_fine, seg_coarse, _, step_mats = next(level)
                 f = seg_fine @ f
                 c = seg_coarse @ c
@@ -490,10 +476,13 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
         n_fine = step_mats.shape[0]  # the same on every segment
         D = _s_extrapolated(fine, s_step, eye)
         est = _richardson(D, _s_extrapolated(coarse, s_step, eye))
-        if est <= target:
+        floor = segments * n_fine * EPS * max(float(np.abs(P).max()) for P in fine) / s_step
+        if est <= target + floor:
             break
         _check_refinable(n_fine, f"family derivative error estimate {est:.3e} "
-                         f"exceeds the target {target:.3e}")
+                         f"exceeds the target {target:.3e} plus the roundoff "
+                         f"floor {floor:.3e}")
+    del levels  # each holds its segment's samples at the accepted level
     P0, P0_est = path_transport_matrix(M, kind, trivial.segments, steps=n_fine // 2)
     gap = np.abs(P0 - eye).max()
     if gap > max(10.0 * P0_est, trivial_tol):

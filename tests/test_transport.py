@@ -233,15 +233,27 @@ def test_family_not_trivial_raises_at_default_target(borel):
         family_derivative(borel.manifold, W, fam)
 
 
-def test_family_derivative_golden_at_default_target(sphere2):
+def test_family_derivative_golden_at_default_target(sphere2, monkeypatch):
     # on the fixed 2000-step grid roundoff left 6.1e-12 of beta
     Db = family_derivative(sphere2.manifold, W, sphere2.families["beta"])
     assert np.abs(Db - BETA_DERIVATIVE).max() <= 1e-10
-    # roundoff divided by s floors the estimate near 3e-12: 1e-11 is in reach
-    tight = family_derivative(sphere2.manifold, W, sphere2.families["alpha"],
-                              error_target=1e-11)
     Da = family_derivative(sphere2.manifold, W, sphere2.families["alpha"])
+    # roundoff divided by s floors the estimate near 3e-12: 1e-11 is in reach
+    monkeypatch.setattr(transport, "DEFAULT_ERROR_TARGET", 1e-11)
+    tight = family_derivative(sphere2.manifold, W, sphere2.families["alpha"])
     assert np.abs(Da - tight).max() <= 1e-10
+
+
+@pytest.mark.parametrize("s_step", [1e-4, 1e-5])
+def test_family_derivative_small_s_step(sphere2, s_step, kernel_calls):
+    """Roundoff divided by s_step lifts the derivative's Richardson
+    estimate above the target at every N once s_step is small (about 1e-9
+    at s_step = 1e-5); the stop test allows for that floor instead of
+    refining until StepUnderflow."""
+    Da = family_derivative(sphere2.manifold, W, sphere2.families["alpha"],
+                           s_step=s_step)
+    assert (np.abs(Da - ALPHA_DERIVATIVE) / np.abs(ALPHA_DERIVATIVE)).max() < 1e-3
+    assert sum(kernel_calls) <= 0.05 * 128016
 
 
 def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls):
@@ -264,11 +276,12 @@ def test_default_family_derivative_kernel_points(borel, kernel_calls):
     assert sum(kernel_calls) <= 0.05 * 128016
 
 
-def test_family_derivative_step_underflow(borel, monkeypatch):
+def test_family_derivative_step_underflow(sphere2, monkeypatch):
+    # beta's estimate is 5.7e-8 at 64 fine steps per segment, far above
+    # the target plus its roundoff floor (5.7e-12)
     monkeypatch.setattr(transport, "MAX_FINE_STEPS", 64)
-    fam = shrinking_rectangle_family(np.array([0.1, -0.2]), 0, 1, 0.5, 0.6)
     with pytest.raises(StepUnderflow):
-        family_derivative(borel.manifold, W, fam, error_target=1e-30)
+        family_derivative(sphere2.manifold, W, sphere2.families["beta"])
 
 
 def test_random_rectangle_loops_deterministic(borel):
