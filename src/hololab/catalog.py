@@ -76,7 +76,6 @@ class CatalogEntry:
     constants: dict = field(default_factory=dict)
     # totally geodesic coordinate slices: (free_indices, fixed_values, loops)
     block_slices: tuple = ()
-    self_dual_frame_map: Optional[np.ndarray] = None
 
     @property
     def dim(self):
@@ -362,19 +361,18 @@ def triangular_family(n) -> CatalogEntry:
             basepoint=np.zeros(3))
         goldens.append(_loop_check("unit_square_loop", "square", HEIS_SQUARE_MATRIX))
         block_slices = (((0, 1), {2: 0.0}, (loops["square"],)),)
-    # the family is self-dual under reversing and negating the coordinates;
-    # the frame map at the origin is the anti-diagonal of -1's
-    self_dual = np.fliplr(-np.eye(n))
     region = tuple([(-1.0, 1.0)] * n)
     return CatalogEntry(name=name, manifold=manifold, basepoint=np.zeros(n),
                         sample_region=region, goldens=tuple(goldens), loops=loops,
-                        block_slices=block_slices, self_dual_frame_map=self_dual)
+                        block_slices=block_slices)
 
 
 def heisenberg_partner_generator(A):
     """Second holonomy-algebra generator obtained by composing the
-    self-duality frame map with the metric-duality isomorphism X -> -X^T
-    (the pairing metric is the identity at the origin)."""
+    self-duality frame map F with the metric-duality isomorphism X -> -X^T
+    (the pairing metric is the identity at the origin).  The triangular
+    family is self-dual under reversing and negating the coordinates, so F
+    is the anti-diagonal of -1's."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
     F = np.fliplr(-np.eye(n))

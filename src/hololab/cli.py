@@ -33,8 +33,9 @@ from .errors import (ConfigError, ExprSyntaxError, HololabError, NotClosed,
 from .experiments import run_closure_experiment
 from .manifold import (ConnectionKind, CoordinateChart, DensityField, MetricField,
                        WeightedManifold, metric_at, ricci_at)
-from .transport import (Loop, LoopFamily, family_derivative, holonomy,
-                        polyline_segments, random_rectangle_loops, rectangle_loop)
+from .transport import (Loop, family_derivative, holonomy, polyline_segments,
+                        random_rectangle_loops, rectangle_loop,
+                        shrinking_rectangle_family)
 
 SCHEMA_VERSION = 1
 PLOT_SAMPLES = 50  # CSV frames per loop segment with --plot
@@ -130,7 +131,18 @@ def _entry_from_config(config):
     raise ConfigError("manifold must have a 'catalog' or 'custom' key")
 
 
-def _loops_from_config(config, M):
+def _rect_from_config(i, corners, label):
+    """(corner, axis a, axis b, extent a, extent b) of a rectangle given by
+    opposite corners that differ in exactly 2 coordinates."""
+    c0, c1 = (np.asarray(p, dtype=float) for p in corners)
+    moved = np.nonzero(np.abs(c1 - c0) > 0)[0]
+    if len(moved) != 2:
+        raise ConfigError(f"loop {i}: {label} corners must differ in exactly 2 coordinates")
+    a, b = (int(moved[0]), int(moved[1]))
+    return c0, a, b, c1[a] - c0[a], c1[b] - c0[b]
+
+
+def _loops_from_config(config):
     loops = []
     families = []
     for i, spec in enumerate(config.get("loops", [])):
@@ -140,31 +152,25 @@ def _loops_from_config(config, M):
                 raise ConfigError(f"loop {i}: polyline needs at least 2 points")
             loops.append(Loop(segments=polyline_segments(pts), basepoint=pts[0]))
         elif "rect" in spec:
-            c0, c1 = (np.asarray(p, dtype=float) for p in spec["rect"])
-            moved = np.nonzero(np.abs(c1 - c0) > 0)[0]
-            if len(moved) != 2:
-                raise ConfigError(
-                    f"loop {i}: rect corners must differ in exactly 2 coordinates")
-            a, b = (int(moved[0]), int(moved[1]))
-            loops.append(rectangle_loop(c0, a, b, c1[a] - c0[a], c1[b] - c0[b]))
+            loops.append(rectangle_loop(*_rect_from_config(i, spec["rect"], "rect")))
         elif "family" in spec:
             fs = spec["family"]
-            c0, c1 = (np.asarray(p, dtype=float) for p in fs["rect"])
-            moved = np.nonzero(np.abs(c1 - c0) > 0)[0]
-            if len(moved) != 2:
-                raise ConfigError(
-                    f"loop {i}: family rect corners must differ in 2 coordinates")
-            a, b = (int(moved[0]), int(moved[1]))
-            s_max = float(fs.get("s_max", 1.0))
-
-            def make(s, c0=c0, a=a, b=b, da=c1[a] - c0[a], db=c1[b] - c0[b]):
-                return rectangle_loop(c0, a, b, s * da, s * db)
-
-            families.append((LoopFamily(family=make, s_max=s_max),
-                             float(fs.get("s_step", 1e-2))))
+            rect = _rect_from_config(i, fs["rect"], "family rect")
+            family = shrinking_rectangle_family(*rect, s_max=float(fs.get("s_max", 1.0)))
+            families.append((family, float(fs.get("s_step", 1e-2))))
         else:
             raise ConfigError(f"loop {i}: need 'polyline', 'rect' or 'family'")
     return loops, families
+
+
+def _transport_from_config(config):
+    """(catalog entry or None, manifold, connection kind, steps, loops,
+    loop families) of a holonomy or algebra config."""
+    entry, M = _entry_from_config(config)
+    kind = _KINDS.get(config.get("connection", "weighted"))
+    if kind is None:
+        raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
+    return (entry, M, kind, _steps_from_config(config)) + _loops_from_config(config)
 
 
 def _json_default(obj):
@@ -240,14 +246,9 @@ def _tasks_from_config(config, default):
 def cmd_holonomy(args):
     config = _load_config(args.config)
     seed = _resolve_seed(config)
-    entry, M = _entry_from_config(config)
-    kind = _KINDS.get(config.get("connection", "weighted"))
-    if kind is None:
-        raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
-    steps = _steps_from_config(config)
+    entry, M, kind, steps, loops, families = _transport_from_config(config)
     include_log = bool(config.get("include_log", False))
     tasks = _tasks_from_config(config, ["holonomy"])
-    loops, families = _loops_from_config(config, M)
     report = _base_report("holonomy", config, seed)
     results = []
     exit_code = 0
@@ -314,13 +315,8 @@ def _write_plot_csv(prefix, index, M, h):
 def cmd_algebra(args):
     config = _load_config(args.config)
     seed = _resolve_seed(config)
-    entry, M = _entry_from_config(config)
-    kind = _KINDS.get(config.get("connection", "weighted"))
-    if kind is None:
-        raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
-    steps = _steps_from_config(config)
+    entry, M, kind, steps, loops, families = _transport_from_config(config)
     aspec = config.get("algebra", {})
-    loops, families = _loops_from_config(config, M)
     n_random = int(aspec.get("random_loops", 40 if not loops else 0))
     if n_random:
         region = aspec.get("region")

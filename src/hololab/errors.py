@@ -52,11 +52,12 @@ class OutOfDomain(HololabError):
 
 
 class SingularMetric(HololabError):
-    def __init__(self, point, det):
+    def __init__(self, point, det, detail=""):
         point, det = _plain(point), float(det)
         self.point = point
         self.det = det
-        super().__init__(f"metric singular at {point}: |det| = {abs(det):.3e}")
+        super().__init__(f"metric singular at {point}: |det| = {abs(det):.3e}"
+                         f"{': ' + detail if detail else ''}")
 
 
 class BadDimension(HololabError):

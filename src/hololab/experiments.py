@@ -21,6 +21,9 @@ LOG_WINDOW = 0.5
 # logs smaller than this are dominated by integrator noise once normalized;
 # see the rank_tol discussion in liealg.span_insert
 MIN_LOG_NORM = 1e-4
+# singular values below this fraction of the largest are integrator noise
+SVD_FLOOR = 1e-6
+CLASSIFY_TOL = 1e-6  # liealg.classify tolerance on the closed basis
 
 
 @dataclass
@@ -29,7 +32,6 @@ class AlgebraExperiment:
 
     basis: liealg.LieAlgebraBasis
     tag: liealg.AlgebraTag
-    generators: list = field(default_factory=list)
     loop_count: int = 0
     used_count: int = 0
     det_errors: list = field(default_factory=list)
@@ -39,8 +41,7 @@ class AlgebraExperiment:
         return self.basis.dim
 
 
-def generators_from_loops(M, kind, loops, steps=None,
-                          log_window=LOG_WINDOW, min_log_norm=MIN_LOG_NORM):
+def generators_from_loops(M, kind, loops, steps=None):
     """Principal logs of the usable loop transports, plus det diagnostics."""
     gens = []
     det_errors = []
@@ -49,21 +50,21 @@ def generators_from_loops(M, kind, loops, steps=None,
         h = holonomy(M, kind, loop, steps=steps)
         det_errors.append(abs(float(np.linalg.det(h.matrix))) - 1.0)
         gap = np.linalg.norm(h.matrix - np.eye(n), 'fro')
-        if gap < log_window:
+        if gap < LOG_WINDOW:
             L = liealg.mat_log(h.matrix)
-            if np.linalg.norm(L, 'fro') >= min_log_norm:
+            if np.linalg.norm(L, 'fro') >= MIN_LOG_NORM:
                 gens.append(L)
     return gens, det_errors
 
 
-def condition_generators(gens, n, floor=1e-6):
+def condition_generators(gens, n):
     """Rank-revealed orthogonal generating set via SVD.
 
     Sequentially Gram-Schmidting raw loop logs is fragile: two nearly
     parallel generators whose difference sits just above the span tolerance
     produce a basis direction dominated by integrator noise, and the error
     cascades through later projections.  Stacking the unit-normalized logs
-    and keeping the right-singular directions above ``floor * sigma_1``
+    and keeping the right-singular directions above SVD_FLOOR * sigma_1
     averages the noise out instead.
     """
     if not gens:
@@ -71,25 +72,21 @@ def condition_generators(gens, n, floor=1e-6):
     flat = np.array([np.asarray(g, dtype=float).ravel()
                      / np.linalg.norm(g, 'fro') for g in gens])
     _, svals, vt = np.linalg.svd(flat, full_matrices=False)
-    keep = svals >= floor * svals[0]
+    keep = svals >= SVD_FLOOR * svals[0]
     return [vt[i].reshape(n, n) for i in range(len(svals)) if keep[i]]
 
 
 def run_closure_experiment(M, kind, loops, extra_generators=(), form=None,
-                           steps=None, max_dim=None,
-                           log_window=LOG_WINDOW, min_log_norm=MIN_LOG_NORM,
-                           classify_tol=1e-6, svd_floor=1e-6) -> AlgebraExperiment:
-    gens, det_errors = generators_from_loops(M, kind, loops, steps=steps,
-                                             log_window=log_window,
-                                             min_log_norm=min_log_norm)
+                           steps=None) -> AlgebraExperiment:
+    gens, det_errors = generators_from_loops(M, kind, loops, steps=steps)
     used = len(gens)
-    cleaned = condition_generators(gens, M.dim, floor=svd_floor)
+    cleaned = condition_generators(gens, M.dim)
     cleaned += [np.asarray(g, dtype=float) for g in extra_generators]
     if not cleaned:
         basis = liealg.LieAlgebraBasis(dim_ambient=M.dim)
     else:
-        basis = liealg.closure(cleaned, max_dim=max_dim)
-    tag = liealg.classify(basis, form=form, tol=classify_tol)
-    return AlgebraExperiment(basis=basis, tag=tag, generators=cleaned,
+        basis = liealg.closure(cleaned)
+    tag = liealg.classify(basis, form=form, tol=CLASSIFY_TOL)
+    return AlgebraExperiment(basis=basis, tag=tag,
                              loop_count=len(loops), used_count=used,
                              det_errors=det_errors)

@@ -383,8 +383,13 @@ class Dual:
         return Dual(np.sinh(self.val), np.cosh(self.val) * self.eps)
 
     def ipow(self, k):
-        """Integer power (valid for any nonzero base, and for zero when
-        k >= 0); the value is ``base ** k`` as in plain evaluation."""
+        """Integer power, k an int or an array of integral floats (valid for
+        any nonzero base, and for zero where k >= 0); the value is
+        ``base ** k`` as in plain evaluation."""
+        if isinstance(k, np.ndarray):
+            # where k == 0 the derivative is 0 * base^0, never 0 * base^-1
+            return Dual(_ipow(self.val, k),
+                        k * _ipow(self.val, np.where(k == 0, 0, k - 1)) * self.eps)
         if k == 0:
             return Dual(_ipow(self.val, 0), self.eps * 0.0)
         return Dual(_ipow(self.val, k), k * _ipow(self.val, k - 1) * self.eps)
@@ -404,15 +409,34 @@ def _exp_valued(x, value):
     return Dual(v, v * x.eps)
 
 
+def _is_flat(x):
+    """x is not a Dual, or every derivative it carries is exactly 0."""
+    return not isinstance(x, Dual) or (_is_flat(x.val) and _is_flat(x.eps)
+                                       and not np.any(_primitive_value(x.eps)))
+
+
+def _integral_power(expo):
+    """The exponent as an int, or as an array of integral floats, if it is
+    integral at every point and every derivative it carries is exactly 0;
+    else None."""
+    if not _is_flat(expo):
+        return None
+    e = _primitive_value(expo)
+    if isinstance(e, np.ndarray) and e.ndim:
+        return e if (np.trunc(e) == e).all() else None
+    return int(e) if float(e).is_integer() else None
+
+
 def _pow(base, expo):
-    """base ^ expo with the real-domain rules: any base for integral
-    exponents, positive base otherwise."""
+    """base ^ expo with the real-domain rules: any base for an integral
+    power (``_integral_power``, the same for a scalar or an array
+    exponent), positive base otherwise."""
     expo_primitive = _primitive_value(expo)
     base_primitive = _primitive_value(base)
-    expo_is_const = not isinstance(expo, Dual)
-    if expo_is_const and np.ndim(expo_primitive) == 0 and float(expo_primitive) == int(expo_primitive):
-        k = int(expo_primitive)
-        if k < 0 and np.any(np.asarray(base_primitive) == 0):
+    k = _integral_power(expo)
+    if k is not None:
+        negative = k < 0  # a bool, or a bool array for an array exponent
+        if negative is not False and np.any(negative & (np.asarray(base_primitive) == 0)):
             raise DomainError("zero raised to a negative power")
         return _ipow(base, k)
     if np.any(np.asarray(base_primitive) <= 0):

@@ -141,11 +141,7 @@ class LieAlgebraBasis:
     def dim(self):
         return len(self.basis)
 
-    def gram(self):
-        flat = np.array([b.ravel() for b in self.basis])
-        return flat @ flat.T if len(self.basis) else np.zeros((0, 0))
-
-    def contains(self, A, tol=None):
+    def contains(self, A):
         """Residual Frobenius norm of unit-normalized A outside the span."""
         A = np.asarray(A, dtype=float)
         norm = np.linalg.norm(A, 'fro')

@@ -9,12 +9,9 @@ torsion-free connections live on it:
 
 the last two being dual to each other with respect to h = e^{-phi} g.
 
-Fields carry their own derivative machinery: expression-backed fields
-differentiate exactly through dual numbers, callable-backed fields fall
-back to central differences (step 1e-5 for first derivatives, nested
-3-point stencil with step 1e-4 for second derivatives).  Everything is
-evaluated in batch over (m, n) point arrays so path integration stays
-vectorized.
+Metric entries and the density are expressions (``expr``), differentiated
+exactly through dual numbers.  Everything is evaluated in batch over
+(m, n) point arrays so path integration stays vectorized.
 
 Geometry is evaluated as first-order jets: ``jet(pts)`` returns a field's
 values with all its coordinate partials.  An expression field records at
@@ -48,16 +45,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import expr as ex
-from .errors import BadSignature, OutOfDomain, SingularMetric, UnboundVariable
+from .errors import BadSignature, OutOfDomain, SingularMetric, UnboundVariable, _plain
 
-H_FIRST = 1e-5   # central-difference step for first derivatives
-H_SECOND = 1e-4  # step for the nested second-derivative stencil
 DET_FLOOR = 1e-10
 SYMMETRY_TOL = 1e-12
 
@@ -167,8 +162,6 @@ class ExprScalarField:
     in every other coordinate are exactly 0.
     """
 
-    mode = "autodiff"
-
     def __init__(self, expression, chart):
         if isinstance(expression, str):
             expression = ex.parse(expression)
@@ -207,51 +200,9 @@ class ExprScalarField:
                                (np.atleast_2d(pts).shape[0],)).copy()
 
 
-class CallableScalarField:
-    """Scalar field backed by a plain callable; derivatives by central
-    differences (h=1e-5) and a nested 3-point stencil (h=1e-4)."""
-
-    mode = "finite_difference"
-    constant = False
-
-    def __init__(self, fn, chart, h_first=H_FIRST, h_second=H_SECOND):
-        self.fn = fn
-        self.chart = chart
-        self.h1 = h_first
-        self.h2 = h_second
-
-    def values(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.array([float(self.fn(p)) for p in pts])
-
-    def jet(self, pts):
-        """(m,) values and (m, n) central-difference gradient."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grad = np.empty(pts.shape)
-        for i in range(pts.shape[1]):
-            step = np.zeros(pts.shape[1])
-            step[i] = self.h1
-            grad[:, i] = (self.values(pts + step) - self.values(pts - step)) / (2 * self.h1)
-        return self.values(pts), grad
-
-    def second_derivatives(self, pts, i, j):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ei = np.zeros(pts.shape[1]); ei[i] = self.h2
-        ej = np.zeros(pts.shape[1]); ej[j] = self.h2
-        if i == j:
-            return (self.values(pts + ei) - 2 * self.values(pts) + self.values(pts - ei)) / self.h2**2
-        return (self.values(pts + ei + ej) - self.values(pts + ei - ej)
-                - self.values(pts - ei + ej) + self.values(pts - ei - ej)) / (4 * self.h2**2)
-
-
 # ---------------------------------------------------------------------------
 # Metric and density fields
 # ---------------------------------------------------------------------------
-
-def _is_literal_zero(f):
-    e = getattr(f, "expression", None)
-    return isinstance(e, ex.Num) and e.value == 0
-
 
 class MetricField:
     """Symmetric bilinear field with declared signature (p, q).
@@ -270,11 +221,10 @@ class MetricField:
         self.chart = chart
         self.entries = entry_fields  # n x n nested list of scalar fields (symmetric)
         self.signature = (p, q)
-        self.mode = entry_fields[0][0].mode
         self.varying = tuple((i, j) for i in range(n) for j in range(i, n)
                              if not entry_fields[i][j].constant)
         self.nonzero = tuple((i, j) for i in range(n) for j in range(i, n)
-                             if not _is_literal_zero(entry_fields[i][j]))
+                             if entry_fields[i][j].expression != ex.Num(0.0))
         self.diagonal = all(i == j for i, j in self.nonzero)
         if validate:
             self.validate(sample_grid)
@@ -297,26 +247,6 @@ class MetricField:
                 f = ExprScalarField(entries[i][j], chart)
                 fields[i][j] = f
                 fields[j][i] = f
-        return cls(chart, fields, signature, validate=validate, sample_grid=sample_grid)
-
-    @classmethod
-    def from_callable(cls, chart, fn, signature, validate=True, sample_grid=None):
-        """fn: point -> (n, n) symmetric matrix; finite-difference mode."""
-        n = chart.dim
-        if validate:
-            probe = sample_grid if sample_grid is not None else grid_points(
-                chart.sample_box())
-            for p in np.atleast_2d(probe)[:3]:
-                raw = np.asarray(fn(p), dtype=float)
-                if np.abs(raw - raw.T).max() > SYMMETRY_TOL:
-                    raise ValueError(f"metric callable not symmetric at {tuple(p)}")
-        fields = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                entry = CallableScalarField(
-                    (lambda p, a=i, b=j: np.asarray(fn(p), dtype=float)[a, b]), chart)
-                fields[i][j] = entry
-                fields[j][i] = entry
         return cls(chart, fields, signature, validate=validate, sample_grid=sample_grid)
 
     # -- evaluation --------------------------------------------------------
@@ -370,15 +300,14 @@ class MetricField:
     # -- validation --------------------------------------------------------
 
     def validate(self, sample_grid=None):
-        pts = sample_grid if sample_grid is not None else grid_points(self.chart.sample_box())
+        pts = np.atleast_2d(sample_grid if sample_grid is not None
+                            else grid_points(self.chart.sample_box()))
         g = self.matrices(pts)
         asym = np.abs(g - np.swapaxes(g, 1, 2)).max()
         if asym > SYMMETRY_TOL:
             raise ValueError(f"metric not symmetric: max asymmetry {asym:.3e}")
         dets = np.linalg.det(g)
-        if np.abs(dets).min() <= DET_FLOOR:
-            k = int(np.abs(dets).argmin())
-            raise SingularMetric(tuple(np.atleast_2d(pts)[k]), dets[k])
+        _require_nonsingular(pts, dets, np.isfinite(g).all(axis=(1, 2)) & np.isfinite(dets))
         eigs = np.linalg.eigvalsh(g)
         pos = (eigs > 0).sum(axis=1)
         p, q = self.signature
@@ -386,7 +315,7 @@ class MetricField:
             k = int(np.argmax(pos != p))
             raise BadSignature(
                 f"declared signature {self.signature} but found {int(pos[k])} positive "
-                f"eigenvalues at {tuple(np.atleast_2d(pts)[k])}")
+                f"eigenvalues at {_plain(pts[k])}")
 
 
 class DensityField:
@@ -395,15 +324,10 @@ class DensityField:
     def __init__(self, scalar_field):
         self.field = scalar_field
         self.chart = scalar_field.chart
-        self.mode = scalar_field.mode
 
     @classmethod
     def from_expression(cls, chart, expression):
         return cls(ExprScalarField(expression, chart))
-
-    @classmethod
-    def from_callable(cls, chart, fn):
-        return cls(CallableScalarField(fn, chart))
 
     @classmethod
     def zero(cls, chart):
@@ -480,6 +404,17 @@ def dphi_at(M: WeightedManifold, x) -> np.ndarray:
     return M.density.gradients(_one_point(x))[0]
 
 
+def _require_nonsingular(pts, dets, finite):
+    """SingularMetric at the first point where ``finite`` is false, else at
+    the smallest |det g| if it is <= DET_FLOOR."""
+    if not finite.all():
+        k = int(finite.argmin())
+        raise SingularMetric(pts[k], dets[k])
+    if np.abs(dets).min() <= DET_FLOOR:
+        k = int(np.abs(dets).argmin())
+        raise SingularMetric(pts[k], dets[k])
+
+
 def _adjugate(g):
     """Symmetric adjugate (m, n, n) of symmetric (m, n, n) matrices, n = 2 or
     3, and det g expanded along the first row."""
@@ -511,13 +446,7 @@ def _inverse_metric(metric, g, pts):
         adj, dets = _adjugate(g)
     else:
         dets = np.linalg.det(g)
-    finite = np.isfinite(dets)
-    if not finite.all():
-        k = int(finite.argmin())
-        raise SingularMetric(pts[k], dets[k])
-    if np.abs(dets).min() <= DET_FLOOR:
-        k = int(np.abs(dets).argmin())
-        raise SingularMetric(pts[k], dets[k])
+    _require_nonsingular(pts, dets, np.isfinite(dets))
     if metric.diagonal:
         return 1.0 / diag
     if n <= 3:
@@ -549,6 +478,17 @@ def _contracted(kind, g, ginv, dg, dphi, v):
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
+def _require_finite(coeffs, g, pts):
+    """``coeffs`` (m, ...) unchanged, or SingularMetric at the first point
+    where they are not finite: g and det g are finite there (the inverse
+    passed), but a jet overflowed."""
+    if not np.isfinite(coeffs).all():
+        k = int(np.isfinite(coeffs.reshape(len(pts), -1)).all(axis=1).argmin())
+        raise SingularMetric(pts[k], np.linalg.det(g[k]),
+                             "connection coefficients not finite")
+    return coeffs
+
+
 def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
                      velocity=None) -> np.ndarray:
     """Connection coefficients at each point of an (m, n) array.
@@ -562,20 +502,20 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.jet(pts)[1]
     if velocity is not None:
         v = np.asarray(velocity, dtype=float).reshape(pts.shape)
-        return _contracted(kind, g, ginv, dg, dphi, v)
+        return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)
     # Gamma^k_ij is B^k_j for the velocity e_i
     m, n = pts.shape
     eye = np.eye(n)
-    return np.stack([_contracted(kind, g, ginv, dg, dphi,
-                                 np.broadcast_to(eye[i], (m, n)))
-                     for i in range(n)], axis=2)
+    return _require_finite(np.stack([_contracted(kind, g, ginv, dg, dphi,
+                                                 np.broadcast_to(eye[i], (m, n)))
+                                     for i in range(n)], axis=2), g, pts)
 
 
 def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
     """(m, n, n, n, n) array of d_l Gamma^k_ij, index order [l, k, i, j].
 
-    Assembled from exact first/second field derivatives (chain rule through
-    the inverse metric), so curvature inherits the field's derivative mode.
+    Assembled from the exact first and second derivatives of the metric
+    and density expressions, with the chain rule through the inverse metric.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = M.dim
@@ -592,13 +532,13 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     dgamma = 0.5 * (np.einsum('mlka,maij->mlkij', dginv, c)
                     + np.einsum('mka,mlaij->mlkij', ginv, dc))
     if kind == ConnectionKind.LEVI_CIVITA:
-        return dgamma
+        return _require_finite(dgamma, g, pts)
     hess = M.density.hessians(pts)
     eye = np.eye(n)
     if kind == ConnectionKind.WEIGHTED:
         corr = (np.einsum('mli,kj->mlkij', hess, eye)
                 + np.einsum('mlj,ki->mlkij', hess, eye))
-        return dgamma - corr
+        return _require_finite(dgamma - corr, g, pts)
     if kind == ConnectionKind.DUAL_WEIGHTED:
         grad_phi = M.density.jet(pts)[1]
         grad_up = np.einsum('mka,ma->mk', ginv, grad_phi)
@@ -606,7 +546,7 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
                     + np.einsum('mka,mla->mlk', ginv, hess))
         extra = (np.einsum('mlij,mk->mlkij', dg, grad_up)
                  + np.einsum('mij,mlk->mlkij', g, dgrad_up))
-        return dgamma + extra
+        return _require_finite(dgamma + extra, g, pts)
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
@@ -640,37 +580,13 @@ class WeightedMetricTensorField:
         return np.exp(-phi)[:, None, None, None] * (dg - np.einsum('ml,mij->mlij', dphi, g))
 
 
-class _CallableTensorField:
-    def __init__(self, fn, chart, h=H_FIRST):
-        self.fn = fn
-        self.chart = chart
-        self.h = h
-
-    def matrices(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.stack([np.asarray(self.fn(p), dtype=float) for p in pts])
-
-    def partials(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[1]
-        cols = []
-        for l in range(n):
-            step = np.zeros(n)
-            step[l] = self.h
-            cols.append((self.matrices(pts + step) - self.matrices(pts - step)) / (2 * self.h))
-        return np.stack(cols, axis=1)
-
-
 def covariant_derivative_of_tensor(M: WeightedManifold, kind: ConnectionKind, T, x) -> np.ndarray:
     """(nabla_i T)_{jk} = d_i T_jk - Gamma^m_ij T_mk - Gamma^m_ik T_jm.
 
-    T may be a tensor-field object exposing matrices()/partials() or a plain
-    callable point -> (n, n), in which case partials use the metric's
-    central-difference step.
+    T is a tensor field exposing matrices(pts) and partials(pts), such as
+    ``WeightedMetricTensorField``.
     """
     M.chart.require_inside(x)
-    if callable(T) and not hasattr(T, "matrices"):
-        T = _CallableTensorField(T, M.chart)
     pts = _one_point(x)
     gamma = christoffel_many(M, kind, pts)[0]
     tval = T.matrices(pts)[0]
@@ -701,9 +617,9 @@ def ricci_at(M: WeightedManifold, kind: ConnectionKind, x) -> np.ndarray:
 def restrict_manifold(M: WeightedManifold, free_indices: Sequence[int], fixed_values: dict) -> WeightedManifold:
     """Coordinate slice {x_j = c_j for j not free} as its own manifold.
 
-    Only expression-backed manifolds can be sliced (the substitution happens
-    on the ASTs).  The induced metric is the free-by-free block; the density
-    is restricted.  Validation is skipped: the caller samples the slice.
+    The fixed values are substituted into the entries' ASTs.  The induced
+    metric is the free-by-free block; the density is restricted.
+    Validation is skipped: the caller samples the slice.
     """
     free = list(free_indices)
     names = [M.chart.coord_names[i] for i in free]
@@ -718,12 +634,7 @@ def restrict_manifold(M: WeightedManifold, free_indices: Sequence[int], fixed_va
     entries = [[None] * len(free) for _ in free]
     for a, i in enumerate(free):
         for b, j in enumerate(free):
-            f = M.metric.entries[i][j]
-            if not isinstance(f, ExprScalarField):
-                raise TypeError("only expression-backed manifolds can be sliced")
-            entries[a][b] = ex.substitute(f.expression, bindings)
-    if not isinstance(M.density.field, ExprScalarField):
-        raise TypeError("only expression-backed manifolds can be sliced")
+            entries[a][b] = ex.substitute(M.metric.entries[i][j].expression, bindings)
     p, q = M.metric.signature
     sub_metric = MetricField.from_expressions(
         sub_chart, entries, signature=(min(p, len(free)), len(free) - min(p, len(free))),

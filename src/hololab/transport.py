@@ -64,6 +64,9 @@ RK4_RICHARDSON = 15.0  # 2^order - 1
 EPS = np.finfo(float).eps
 CLOSURE_TOL = 1e-9
 ENDPOINT_TOL = 1e-12
+TRIVIAL_TOL = 1e-6  # a family's P(0) may miss I by this much, or 10 est_error
+GEODESY_TOL = 1e-8  # block prediction's slice geodesy and orthogonality checks
+EXTENT_RANGE = (0.25, 0.95)  # random rectangle extents, fractions of the room
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +77,10 @@ ENDPOINT_TOL = 1e-12
 class PathSegment:
     """One C1 piece, parametrized over t in [0, 1].
 
-    Use Line(start, end) for coordinate straight lines, or Curve(position,
-    velocity) for general smooth pieces; both callables must accept a float
-    or a 1-d array of parameter values.
+    ``position`` and ``velocity`` map a 1-d array of m parameter values to
+    (m, n) arrays.  Line(start, end), Curve(position, velocity) and
+    Loop.reversed build segments of this form; Curve also accepts
+    callables of one float.
     """
 
     position: Callable
@@ -86,15 +90,8 @@ class PathSegment:
 
     def sample(self, ts):
         ts = np.asarray(ts, dtype=float)
-        try:
-            pos = np.asarray(self.position(ts), dtype=float)
-            vel = np.asarray(self.velocity(ts), dtype=float)
-        except (TypeError, ValueError):
-            pos = vel = None
-        if pos is None or pos.ndim == 1:  # scalar-only callables
-            pos = np.stack([np.asarray(self.position(t), dtype=float) for t in ts])
-            vel = np.stack([np.asarray(self.velocity(t), dtype=float) for t in ts])
-        return pos, vel
+        return (np.asarray(self.position(ts), dtype=float),
+                np.asarray(self.velocity(ts), dtype=float))
 
 
 def Line(start, end) -> PathSegment:
@@ -113,30 +110,31 @@ def Line(start, end) -> PathSegment:
     return PathSegment(position=position, velocity=velocity, start=start, end=end)
 
 
-def Curve(position, velocity, check_consistency=True) -> PathSegment:
-    """General segment from position/velocity callables on [0, 1].
+def Curve(position, velocity) -> PathSegment:
+    """General segment from position/velocity callables on [0, 1], each
+    taking a float or a 1-d array of parameter values.
 
     The velocity is spot-checked against a central difference of the
     position at five interior parameters.
     """
     p0 = np.asarray(position(0.0), dtype=float)
     p1 = np.asarray(position(1.0), dtype=float)
-    seg = PathSegment(position=lambda ts: _vectorize_curve(position, ts),
-                      velocity=lambda ts: _vectorize_curve(velocity, ts),
-                      start=p0, end=p1)
-    if check_consistency:
-        h = 1e-6
-        for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-            fd = (np.asarray(position(t + h), dtype=float)
-                  - np.asarray(position(t - h), dtype=float)) / (2 * h)
-            v = np.asarray(velocity(t), dtype=float)
-            scale = max(1.0, float(np.abs(v).max()))
-            if np.abs(fd - v).max() > 1e-6 * scale:
-                raise ValueError(f"velocity inconsistent with position at t={t}")
-    return seg
+    h = 1e-6
+    for t in (0.1, 0.3, 0.5, 0.7, 0.9):
+        fd = (np.asarray(position(t + h), dtype=float)
+              - np.asarray(position(t - h), dtype=float)) / (2 * h)
+        v = np.asarray(velocity(t), dtype=float)
+        scale = max(1.0, float(np.abs(v).max()))
+        if np.abs(fd - v).max() > 1e-6 * scale:
+            raise ValueError(f"velocity inconsistent with position at t={t}")
+    return PathSegment(position=lambda ts: _vectorize_curve(position, ts),
+                       velocity=lambda ts: _vectorize_curve(velocity, ts),
+                       start=p0, end=p1)
 
 
 def _vectorize_curve(fn, ts):
+    """(m, n) values of ``fn`` at m parameters; a callable of one float,
+    found by probing with ts[0], is called once per parameter."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.asarray(fn(ts[0]), dtype=float)
     if out.ndim == 1:
@@ -435,8 +433,7 @@ def _s_extrapolated(Ps, s_step, eye):
     return (8.0 * f4 - 6.0 * f2 + f1) / 3.0
 
 
-def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
-                      trivial_tol=1e-6):
+def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None):
     """One-sided derivative of s -> P(s) at 0, Richardson-extrapolated over
     s, s/2, s/4.  The family must integrate to the identity at s = 0.
 
@@ -450,7 +447,7 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
     loops' fine and coarse products on that grid and fine_steps is summed
     over a loop's segments; past MAX_FINE_STEPS StepUnderflow is raised.
     With ``steps`` the grid is fixed at N = steps.  P(0) is integrated at
-    the accepted N."""
+    the accepted N and must lie within max(10 est_error, TRIVIAL_TOL) of I."""
     trivial = fam.family(0.0)
     trivial.validate(M.chart)
     if not 0 < s_step <= fam.s_max:
@@ -485,7 +482,7 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None,
     del levels  # each holds its segment's samples at the accepted level
     P0, P0_est = path_transport_matrix(M, kind, trivial.segments, steps=n_fine // 2)
     gap = np.abs(P0 - eye).max()
-    if gap > max(10.0 * P0_est, trivial_tol):
+    if gap > max(10.0 * P0_est, TRIVIAL_TOL):
         raise FamilyNotTrivial(f"P(0) differs from identity by {gap:.3e}")
     return D
 
@@ -511,13 +508,12 @@ def shrinking_rectangle_family(corner, axis_a, axis_b, extent_a, extent_b, s_max
 # Random loop sampling
 # ---------------------------------------------------------------------------
 
-def random_rectangle_loops(M, region, count, seed, basepoint=None,
-                           min_extent=0.25, max_extent=0.95):
+def random_rectangle_loops(M, region, count, seed, basepoint=None):
     """Deterministic seed-reproducible axis-aligned rectangles in ``region``.
 
     Each loop picks a random corner (kept away from the upper region edge so
     rectangles never degenerate), a random axis pair and random extents
-    (fractions of the room left in the region), and is based at
+    (EXTENT_RANGE fractions of the room left in the region), and is based at
     ``basepoint`` (default: region center) through straight spokes.
     """
     region = [(float(lo), float(hi)) for lo, hi in region]
@@ -543,8 +539,8 @@ def random_rectangle_loops(M, region, count, seed, basepoint=None,
             i, j = rng.choice(n, size=2, replace=False)
         room_i = region[i][1] - corner[i]
         room_j = region[j][1] - corner[j]
-        ext_i = room_i * rng.uniform(min_extent, max_extent)
-        ext_j = room_j * rng.uniform(min_extent, max_extent)
+        ext_i = room_i * rng.uniform(*EXTENT_RANGE)
+        ext_j = room_j * rng.uniform(*EXTENT_RANGE)
         loops.append(rectangle_loop(corner, int(i), int(j), ext_i, ext_j,
                                     basepoint=basepoint))
     return loops
@@ -555,8 +551,7 @@ def random_rectangle_loops(M, region, count, seed, basepoint=None,
 # ---------------------------------------------------------------------------
 
 def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
-                              loop: Loop, steps=None, error_target=None,
-                              geodesy_tol=1e-8):
+                              loop: Loop, steps=None, error_target=None):
     """Predicted ambient weighted transport along a loop inside the slice
     {x_j = c_j, j not free}, assembled block by block:
 
@@ -566,11 +561,11 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     The mixing block transports each normal by the ambient metric
     connection and feeds e^{phi(sigma(t)) - phi(p)} dphi(normal) sigma'
     into the induced weighted equation.  The slice must be totally geodesic
-    (checked numerically along the loop) and metric-orthogonal to the
-    normal coordinate directions.  The block system is integrated like any
-    transport (see ``path_transport_matrix`` for ``steps`` and
-    ``error_target``): step-controlled per segment unless ``steps`` fixes
-    the grid.
+    and metric-orthogonal to the normal coordinate directions, both checked
+    to GEODESY_TOL at sample points along the loop.  The block system is
+    integrated like any transport (see ``path_transport_matrix`` for
+    ``steps`` and ``error_target``): step-controlled per segment unless
+    ``steps`` fixes the grid.
     """
     free = sorted(int(i) for i in free_indices)
     normal = [j for j in range(N.dim) if j not in free]
@@ -583,11 +578,11 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
     probe_pts = np.concatenate([seg.sample(probe_ts)[0] for seg in loop.segments])
     gamma_probe = christoffel_many(N, ConnectionKind.LEVI_CIVITA, probe_pts)
     worst = max(np.abs(gamma_probe[:, k][:, free][:, :, free]).max() for k in normal)
-    if worst > geodesy_tol:
+    if worst > GEODESY_TOL:
         raise NotTotallyGeodesic(f"max tangent-tangent-normal coefficient {worst:.3e}")
     g_probe = N.metric.matrices(probe_pts)
     cross = max(np.abs(g_probe[:, i, j]).max() for i in free for j in normal)
-    if cross > geodesy_tol:
+    if cross > GEODESY_TOL:
         raise NotTotallyGeodesic(
             f"coordinate normals not metric-orthogonal to the slice ({cross:.3e})")
 

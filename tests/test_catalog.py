@@ -41,8 +41,6 @@ def test_triangular_values(tri2, tri3):
     assert np.allclose(np.diag(g), expected, rtol=1e-14)
     with pytest.raises(BadDimension):
         catalog.triangular_family(1)
-    F = tri3.self_dual_frame_map
-    assert np.array_equal(F, np.array([[0, 0, -1], [0, -1, 0], [-1, 0, 0.0]]))
 
 
 def test_triangular_loops_are_unit_upper_triangular(tri3):

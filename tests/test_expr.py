@@ -65,6 +65,24 @@ def test_domain_errors():
     assert ev("x^3", x=-2.0) == -8.0
 
 
+def test_integral_exponent_same_on_scalars_and_arrays():
+    e = ex.parse("x^y")
+    assert ex.eval_expr(e, {"x": -2.0, "y": 2.0}) == 4.0
+    out = ex.eval_expr(e, {"x": np.array([-2.0]), "y": np.array([2.0])})
+    assert out.shape == (1,) and out[0] == 4.0
+    # per-point integral exponents, differentiated in the base only
+    env = {"x": np.array([-2.0, 3.0, 0.0]), "y": np.array([2.0, 3.0, 0.0])}
+    val, d = ex.eval_dual(e, env, "x")
+    assert val.tolist() == [4.0, 27.0, 1.0] and d.tolist() == [-4.0, 27.0, 0.0]
+    assert ex.eval_dual2(e, env, "x", "x")[3].tolist() == [2.0, 18.0, 0.0]
+    with pytest.raises(DomainError):
+        ex.eval_expr(e, {"x": np.array([0.0]), "y": np.array([-1.0])})
+    # d/dy needs log x
+    for x, y in ((-2.0, 2.0), (np.array([-2.0]), np.array([2.0]))):
+        with pytest.raises(DomainError):
+            ex.eval_dual(e, {"x": x, "y": y}, "y")
+
+
 def test_array_evaluation():
     xs = np.linspace(-1, 1, 7)
     out = ev("exp(2*x)*x", x=xs)

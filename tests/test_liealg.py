@@ -112,8 +112,8 @@ def test_span_insert_basics():
     assert not ins and basis.dim == 1
     basis, ins = span_insert(basis, unit(1, 0))
     assert ins and basis.dim == 2
-    gram = basis.gram()
-    assert np.abs(gram - np.eye(2)).max() < 1e-12
+    flat = np.array([b.ravel() for b in basis.basis])
+    assert np.abs(flat @ flat.T - np.eye(2)).max() < 1e-12
     with pytest.raises(ShapeMismatch):
         span_insert(basis, np.eye(3))
     # numerically-zero candidates are rejected instead of normalized

@@ -157,19 +157,6 @@ def test_dual_weighted_derivative_is_minus_density_tensor(borel, tri3):
             assert np.abs(T + amari_chentsov(M, x)).max() < 1e-6
 
 
-def test_callable_tensor_field_fallback(borel):
-    M = borel.manifold
-    x = np.array([0.3, -0.2])
-    h = WeightedMetricTensorField(M)
-
-    def h_fn(p):
-        return h.matrices(np.atleast_2d(p))[0]
-
-    exact = covariant_derivative_of_tensor(M, W, h, x)
-    fd = covariant_derivative_of_tensor(M, W, h_fn, x)
-    assert np.abs(exact - fd).max() < 1e-8
-
-
 def test_curvature_flat_and_golden(tri2, so11):
     assert np.abs(curvature_at(euclidean(), W, [0.1, 0.2])).max() == 0.0
     ric = ricci_at(tri2.manifold, W, np.zeros(2))
@@ -184,26 +171,6 @@ def test_curvature_closed_form_off_origin(tri2):
         ric = ricci_at(tri2.manifold, W, [x, y])
         expected = np.diag([0.0, (1 + math.exp(x + y)) / 2])
         assert np.abs(ric - expected).max() < 1e-9
-
-
-def test_finite_difference_mode_agrees_with_autodiff(borel):
-    chart = borel.manifold.chart
-
-    def g_fn(p):
-        return np.diag([1.0, math.exp(2 * p[0] * p[1])])
-
-    M_fd = WeightedManifold(
-        chart=chart,
-        metric=MetricField.from_callable(chart, g_fn, signature=(2, 0)),
-        density=DensityField.from_callable(chart, lambda p: p[0] * p[1]))
-    pts = borel.random_points(5, seed=4)
-    exact = christoffel_many(borel.manifold, W, pts)
-    approx = christoffel_many(M_fd, W, pts)
-    assert np.abs(exact - approx).max() < 1e-6
-    assert np.abs(dphi_at(M_fd, pts[0]) - dphi_at(borel.manifold, pts[0])).max() < 1e-6
-    ric_exact = ricci_at(borel.manifold, W, np.array([0.2, 0.1]))
-    ric_approx = ricci_at(M_fd, W, np.array([0.2, 0.1]))
-    assert np.abs(ric_exact - ric_approx).max() < 1e-5
 
 
 def test_singular_metric_detection():
@@ -370,20 +337,6 @@ def test_metric_and_density_jets_match_their_views():
     assert np.array_equal(dphi, M.density.gradients(pts))
 
 
-def test_callable_jet_is_values_and_central_differences():
-    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
-    field = DensityField.from_callable(chart, lambda p: math.sin(p[0]) * p[1])
-    pts = np.array([[0.3, 0.7], [-0.4, 1.1]])
-    phi, dphi = field.jet(pts)
-    assert np.array_equal(phi, np.sin(pts[:, 0]) * pts[:, 1])
-    h = field.field.h1
-    for i in range(2):
-        step = np.zeros(2)
-        step[i] = h
-        fd = (field.values(pts + step) - field.values(pts - step)) / (2 * h)
-        assert np.array_equal(dphi[:, i], fd)
-
-
 def _random_metrics(rng, n, m, signs):
     """m symmetric n x n matrices Q diag(lam) Q^T, |lam| in [0.5, 2]."""
     q, _ = np.linalg.qr(rng.standard_normal((m, n, n)))
@@ -451,6 +404,43 @@ def test_non_finite_metric_raises_at_first_such_point(off):
         with pytest.raises(SingularMetric) as info:
             christoffel_derivative_many(M, kind, pts)
         assert info.value.point == (2.0, 0.3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_overflowing_jet_raises_at_first_such_point():
+    """At x = 1.88, g_00 = 1 + exp(exp(exp(x))) is about 1e304 and det g
+    is finite, but d g_00 overflows, so the coefficients are not finite."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    metric = MetricField.from_expressions(chart, ["1+exp(exp(exp(x)))", "1"],
+                                          signature=(2, 0))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "y"))
+    pts = np.array([[0.5, 0.0], [1.88, 0.0], [1.88, 0.5]])
+    assert np.isfinite(np.linalg.det(metric.matrices(pts))).all()
+    for kind in (LC, W, DW):
+        for call in (lambda: christoffel_many(M, kind, pts, velocity=np.ones_like(pts)),
+                     lambda: christoffel_many(M, kind, pts),
+                     lambda: christoffel_derivative_many(M, kind, pts)):
+            with pytest.raises(SingularMetric) as info:
+                call()
+            assert info.value.point == (1.88, 0.0)
+            assert "not finite" in str(info.value)
+        assert np.isfinite(christoffel_many(M, kind, pts[:1])).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_validate_reports_an_overflowing_metric_as_singular():
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"), domain=((-3, 3), (-3, 3)))
+    with pytest.raises(SingularMetric) as info:
+        MetricField.from_expressions(chart, ["1+exp(exp(exp(x)))", "1"], signature=(2, 0))
+    assert info.value.point == (2.7, -2.7)
+
+
+def test_bad_signature_message_shows_plain_floats():
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    with pytest.raises(BadSignature) as info:
+        MetricField.from_expressions(chart, ["1", "1"], signature=(1, 1))
+    assert str(info.value).endswith("at (-1.0, -1.0)")
 
 
 def test_christoffel_evaluates_each_varying_field_once(monkeypatch):

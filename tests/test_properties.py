@@ -2,14 +2,16 @@
 2-d manifolds: a loop followed by its reversal transports to I, the
 weighted holonomy is unimodular, and the weighted/dual pairing is constant
 along open paths, each within the reported error bars; a shrinking
-rectangle family has derivative 0 at s = 0."""
+rectangle family has derivative 0 at s = 0; a linear change of chart
+conjugates the holonomy."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from hololab.expr import _CALL_TABLE
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
                               MetricField, WeightedManifold, weighted_metric_at)
-from hololab.transport import (family_derivative, holonomy, path_transport_matrix,
+from hololab.transport import (Loop, family_derivative, holonomy, path_transport_matrix,
                                polyline_segments, rectangle_loop,
                                shrinking_rectangle_family)
 
@@ -84,3 +86,66 @@ def test_duality_pairing_is_constant_along_open_paths(M, points):
 def test_shrinking_rectangle_family_has_zero_derivative(M, family, kind):
     # P(s) = I + O(s^2), so P'(0) = 0
     assert np.abs(family_derivative(M, kind, family)).max() <= 1e-5
+
+
+@st.composite
+def chart_changes(draw):
+    """An invertible J = [[a, b], [c, d]] with |a|, |d| in [0.6, 1] and
+    |b|, |c| <= 0.4, so |det J| >= 0.2."""
+    a = draw(_num(0.6, 1.0)) * draw(st.sampled_from([-1, 1]))
+    d = draw(_num(0.6, 1.0))
+    b, c = draw(_num(-0.4, 0.4)), draw(_num(-0.4, 0.4))
+    return np.array([[a, b], [c, d]])
+
+
+@st.composite
+def custom_geometries(draw):
+    """Entry builder (X, Y) -> (metric, density) strings in coordinate
+    expressions X and Y: g = diag(a1, a2) + w w^T with w = (p, q), positive
+    definite for any finite p and q, where p, q and phi apply random call
+    table functions to 1 + c x + d y, |c|, |d| <= 0.1, which stays in
+    [0.6, 1.4] for |x|, |y| <= 2 and so inside every function's domain."""
+    names = sorted(_CALL_TABLE)
+
+    def term(X, Y, f, b, c, d):
+        return f"({b})*{f}(1+({c})*{X}+({d})*{Y})"
+
+    p, q, phi = ((draw(st.sampled_from(names)), draw(_num(-1.0, 1.0)),
+                  draw(_num(-0.1, 0.1)), draw(_num(-0.1, 0.1))) for _ in range(3))
+    a1, a2, k = draw(_num(0.5, 2.0)), draw(_num(0.5, 2.0)), draw(_num(-1.0, 1.0))
+
+    def entries(X, Y):
+        P, Q = term(X, Y, *p), term(X, Y, *q)
+        metric = [[f"{a1}+({P})^2", f"({P})*({Q})"], [f"({P})*({Q})", f"{a2}+({Q})^2"]]
+        return metric, f"{term(X, Y, *phi)}+({k})*{X}*{Y}"
+
+    return entries
+
+
+@settings(max_examples=10, deadline=None)
+@given(J=chart_changes(), entries=custom_geometries(), loop=loops)
+def test_linear_chart_change_conjugates_holonomy(J, entries, loop):
+    """In coordinates u with x = J u the metric is J^T g(J u) J and the
+    density phi(J u); components of vectors transform by J^-1, so the
+    holonomy around the loop mapped by J^-1 is J^-1 P J."""
+    metric, phi = entries("x", "y")
+    M = WeightedManifold(chart=CHART, metric=MetricField.from_expressions(
+        CHART, metric, signature=(2, 0)),
+        density=DensityField.from_expression(CHART, phi))
+    chart = CoordinateChart(dim=2, coord_names=("u", "v"))
+    X, Y = (f"(({float(J[i, 0])!r})*u+({float(J[i, 1])!r})*v)" for i in range(2))
+    g, phi = entries(X, Y)
+    pulled = [[" + ".join(f"({float(J[i, a] * J[j, b])!r})*({g[i][j]})"
+                          for i in range(2) for j in range(2))
+               for b in range(2)] for a in range(2)]
+    N = WeightedManifold(chart=chart, metric=MetricField.from_expressions(
+        chart, pulled, signature=(2, 0)),
+        density=DensityField.from_expression(chart, phi))
+    Jinv = np.linalg.inv(J)
+    ring = [seg.start for seg in loop.segments] + [loop.basepoint]
+    mapped = Loop(segments=polyline_segments([Jinv @ x for x in ring]),
+                  basepoint=Jinv @ loop.basepoint)
+    for kind in ConnectionKind:
+        P = holonomy(M, kind, loop).matrix
+        Q = holonomy(N, kind, mapped).matrix
+        assert np.abs(Q - Jinv @ P @ J).max() <= 1e-8
