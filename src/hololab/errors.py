@@ -60,6 +60,17 @@ class SingularMetric(HololabError):
                          f"{': ' + detail if detail else ''}")
 
 
+class DensityOverflow(HololabError):
+    """The density phi or one of its derivatives is not finite at a point:
+    its expression overflowed there.  Raised where the density's jet or
+    Hessian is evaluated, so the metric is not blamed for it."""
+
+    def __init__(self, point, detail=""):
+        point = _plain(point)
+        self.point = point
+        super().__init__(f"density not finite at {point}{': ' + detail if detail else ''}")
+
+
 class BadDimension(HololabError):
     pass
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import liealg
-from .transport import holonomy
+from .transport import holonomy_many
 
 # transports farther than this from I are skipped (log accuracy degrades
 # and the group-level information is redundant once brackets run)
@@ -42,12 +42,12 @@ class AlgebraExperiment:
 
 
 def generators_from_loops(M, kind, loops, steps=None):
-    """Principal logs of the usable loop transports, plus det diagnostics."""
+    """Principal logs of the usable loop transports, plus det diagnostics;
+    the loops are integrated as one batch."""
     gens = []
     det_errors = []
     n = M.dim
-    for loop in loops:
-        h = holonomy(M, kind, loop, steps=steps)
+    for h in holonomy_many(M, kind, loops, steps=steps):
         det_errors.append(abs(float(np.linalg.det(h.matrix))) - 1.0)
         gap = np.linalg.norm(h.matrix - np.eye(n), 'fro')
         if gap < LOG_WINDOW:

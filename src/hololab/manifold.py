@@ -51,7 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import BadSignature, OutOfDomain, SingularMetric, UnboundVariable, _plain
+from .errors import (BadSignature, DensityOverflow, OutOfDomain, SingularMetric,
+                     UnboundVariable, _plain)
 
 DET_FLOOR = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -337,8 +338,11 @@ class DensityField:
         return self.field.values(pts)
 
     def jet(self, pts):
-        """(m,) values phi and (m, n) rows of coordinate partials d_i phi."""
-        return self.field.jet(pts)
+        """(m,) values phi and (m, n) rows of coordinate partials d_i phi;
+        DensityOverflow at the first point where any is not finite."""
+        phi, dphi = self.field.jet(pts)
+        _require_finite_density(pts, "phi or its gradient", phi, dphi)
+        return phi, dphi
 
     def gradients(self, pts):
         """(m, n) rows of coordinate partials d_i phi."""
@@ -353,7 +357,19 @@ class DensityField:
                 v = self.field.second_derivatives(pts, i, j)
                 out[:, i, j] = v
                 out[:, j, i] = v
-        return out
+        return _require_finite_density(pts, "its Hessian", out)
+
+
+def _require_finite_density(pts, what, *arrays):
+    """The last of ``arrays`` (each (m, ...)) unchanged, or DensityOverflow
+    at the first point where one of them is not finite."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    finite = np.ones(pts.shape[0], dtype=bool)
+    for a in arrays:
+        finite &= np.isfinite(a.reshape(pts.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise DensityOverflow(pts[int(finite.argmin())], f"{what} overflows")
+    return arrays[-1]
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,41 @@ past ``MAX_FINE_STEPS`` fine steps the target is out of reach and
 ``StepUnderflow`` is raised.  An explicit ``steps`` pins a fixed grid of
 N = steps, the first level, accepted whatever its estimate.
 
-Path transport and block prediction test each segment against its share
-(target / number of segments).  A loop family's derivative is a
+One engine, ``_lockstep``, integrates every transport.  It advances a
+batch of segments that share a coefficient function and a first level in
+rounds.  A round works the segments that advance in it level by level,
+those at one N in groups of at most ``MAX_BATCH_POINTS`` new sample points
+(a larger segment alone, its points cut into calls of at most that many).
+For each group it samples the new points, takes their coefficients from
+one ``coeffs`` call and splits the rows back per segment (the coefficient
+kernel gives the same bits on a concatenation of point arrays as on each
+part), and runs the RK4 steps and ordered products stacked over the
+group's segments.  Then an accept rule retires segments; the others keep a
+copy of their samples for their next level.  On a pinned grid every
+segment retires at its first level, all advance in one round and nothing
+is held.  There are two accept rules.  Path transport and block prediction
+test each segment against its share (target / number of segments of its
+path), so segments leave the batch at different levels.  Their batch also
+bounds what it holds: a segment advances in a round only if the samples
+the batch holds after it stay within ``MAX_HELD_POINTS`` (the first live
+segment always advances), so the others wait, or start later, and a round
+may work several levels.  A loop family's derivative is a
 Richardson-in-s combination of the loops at s, s/2 and s/4, which cancels
-the RK4 error only when they share a grid, so all their segments step
-through the levels together and the test is on the derivative itself:
-the same combination of the fine and of the coarse products, allowing
-for the roundoff floor that dividing by s puts under that estimate.
+the RK4 error only when they share a grid, so its segments advance
+together and its rule is on the whole batch: the derivative's estimate,
+the same combination of the fine and of the coarse products, allowing for
+the roundoff floor that dividing by s puts under it.  Every accept
+decision is the one a segment or family integrated alone would make, so a
+batch returns the same bits as its paths one by one.  Errors differ: a
+batch raises the first error it meets, round by round and within a round
+in level and segment order, so a path that leaves the chart in the first
+round is reported before an earlier path whose segment would run out of
+steps levels later.
+
+``path_transport_many`` and ``holonomy_many`` integrate many paths or
+loops as one batch (a verify check's paths of one kind, an algebra
+experiment's loops); ``path_transport_matrix`` and ``holonomy`` are their
+one-path views.  Frame trajectories are assembled after the batch.
 
 ``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
 plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
@@ -37,11 +65,11 @@ the coefficients at the sampled points come from the contracted kernel
 B^k_j = Gamma^k_ij sigma'^i directly.  The per-step RK4 transfer matrices
 are built with stacked matmuls and the ordered product is taken by
 pairwise reduction -- no Python-level inner loop.  Holonomy, loop
-families, block prediction and frame trajectories share this path: block
-prediction hands its assembled block coefficients to the same levels, and
-a frame trajectory splits each segment's accepted per-step matrices into
-pieces and takes prefix products of the piece products, in the same
-integration that gives the holonomy matrix.
+families, block prediction and frame trajectories share the engine: block
+prediction hands its assembled block coefficients to it, and a frame
+trajectory splits each segment's accepted per-step matrices into pieces
+and takes prefix products of the piece products, in the same integration
+that gives the holonomy matrix.
 """
 
 from __future__ import annotations
@@ -60,6 +88,15 @@ from .manifold import (ConnectionKind, WeightedManifold, christoffel_many,
 DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
 MAX_FINE_STEPS = 2 ** 16
+# kernel points per coefficient call of a lockstep round.  Larger calls
+# cost memory (about 1.4 kB of kernel temporaries per point on a 4-d
+# metric), and at 2 ** 11 the perfbench `algebra` workload, whose
+# segments hold 801 points each, ran slower than with one call per segment.
+MAX_BATCH_POINTS = 2 ** 10
+# sample points the live segments of a step-controlled batch may hold for
+# their next levels (2 MB of coefficients on a 4-d metric); a segment whose
+# next level would pass it waits, so memory does not grow with the batch
+MAX_HELD_POINTS = 2 ** 14
 RK4_RICHARDSON = 15.0  # 2^order - 1
 EPS = np.finfo(float).eps
 CLOSURE_TOL = 1e-9
@@ -112,7 +149,7 @@ def Line(start, end) -> PathSegment:
 
 def Curve(position, velocity) -> PathSegment:
     """General segment from position/velocity callables on [0, 1], each
-    taking a float or a 1-d array of parameter values.
+    taking a float, or a 1-d array of m parameter values for (m, n) points.
 
     The velocity is spot-checked against a central difference of the
     position at five interior parameters.
@@ -127,19 +164,27 @@ def Curve(position, velocity) -> PathSegment:
         scale = max(1.0, float(np.abs(v).max()))
         if np.abs(fd - v).max() > 1e-6 * scale:
             raise ValueError(f"velocity inconsistent with position at t={t}")
-    return PathSegment(position=lambda ts: _vectorize_curve(position, ts),
-                       velocity=lambda ts: _vectorize_curve(velocity, ts),
+    return PathSegment(position=_vectorized(position, p0.shape[0]),
+                       velocity=_vectorized(velocity, p0.shape[0]),
                        start=p0, end=p1)
 
 
-def _vectorize_curve(fn, ts):
-    """(m, n) values of ``fn`` at m parameters; a callable of one float,
-    found by probing with ts[0], is called once per parameter."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    out = np.asarray(fn(ts[0]), dtype=float)
-    if out.ndim == 1:
-        return np.stack([np.asarray(fn(t), dtype=float) for t in ts])
-    return np.asarray(fn(ts), dtype=float)
+def _vectorized(fn, n):
+    """``fn`` as a map from m parameters to (m, n) values, decided once: a
+    callable whose value at an array of n + 1 parameters is an (n + 1, n)
+    array takes arrays and is called once per sample grid; any other is
+    called once per parameter with a float.  (With n + 1 parameters a
+    callable of one float that returns its n components stacked over
+    an array, (n, n + 1), is never taken for an array callable.)"""
+    try:
+        takes_arrays = np.shape(fn(np.linspace(0.0, 1.0, n + 1))) == (n + 1, n)
+    except (TypeError, ValueError):  # a scalar-only callable given an array
+        takes_arrays = False
+    if takes_arrays:
+        return lambda ts: np.asarray(fn(np.atleast_1d(np.asarray(ts, dtype=float))),
+                                     dtype=float)
+    return lambda ts: np.stack([np.asarray(fn(t), dtype=float)
+                                for t in np.atleast_1d(np.asarray(ts, dtype=float))])
 
 
 def polyline_segments(points) -> list:
@@ -222,17 +267,13 @@ class LoopFamily:
 # ---------------------------------------------------------------------------
 
 def _ordered_product(mats):
-    """Product mats[-1] @ ... @ mats[0] by pairwise reduction."""
-    while mats.shape[0] > 1:
-        m = mats.shape[0]
-        even = mats[0:m - m % 2:2]
-        odd = mats[1:m:2]
-        paired = odd @ even
-        if m % 2:
-            mats = np.concatenate([paired, mats[-1:]], axis=0)
-        else:
-            mats = paired
-    return mats[0]
+    """Product mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] by pairwise
+    reduction over the step axis, the third from last."""
+    while mats.shape[-3] > 1:
+        m = mats.shape[-3]
+        paired = mats[..., 1:m:2, :, :] @ mats[..., 0:m - m % 2:2, :, :]
+        mats = np.concatenate([paired, mats[..., -1:, :, :]], axis=-3) if m % 2 else paired
+    return mats[..., 0, :, :]
 
 
 def _fine_grid(steps):
@@ -244,19 +285,24 @@ def _fine_grid(steps):
 def _rk4_steps(A_half, h):
     """Per-step RK4 transfer matrices from A sampled on the half-step grid.
 
-    A_half has shape (2N+1, d, d); returns the (N, d, d) stack of
+    A_half has shape (..., 2N+1, d, d); returns the (..., N, d, d) stack of
     I + h/6 (K1 + 2 K2 + 2 K3 + K4), one per step.
     """
-    d = A_half.shape[1]
-    A1 = A_half[0:-1:2]
-    A2 = A_half[1::2]
-    A3 = A_half[2::2]
-    eye = np.eye(d)[None, :, :]
-    K1 = A1
-    K2 = A2 @ (eye + (h / 2) * K1)
-    K3 = A2 @ (eye + (h / 2) * K2)
-    K4 = A3 @ (eye + h * K3)
-    return eye + (h / 6) * (K1 + 2 * K2 + 2 * K3 + K4)
+    A1 = A_half[..., 0:-1:2, :, :]
+    A2 = A_half[..., 1::2, :, :]
+    A3 = A_half[..., 2::2, :, :]
+    eye = np.eye(A_half.shape[-1])
+    # K1 + 2 K2 + 2 K3 + K4 summed in that order, in place, so that at most
+    # two stage-sized arrays are held besides the sum
+    K = A2 @ (eye + (h / 2) * A1)
+    out = 2 * K
+    out += A1
+    K = A2 @ (eye + (h / 2) * K)
+    out += 2 * K
+    out += A3 @ (eye + h * K)
+    out *= h / 6
+    out += eye
+    return out
 
 
 def _transport_matrices(M, kind, pos, vel, covector=False):
@@ -270,10 +316,13 @@ def _transport_matrices(M, kind, pos, vel, covector=False):
 
 
 def _interleave(even, odd):
-    """Rows even[0], odd[0], even[1], ..., even[-1] (len(even) = len(odd) + 1)."""
-    out = np.empty((even.shape[0] + odd.shape[0],) + even.shape[1:])
-    out[0::2] = even
-    out[1::2] = odd
+    """(g, 2r + 1, ...) rows even[j][0], odd[j, 0], even[j][1], ...,
+    even[j][r] for each j, from ``even``, a sequence of g (r + 1, ...)
+    arrays, and ``odd`` of shape (g, r, ...)."""
+    out = np.empty((odd.shape[0], 2 * odd.shape[1] + 1) + odd.shape[2:])
+    for j, rows in enumerate(even):
+        out[j, 0::2] = rows
+    out[:, 1::2] = odd
     return out
 
 
@@ -282,23 +331,13 @@ def _richardson(fine, coarse):
     return float(np.abs(fine - coarse).max()) / RK4_RICHARDSON
 
 
-def _levels(seg, coeffs, n):
-    """Levels n, 2n, 4n, ... of one segment, computed as they are asked
-    for: yields (fine, coarse, positions, step_matrices) of each.  The
-    next level's grid keeps this one's points at its even indices, so only
-    the odd-index points are sampled, and this level's fine product is the
-    next one's coarse product."""
-    pos, vel = seg.sample(_fine_grid(n))
-    A = coeffs(pos, vel)
-    coarse = _ordered_product(_rk4_steps(A[::2], 1.0 / n))
-    while True:
-        step_mats = _rk4_steps(A, 1.0 / (2 * n))
-        fine = _ordered_product(step_mats)
-        yield fine, coarse, pos, step_mats
-        new_pos, new_vel = seg.sample(np.arange(1, 8 * n, 2) / (8 * n))
-        pos, A = _interleave(pos, new_pos), _interleave(A, coeffs(new_pos, new_vel))
-        n *= 2
-        coarse = fine
+def _chain(mats, eye):
+    """mats[-1] @ ... @ mats[0] @ eye: transfer matrices composed in path
+    order."""
+    P = eye
+    for m in mats:
+        P = m @ P
+    return P
 
 
 def _check_refinable(fine_steps, miss):
@@ -306,17 +345,6 @@ def _check_refinable(fine_steps, miss):
     MAX_FINE_STEPS."""
     if 2 * fine_steps > MAX_FINE_STEPS:
         raise StepUnderflow(f"{miss} at {fine_steps} steps")
-
-
-def _segment_transport(seg, coeffs, steps, share):
-    """The first level from N = ``steps`` whose Richardson estimate is at
-    most ``share`` (math.inf: the first level)."""
-    for fine, coarse, pos, step_mats in _levels(seg, coeffs, steps):
-        est = _richardson(fine, coarse)
-        if est <= share:
-            return fine, coarse, pos, step_mats
-        _check_refinable(step_mats.shape[0], f"segment error estimate {est:.3e} "
-                         f"exceeds its share {share:.3e} of the target")
 
 
 def _start_and_target(steps, error_target):
@@ -333,42 +361,176 @@ def _kernel(M, kind, covector=False):
     return lambda pos, vel: _transport_matrices(M, kind, pos, vel, covector)
 
 
-def _path_transport(coeffs, dim, path, steps=None, error_target=None,
-                    on_segment=None):
-    """``path_transport_matrix`` for any coefficient function
-    ``coeffs(positions, velocities) -> (m, dim, dim)``."""
+# ---------------------------------------------------------------------------
+# The lockstep engine
+# ---------------------------------------------------------------------------
+
+def _sample(segments, ts):
+    """(g, m, n) positions and velocities of ``segments`` at parameters ts."""
+    pos, vel = zip(*(seg.sample(ts) for seg in segments))
+    return np.stack(pos), np.stack(vel)
+
+
+def _coefficients(coeffs, pos, vel):
+    """``coeffs`` at the (g, m, n) points, (g, m, d, d), from calls of at
+    most MAX_BATCH_POINTS points each."""
+    flat_pos = pos.reshape(-1, pos.shape[-1])
+    flat_vel = vel.reshape(flat_pos.shape)
+    chunks = [coeffs(flat_pos[a:a + MAX_BATCH_POINTS], flat_vel[a:a + MAX_BATCH_POINTS])
+              for a in range(0, len(flat_pos), MAX_BATCH_POINTS)]
+    A = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return A.reshape(pos.shape[:2] + A.shape[1:])
+
+
+def _advancing(live, level, start, held_cap):
+    """Segments of ``live`` that advance this round, in order: each one if
+    the sample points the batch holds after the round stay within
+    ``held_cap``, the first one always.  ``level[i]`` is segment i's last
+    level, 0 before its first; after level N a segment holds 4N + 1 points."""
+    held = sum(4 * level[i] + 1 for i in live if level[i])
+    chosen = []
+    for i in live:
+        grow = 4 * level[i] if level[i] else 4 * start + 1
+        if not chosen or held + grow <= held_cap:
+            chosen.append(i)
+            held += grow
+    return chosen
+
+
+def _lockstep(segments, coeffs, start, accept=None, keep=False, held_cap=math.inf):
+    """Transfer products of ``segments``, which share the coefficient
+    function ``coeffs`` and the first level N = ``start``, each advanced
+    through the levels N, 2N, 4N, ... in rounds.
+
+    A round advances the live segments that fit ``held_cap`` (see
+    ``_advancing``), those at one level group by group (see the module
+    docstring).  Then ``accept(members, fine, coarse, fine_steps)``, given
+    the indices of the segments that reached one level and their stacked
+    (L, d, d) fine and coarse products, returns which of them retire (or
+    raises StepUnderflow); the others keep a copy of their samples for
+    their next level.  Without ``accept`` the grid is pinned: every segment
+    retires at its first level and holds nothing.
+
+    Returns one (fine, coarse, fine_steps, positions, step_matrices) per
+    segment, positions and step_matrices (the accepted half-step sample
+    positions and fine per-step matrices) only if ``keep``, else None.
+    """
+    results = [None] * len(segments)
+    level = [0] * len(segments)
+    held = {}  # live segment -> coefficients, positions (if keep), fine product
+    live = list(range(len(segments)))
+    while live:
+        by_level = {}
+        for i in _advancing(live, level, start, held_cap):
+            by_level.setdefault(2 * level[i] or start, []).append(i)
+        for n, members in by_level.items():
+            ts = _fine_grid(n) if n == start else np.arange(1, 4 * n, 2) / (4 * n)
+            size = max(1, MAX_BATCH_POINTS // len(ts))
+            fine, coarse, new = [], [], []
+            for a in range(0, len(members), size):
+                group = members[a:a + size]
+                pos, vel = _sample([segments[i] for i in group], ts)
+                A = _coefficients(coeffs, pos, vel)
+                if n == start:
+                    coarse.append(_ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)))
+                else:
+                    old = [held.pop(i) for i in group]
+                    A = _interleave([h[0] for h in old], A)
+                    if keep:
+                        pos = _interleave([h[1] for h in old], pos)
+                    coarse.append(np.stack([h[2] for h in old]))
+                step_mats = _rk4_steps(A, 1.0 / (2 * n))
+                fine.append(_ordered_product(step_mats))
+                new += [(A[j] if accept is not None else None, pos[j] if keep else None,
+                         step_mats[j] if keep else None) for j in range(len(group))]
+            fine, coarse = np.concatenate(fine), np.concatenate(coarse)
+            done = (np.ones(len(members), dtype=bool) if accept is None
+                    else accept(members, fine, coarse, 2 * n))
+            for j, (i, (A, pos, step_mats)) in enumerate(zip(members, new)):
+                if done[j]:
+                    results[i] = fine[j], coarse[j], 2 * n, pos, step_mats
+                else:
+                    # copies, so that retired rows of a group are freed
+                    level[i] = n
+                    held[i] = A.copy(), None if pos is None else pos.copy(), fine[j]
+        live = [i for i in live if results[i] is None]
+    return results
+
+
+def _share_test(shares):
+    """Accept rule of path transport and block prediction: a segment
+    retires once its Richardson estimate |fine - coarse| / 15 is at most
+    its share (``shares``, indexed by segment) of the target."""
+    def accept(live, fine, coarse, fine_steps):
+        est = np.abs(fine - coarse).max(axis=(1, 2)) / RK4_RICHARDSON
+        done = est <= shares[live]
+        if not done.all():
+            k = int(done.argmin())
+            _check_refinable(fine_steps, f"segment error estimate {est[k]:.3e} exceeds "
+                             f"its share {shares[live[k]]:.3e} of the target")
+        return done
+    return accept
+
+
+def _transport_many(coeffs, dim, paths, steps=None, error_target=None, keep=False):
+    """(matrix, est_error, trail) of each path, for any coefficient function
+    ``coeffs(positions, velocities) -> (m, dim, dim)``; the segments of all
+    paths advance as one lockstep batch.  ``trail`` lists (fine_steps,
+    positions, step_matrices) per segment (see ``_lockstep`` and
+    ``keep``)."""
     start, target = _start_and_target(steps, error_target)
-    share = target / max(1, len(path))
-    fine = coarse = np.eye(dim)
-    fine_steps = 0
-    for seg in path:
-        f, c, pos, step_mats = _segment_transport(seg, coeffs, start, share)
-        fine = f @ fine
-        coarse = c @ coarse
-        fine_steps += step_mats.shape[0]
-        if on_segment is not None:
-            on_segment(pos, step_mats)
-    # whole-path Richardson estimate plus the roundoff floor of the product
-    est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
-    if steps is not None and error_target is not None and est > error_target:
-        raise StepUnderflow(f"estimated error {est:.3e} exceeds target {error_target:.3e}")
-    return fine, est
+    shares = np.array([target / max(1, len(path)) for path in paths for _ in path])
+    segments = [seg for path in paths for seg in path]
+    if steps is None:
+        retired = iter(_lockstep(segments, coeffs, start, _share_test(shares), keep=keep,
+                                 held_cap=MAX_HELD_POINTS))
+    else:
+        retired = iter(_lockstep(segments, coeffs, start, keep=keep))
+    eye = np.eye(dim)
+    out = []
+    for path in paths:
+        segs = [next(retired) for _ in path]
+        fine = _chain([s[0] for s in segs], eye)
+        coarse = _chain([s[1] for s in segs], eye)
+        fine_steps = sum(s[2] for s in segs)
+        # whole-path Richardson estimate plus the roundoff floor of the product
+        est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
+        if steps is not None and error_target is not None and est > error_target:
+            raise StepUnderflow(f"estimated error {est:.3e} exceeds target "
+                                f"{error_target:.3e}")
+        out.append((fine, est, [s[2:] for s in segs]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Path transport and holonomy
+# ---------------------------------------------------------------------------
+
+def path_transport_many(M, kind, paths, steps=None, covector=False,
+                        error_target=None):
+    """Transfer matrices of piecewise paths with their error estimates,
+    the segments of all paths integrated as one lockstep batch.
+
+    Returns one (matrix, est_error) per path, each as
+    ``path_transport_matrix`` gives it alone: without ``steps`` every
+    segment is step-controlled to its path's share of ``error_target``
+    (default DEFAULT_ERROR_TARGET); with ``steps`` the grid is fixed, and
+    an explicit ``error_target`` that a path's estimate misses raises
+    StepUnderflow.  A batch raises the first error it meets (see the module
+    docstring), which need not be the one its first failing path raises
+    alone.
+    """
+    results = _transport_many(_kernel(M, kind, covector), M.dim, paths, steps=steps,
+                              error_target=error_target)
+    return [(P, est) for P, est, _ in results]
 
 
 def path_transport_matrix(M, kind, path, steps=None, covector=False,
-                          error_target=None, on_segment=None):
-    """Transfer matrix of a piecewise path with its error estimate.
-
-    Returns (matrix, est_error).  Without ``steps`` every segment is
-    step-controlled to its share of ``error_target`` (default
-    DEFAULT_ERROR_TARGET).  With ``steps`` the grid is fixed, and an
-    explicit ``error_target`` that the estimate misses raises
-    StepUnderflow.  ``on_segment(positions, step_matrices)``, if given, is
-    called with each segment's accepted half-step sample positions and
-    fine per-step RK4 matrices.
-    """
-    return _path_transport(_kernel(M, kind, covector), M.dim, path, steps=steps,
-                           error_target=error_target, on_segment=on_segment)
+                          error_target=None):
+    """Transfer matrix of one piecewise path with its error estimate: the
+    one-path view of ``path_transport_many``."""
+    return path_transport_many(M, kind, [path], steps=steps, covector=covector,
+                               error_target=error_target)[0]
 
 
 def transport_vector(M, kind, path, v0, steps=None, error_target=None):
@@ -385,13 +547,30 @@ def transport_covector(M, kind, path, a0, steps=None, error_target=None):
     return P @ np.asarray(a0, dtype=float)
 
 
-def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
-             frames_per_segment=0) -> HolonomyElement:
-    """Transport around a closed loop (see ``path_transport_matrix`` for
-    ``steps`` and ``error_target``).
+def _frames(loop, trail, frames_per_segment, dim):
+    """Positions and transported frames along a loop from its segments'
+    accepted per-step matrices (see ``holonomy``)."""
+    positions = [loop.basepoint]
+    frames = [np.eye(dim)]
+    for n_fine, pos, step_mats in trail:
+        pieces = min(frames_per_segment, n_fine)
+        # step index of each piece end
+        cuts = np.arange(pieces + 1) * n_fine // pieces
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            frames.append(_ordered_product(step_mats[a:b]) @ frames[-1])
+            positions.append(pos[2 * b])
+    return {"positions": np.stack(positions), "frames": np.stack(frames)}
 
-    With ``frames_per_segment`` > 0 the element also carries the
-    transported frame along the loop (the CLI's --plot output):
+
+def holonomy_many(M, kind, loops, steps=None, error_target=None,
+                  frames_per_segment=0) -> list:
+    """Transport around closed loops, the segments of all loops integrated
+    as one lockstep batch; one HolonomyElement per loop, each as
+    ``holonomy`` gives it alone (see ``path_transport_many`` for ``steps``
+    and ``error_target``).
+
+    With ``frames_per_segment`` > 0 each element also carries the
+    transported frame along its loop (the CLI's --plot output):
     ``positions`` (m, n) and ``frames`` (m, n, n), frames[t] mapping
     basepoint components to components at positions[t].  Each segment's
     accepted per-step matrices are split into that many pieces of whole
@@ -399,28 +578,24 @@ def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
     of the piece products, so the frame at each segment end is the
     transport along the path so far and the last frame is the matrix.
     """
-    loop.validate(M.chart)
-    fine_steps = []
-    positions = [loop.basepoint]
-    frames = [np.eye(M.dim)]
+    for loop in loops:
+        loop.validate(M.chart)
+    keep = frames_per_segment > 0
+    results = _transport_many(_kernel(M, kind), M.dim, [loop.segments for loop in loops],
+                              steps=steps, error_target=error_target, keep=keep)
+    return [HolonomyElement(matrix=P, loop=loop, est_error=est,
+                            steps_used=sum(n_fine for n_fine, _, _ in trail),
+                            **(_frames(loop, trail, frames_per_segment, M.dim)
+                               if keep else {}))
+            for loop, (P, est, trail) in zip(loops, results)]
 
-    def on_segment(pos, step_mats):
-        n_fine = step_mats.shape[0]
-        fine_steps.append(n_fine)
-        if frames_per_segment > 0:
-            pieces = min(frames_per_segment, n_fine)
-            # step index of each piece end
-            cuts = np.arange(pieces + 1) * n_fine // pieces
-            for a, b in zip(cuts[:-1], cuts[1:]):
-                frames.append(_ordered_product(step_mats[a:b]) @ frames[-1])
-                positions.append(pos[2 * b])
 
-    P, est = path_transport_matrix(M, kind, loop.segments, steps=steps,
-                                   error_target=error_target, on_segment=on_segment)
-    trajectory = ({} if frames_per_segment <= 0 else
-                  {"positions": np.stack(positions), "frames": np.stack(frames)})
-    return HolonomyElement(matrix=P, loop=loop, steps_used=sum(fine_steps),
-                           est_error=est, **trajectory)
+def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
+             frames_per_segment=0) -> HolonomyElement:
+    """Transport around one closed loop: the one-loop view of
+    ``holonomy_many``."""
+    return holonomy_many(M, kind, [loop], steps=steps, error_target=error_target,
+                         frames_per_segment=frames_per_segment)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -438,16 +613,17 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None):
     s, s/2, s/4.  The family must integrate to the identity at s = 0.
 
     The RK4 truncation error cancels in the difference quotients only on
-    one shared grid, so every segment of the loops at s, s/2 and s/4 uses
-    the same N.  Without ``steps``, N starts at MIN_STEPS and doubles
-    (sampling only the new points) until the derivative's Richardson
-    estimate |D_fine - D_coarse| / 15 is at most DEFAULT_ERROR_TARGET plus
-    the roundoff floor of the difference quotients, fine_steps * eps *
-    max|P| / s_step, where D_fine and D_coarse are the derivatives from the
-    loops' fine and coarse products on that grid and fine_steps is summed
-    over a loop's segments; past MAX_FINE_STEPS StepUnderflow is raised.
-    With ``steps`` the grid is fixed at N = steps.  P(0) is integrated at
-    the accepted N and must lie within max(10 est_error, TRIVIAL_TOL) of I."""
+    one shared grid, so the segments of the loops at s, s/2 and s/4 advance
+    as one lockstep batch whose accept rule is on the whole batch.
+    Without ``steps``, N starts at MIN_STEPS and doubles until the
+    derivative's Richardson estimate |D_fine - D_coarse| / 15 is at most
+    DEFAULT_ERROR_TARGET plus the roundoff floor of the difference
+    quotients, fine_steps * eps * max|P| / s_step, where D_fine and
+    D_coarse are the derivatives from the loops' fine and coarse products
+    on that grid and fine_steps is summed over a loop's segments; past
+    MAX_FINE_STEPS StepUnderflow is raised.  With ``steps`` the grid is
+    fixed at N = steps.  P(0) is integrated at the accepted N and must lie
+    within max(10 est_error, TRIVIAL_TOL) of I."""
     trivial = fam.family(0.0)
     trivial.validate(M.chart)
     if not 0 < s_step <= fam.s_max:
@@ -456,30 +632,29 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None):
     for loop in loops:
         loop.validate(M.chart)
     start, target = _start_and_target(steps, None)
-    coeffs = _kernel(M, kind)
     eye = np.eye(M.dim)
-    levels = [[_levels(seg, coeffs, start) for seg in loop.segments] for loop in loops]
     segments = max(len(loop.segments) for loop in loops)
-    while True:
-        fine, coarse = [], []
-        for loop_levels in levels:
-            f = c = eye
-            for level in loop_levels:
-                seg_fine, seg_coarse, _, step_mats = next(level)
-                f = seg_fine @ f
-                c = seg_coarse @ c
-            fine.append(f)
-            coarse.append(c)
-        n_fine = step_mats.shape[0]  # the same on every segment
-        D = _s_extrapolated(fine, s_step, eye)
-        est = _richardson(D, _s_extrapolated(coarse, s_step, eye))
-        floor = segments * n_fine * EPS * max(float(np.abs(P).max()) for P in fine) / s_step
+
+    def loop_products(products):
+        rest = iter(products)
+        return [_chain([next(rest) for _ in loop.segments], eye) for loop in loops]
+
+    def accept(live, fine, coarse, fine_steps):
+        Ps = loop_products(fine)
+        D = _s_extrapolated(Ps, s_step, eye)
+        est = _richardson(D, _s_extrapolated(loop_products(coarse), s_step, eye))
+        floor = segments * fine_steps * EPS * max(float(np.abs(P).max()) for P in Ps) / s_step
         if est <= target + floor:
-            break
-        _check_refinable(n_fine, f"family derivative error estimate {est:.3e} "
+            return np.ones(len(live), dtype=bool)
+        _check_refinable(fine_steps, f"family derivative error estimate {est:.3e} "
                          f"exceeds the target {target:.3e} plus the roundoff "
                          f"floor {floor:.3e}")
-    del levels  # each holds its segment's samples at the accepted level
+        return np.zeros(len(live), dtype=bool)
+
+    results = _lockstep([seg for loop in loops for seg in loop.segments],
+                        _kernel(M, kind), start, None if steps is not None else accept)
+    D = _s_extrapolated(loop_products([r[0] for r in results]), s_step, eye)
+    n_fine = results[0][2]  # the same on every segment
     P0, P0_est = path_transport_matrix(M, kind, trivial.segments, steps=n_fine // 2)
     gap = np.abs(P0 - eye).max()
     if gap > max(10.0 * P0_est, TRIVIAL_TOL):
@@ -604,21 +779,13 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
         return A
 
-    fine, _ = _path_transport(coeffs, d, loop.segments, steps=steps,
-                              error_target=error_target)
+    [(fine, _, _)] = _transport_many(coeffs, d, [loop.segments], steps=steps,
+                                     error_target=error_target)
 
-    top = fine[:s, :s]
     mix = fine[:s, s:]          # acting on full ambient normal start vectors
     amb = fine[s:, s:]          # ambient metric transport in ambient coordinates
-    n = N.dim
-    out = np.zeros((n, n))
-    for a, i in enumerate(free):
-        for b, j in enumerate(free):
-            out[i, j] = top[a, b]
-    for a, i in enumerate(free):
-        for j in normal:
-            out[i, j] = mix[a, j]
-    for i in normal:
-        for j in normal:
-            out[i, j] = amb[i, j]
+    out = np.zeros((N.dim, N.dim))
+    out[np.ix_(free, free)] = fine[:s, :s]
+    out[np.ix_(free, normal)] = mix[:, normal]
+    out[np.ix_(normal, normal)] = amb[np.ix_(normal, normal)]
     return out

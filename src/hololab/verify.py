@@ -15,7 +15,7 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .manifold import ConnectionKind, christoffel_many, weighted_metric_at
-from .transport import (holonomy, path_transport_matrix, polyline_segments,
+from .transport import (holonomy_many, path_transport_many, polyline_segments,
                         predicted_block_transport, random_rectangle_loops)
 
 MAX_DETAILS = 5
@@ -86,6 +86,19 @@ def _target(tol, steps):
     return tol * TARGET_FRACTION if steps is None else None
 
 
+def _transports(entry, kind, paths, tol, steps, covector=False):
+    """Transfer matrices of a check's paths, integrated as one batch."""
+    return [P for P, _ in path_transport_many(entry.manifold, kind, paths, steps=steps,
+                                              covector=covector,
+                                              error_target=_target(tol, steps))]
+
+
+def _holonomies(entry, kind, loops, tol, steps):
+    """Holonomy matrices of a check's loops, integrated as one batch."""
+    return [h.matrix for h in holonomy_many(entry.manifold, kind, loops, steps=steps,
+                                            error_target=_target(tol, steps))]
+
+
 def _require_riemannian(entry):
     p, q = entry.manifold.metric.signature
     if q != 0:
@@ -97,16 +110,14 @@ def check_duality_pairing(entry: CatalogEntry, n_paths=20, seed=0, tol=1e-6,
     """Transport dual pairs along open paths: the e^{-phi} g pairing of a
     weighted-transported frame with a dual-transported frame is constant."""
     _require_riemannian(entry)
-    target = _target(tol, steps)
+    paths = _random_open_paths(entry, n_paths, seed)
+    weighted = _transports(entry, ConnectionKind.WEIGHTED, paths, tol, steps)
+    dual = _transports(entry, ConnectionKind.DUAL_WEIGHTED, paths, tol, steps)
     violations = []
-    for k, path in enumerate(_random_open_paths(entry, n_paths, seed)):
+    for k, (path, Pw, Pd) in enumerate(zip(paths, weighted, dual)):
         start, end = path[0].start, path[-1].end
         h0 = weighted_metric_at(entry.manifold, start)
         h1 = weighted_metric_at(entry.manifold, end)
-        Pw, _ = path_transport_matrix(entry.manifold, ConnectionKind.WEIGHTED,
-                                      path, steps=steps, error_target=target)
-        Pd, _ = path_transport_matrix(entry.manifold, ConnectionKind.DUAL_WEIGHTED,
-                                      path, steps=steps, error_target=target)
         viol = float(np.abs(Pw.T @ h1 @ Pd - h0).max())
         violations.append((f"path {k} from {start.tolist()}", viol))
     return _report("duality_pairing", entry.name, tol, violations)
@@ -117,17 +128,14 @@ def check_dual_holonomy(entry: CatalogEntry, n_loops=20, seed=1, tol=1e-6,
     """Loop transports of the dual pair are adjoint-inverse in the weighted
     pairing at the basepoint."""
     _require_riemannian(entry)
-    target = _target(tol, steps)
     loops = random_rectangle_loops(entry.manifold, entry.sample_region, n_loops,
                                    seed, basepoint=entry.basepoint)
     H = weighted_metric_at(entry.manifold, entry.basepoint)
     Hinv = np.linalg.inv(H)
+    weighted = _holonomies(entry, ConnectionKind.WEIGHTED, loops, tol, steps)
+    dual = _holonomies(entry, ConnectionKind.DUAL_WEIGHTED, loops, tol, steps)
     violations = []
-    for k, loop in enumerate(loops):
-        Pw = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps,
-                      error_target=target).matrix
-        Pd = holonomy(entry.manifold, ConnectionKind.DUAL_WEIGHTED, loop,
-                      steps=steps, error_target=target).matrix
+    for k, (Pw, Pd) in enumerate(zip(weighted, dual)):
         predicted = Hinv @ np.linalg.inv(Pw).T @ H
         violations.append((f"loop {k}", float(np.abs(Pd - predicted).max())))
     return _report("dual_holonomy", entry.name, tol, violations)
@@ -138,21 +146,19 @@ def check_dual_vector_fields(entry: CatalogEntry, n_paths=20, seed=2, tol=1e-6,
     """A weighted-parallel vector field stays paired with the
     dual-transported 1-form h(V, .)."""
     _require_riemannian(entry)
-    target = _target(tol, steps)
     rng = np.random.default_rng(seed + 1000)
+    paths = _random_open_paths(entry, n_paths, seed)
+    weighted = _transports(entry, ConnectionKind.WEIGHTED, paths, tol, steps)
+    dual = _transports(entry, ConnectionKind.DUAL_WEIGHTED, paths, tol, steps,
+                       covector=True)
     violations = []
-    for k, path in enumerate(_random_open_paths(entry, n_paths, seed)):
+    for k, (path, Pw, Pcov) in enumerate(zip(paths, weighted, dual)):
         start, end = path[0].start, path[-1].end
         h0 = weighted_metric_at(entry.manifold, start)
         h1 = weighted_metric_at(entry.manifold, end)
         v0 = rng.standard_normal(entry.dim)
         v0 /= np.linalg.norm(v0)
         a0 = h0 @ v0
-        Pw, _ = path_transport_matrix(entry.manifold, ConnectionKind.WEIGHTED,
-                                      path, steps=steps, error_target=target)
-        Pcov, _ = path_transport_matrix(entry.manifold, ConnectionKind.DUAL_WEIGHTED,
-                                        path, steps=steps, covector=True,
-                                        error_target=target)
         viol = float(np.abs(Pcov @ a0 - h1 @ (Pw @ v0)).max())
         violations.append((f"path {k}", viol))
     return _report("dual_vector_fields", entry.name, tol, violations)
@@ -214,13 +220,12 @@ def check_totally_geodesic_blocks(entry: CatalogEntry, free_indices, fixed_value
     """Block-assembled prediction vs full ambient weighted holonomy, both
     integrated to the same error target."""
     target = _target(tol, steps)
+    ambients = _holonomies(entry, ConnectionKind.WEIGHTED, loops, tol, steps)
     violations = []
-    for k, loop in enumerate(loops):
+    for k, (loop, ambient) in enumerate(zip(loops, ambients)):
         predicted = predicted_block_transport(entry.manifold, free_indices,
                                               fixed_values, loop, steps=steps,
                                               error_target=target)
-        ambient = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop,
-                           steps=steps, error_target=target).matrix
         violations.append((f"loop {k}", float(np.abs(predicted - ambient).max())))
     return _report("totally_geodesic_blocks", entry.name, tol, violations)
 
@@ -231,9 +236,8 @@ def check_unimodularity(entry: CatalogEntry, n_loops=20, seed=5, tol=1e-6,
     loops = random_rectangle_loops(entry.manifold, entry.sample_region, n_loops,
                                    seed, basepoint=entry.basepoint)
     violations = []
-    for k, loop in enumerate(loops):
-        P = holonomy(entry.manifold, ConnectionKind.WEIGHTED, loop, steps=steps,
-                     error_target=_target(tol, steps)).matrix
+    for k, P in enumerate(_holonomies(entry, ConnectionKind.WEIGHTED, loops, tol,
+                                      steps)):
         violations.append((f"loop {k}", float(abs(np.linalg.det(P) - 1.0))))
     return _report("unimodularity", entry.name, tol, violations)
 

@@ -1,12 +1,27 @@
 import pytest
 from hypothesis import settings
 
-from hololab import catalog
+from hololab import catalog, transport
 
 # property tests replay the same examples on every run and are not timed:
 # a slow shared host must not turn a passing example into a failure
 settings.register_profile("hololab", derandomize=True, deadline=None)
 settings.load_profile("hololab")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Points of every christoffel_many call that transport makes, for
+    transport, verify and experiments alike."""
+    calls = []
+    kernel = transport.christoffel_many
+
+    def counting(M, kind, pts, velocity=None):
+        calls.append(len(pts))
+        return kernel(M, kind, pts, velocity)
+
+    monkeypatch.setattr(transport, "christoffel_many", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from hololab.catalog import BOREL_LOOP1_MATRIX
 from hololab.cli import main
@@ -422,3 +423,18 @@ def test_algebra_without_loops_does_not_pass(tmp_path, capsys):
     doc = json.loads(out.read_text())["results"]
     assert doc["loop_count"] == 1 and doc["dimension"] == 0
     assert "NO LOOPS" not in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_holonomy_through_an_overflowing_density_exits_1(tmp_path):
+    out = tmp_path / "h.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"custom": {"dim": 2, "coords": ["x", "y"],
+                                "metric": {"diag": ["1", "1"]},
+                                "phi": "exp(exp(exp(x)))"}},
+        "loops": [{"rect": [[0, 0], [0.5, 0.5]]}, {"rect": [[1.8, 0], [1.95, 0.1]]}],
+        "steps": 20, "output": str(out)})
+    assert run(["holonomy", cfg]) == 1
+    first, second = json.loads(out.read_text())["results"]
+    assert "matrix" in first
+    assert second["error"].startswith("density not finite at (")

@@ -8,7 +8,7 @@ import pytest
 
 from hololab import catalog
 from hololab import expr as ex
-from hololab.errors import BadSignature, OutOfDomain, SingularMetric
+from hololab.errors import BadSignature, DensityOverflow, OutOfDomain, SingularMetric
 from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               DensityField, ExprScalarField, MetricField,
                               WeightedManifold, WeightedMetricTensorField,
@@ -426,6 +426,32 @@ def test_overflowing_jet_raises_at_first_such_point():
             assert info.value.point == (1.88, 0.0)
             assert "not finite" in str(info.value)
         assert np.isfinite(christoffel_many(M, kind, pts[:1])).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+def test_overflowing_density_is_named_not_the_metric():
+    """g = diag(1, 1) and phi = exp(exp(exp(x))): at x = 1.88 phi is about
+    1e304 and its gradient overflows."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    M = WeightedManifold(
+        chart=chart,
+        metric=MetricField.from_expressions(chart, ["1", "1"], signature=(2, 0)),
+        density=DensityField.from_expression(chart, "exp(exp(exp(x)))"))
+    with pytest.raises(DensityOverflow) as info:
+        christoffel_many(M, W, [[1.88, 0]])
+    assert info.value.point == (1.88, 0.0)
+    assert str(info.value).startswith("density not finite at (1.88, 0.0)")
+    pts = np.array([[0.5, 0.0], [1.88, 0.5], [1.88, 0.0]])
+    for kind in (W, DW):
+        for call in (lambda: christoffel_many(M, kind, pts, velocity=np.ones_like(pts)),
+                     lambda: christoffel_many(M, kind, pts),
+                     lambda: christoffel_derivative_many(M, kind, pts)):
+            with pytest.raises(DensityOverflow) as info:
+                call()
+            assert info.value.point == (1.88, 0.5)
+            assert "metric" not in str(info.value)
+    # the Levi-Civita connection does not see the density
+    assert np.array_equal(christoffel_many(M, LC, pts), np.zeros((3, 2, 2, 2)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")

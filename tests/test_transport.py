@@ -12,6 +12,7 @@ from hololab.errors import (EmptyRegion, FamilyNotTrivial, NotClosed,
                             NotTotallyGeodesic, OutOfDomain, StepUnderflow)
 from hololab.manifold import ConnectionKind, metric_at
 from hololab.transport import (MIN_STEPS, Curve, Line, Loop, LoopFamily, holonomy,
+                               holonomy_many, path_transport_many,
                                path_transport_matrix, polyline_segments,
                                predicted_block_transport, random_rectangle_loops,
                                rectangle_loop, shrinking_rectangle_family,
@@ -22,20 +23,6 @@ E = math.e
 W = ConnectionKind.WEIGHTED
 DW = ConnectionKind.DUAL_WEIGHTED
 LC = ConnectionKind.LEVI_CIVITA
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """Points of every christoffel_many call that transport makes."""
-    calls = []
-    kernel = transport.christoffel_many
-
-    def counting(M, kind, pts, velocity=None):
-        calls.append(len(pts))
-        return kernel(M, kind, pts, velocity)
-
-    monkeypatch.setattr(transport, "christoffel_many", counting)
-    return calls
 
 
 def test_constant_path_is_identity(borel):
@@ -159,20 +146,137 @@ def test_est_error_bounds_true_error(borel, tri3, steps):
             assert h.est_error < transport.DEFAULT_ERROR_TARGET
 
 
-def test_step_doubling_samples_each_point_once(borel, kernel_calls):
-    segments = []
+@pytest.fixture
+def accepted_steps(monkeypatch):
+    """Accepted fine steps of every segment that the lockstep engine
+    integrates, in segment order."""
+    fine_steps = []
+    lockstep = transport._lockstep
 
-    def on_segment(pos, step_mats):
-        segments.append((sum(kernel_calls), step_mats.shape[0]))
-        kernel_calls.clear()
+    def recording(*args, **options):
+        results = lockstep(*args, **options)
+        fine_steps.extend(r[2] for r in results)
+        return results
 
-    path_transport_matrix(borel.manifold, W, borel.loops["golden1"].segments,
-                          on_segment=on_segment)
-    assert max(n_fine for _, n_fine in segments) > 2 * MIN_STEPS  # it doubled
-    for points, n_fine in segments:
-        n = n_fine // 2  # coarse steps of the accepted grid
-        assert points <= 2 * (4 * n + 1)
-        assert points == 4 * n + 1  # every half-step grid point exactly once
+    monkeypatch.setattr(transport, "_lockstep", recording)
+    return fine_steps
+
+
+def test_step_doubling_samples_each_point_once(borel, kernel_calls, accepted_steps):
+    """Over all levels, the kernel sees each point of every segment's
+    accepted half-step grid exactly once: sum(4 N_i + 1) points in all."""
+    path_transport_matrix(borel.manifold, W, borel.loops["golden1"].segments)
+    fine_steps = accepted_steps
+    assert max(fine_steps) > 2 * MIN_STEPS  # it doubled
+    assert len(set(fine_steps)) > 1  # the segments accepted at different levels
+    # N_i = n_fine // 2 coarse steps of segment i's accepted grid
+    assert sum(kernel_calls) == sum(4 * (n_fine // 2) + 1 for n_fine in fine_steps)
+
+
+def _paths(entry, count, seed):
+    """Loops of ``entry`` and their middle pieces (open paths), plus an
+    empty path."""
+    loops = random_rectangle_loops(entry.manifold, entry.sample_region, count, seed,
+                                   basepoint=entry.basepoint)
+    return [loop.segments for loop in loops] + [loop.segments[1:3] for loop in loops] + [[]]
+
+
+@pytest.mark.parametrize("steps", [None, 8, 200])
+@pytest.mark.parametrize("covector", [False, True])
+@pytest.mark.parametrize("cap", [None, ("MAX_BATCH_POINTS", 64),
+                                 ("MAX_HELD_POINTS", 200)])
+def test_batch_equals_each_path_alone(sphere2, sphere3, borel, monkeypatch,
+                                      accepted_steps, steps, covector, cap):
+    """A batch returns, bit for bit, what each path gives alone at the
+    default caps, also when calls are cut at 64 points (inside segments and
+    between them) and when segments wait for room to hold their samples, on
+    a curved segment as well."""
+    for entry, kind in ((sphere3, W), (borel, DW), (sphere2, W)):
+        M = entry.manifold
+        paths = _paths(entry, 3, seed=5)
+        if entry is sphere2:
+            paths.insert(1, _curve_loop().segments)
+        alone = [path_transport_matrix(M, kind, path, steps=steps, covector=covector)
+                 for path in paths]
+        accepted_steps.clear()
+        with monkeypatch.context() as patched:
+            if cap is not None:
+                patched.setattr(transport, *cap)
+            batch = path_transport_many(M, kind, paths, steps=steps, covector=covector)
+        fine_steps = list(accepted_steps)
+        assert len(batch) == len(paths)
+        for (P, est), (P1, est1) in zip(batch, alone):
+            assert np.array_equal(P, P1) and est == est1
+        assert len(fine_steps) == sum(len(path) for path in paths)
+        if steps is None:
+            assert len(set(fine_steps)) > 1  # segments accepted at different levels
+        else:
+            assert set(fine_steps) == {2 * steps}
+
+
+@pytest.mark.parametrize("steps", [None, 8])
+def test_holonomy_batch_equals_each_loop_alone(tri3, monkeypatch, steps):
+    loops = random_rectangle_loops(tri3.manifold, tri3.sample_region, 4, seed=9,
+                                   basepoint=tri3.basepoint)
+    alone = [holonomy(tri3.manifold, W, loop, steps=steps, frames_per_segment=3)
+             for loop in loops]
+    monkeypatch.setattr(transport, "MAX_BATCH_POINTS", 64)
+    batch = holonomy_many(tri3.manifold, W, loops, steps=steps, frames_per_segment=3)
+    for h, h1 in zip(batch, alone):
+        assert h.loop is h1.loop
+        assert np.array_equal(h.matrix, h1.matrix)
+        assert (h.est_error, h.steps_used) == (h1.est_error, h1.steps_used)
+        assert np.array_equal(h.frames, h1.frames)
+        assert np.array_equal(h.positions, h1.positions)
+
+
+def test_kernel_calls_hold_at_most_max_batch_points(sphere3, kernel_calls):
+    path_transport_many(sphere3.manifold, W, _paths(sphere3, 3, seed=5), steps=200)
+    assert sum(kernel_calls) == 6 * 3 * 801 + 2 * 3 * 801
+    assert max(kernel_calls) <= transport.MAX_BATCH_POINTS
+
+
+@pytest.mark.parametrize("steps", [None, 50])
+def test_batch_raises_the_out_of_domain_error_of_its_path(sphere2, steps):
+    h = math.pi / 2
+    inside = [Line([h, 0.0], [h + 0.3, 0.5]), Line([h + 0.3, 0.5], [h, 1.0])]
+    leaving = [Line([h, 0.0], [h, 0.4]), Line([h, 0.4], [math.pi + 1.0, 0.4])]
+    with pytest.raises(OutOfDomain) as alone:
+        path_transport_matrix(sphere2.manifold, W, leaving, steps=steps)
+    with pytest.raises(OutOfDomain) as batch:
+        path_transport_many(sphere2.manifold, W, [inside, leaving, inside], steps=steps)
+    assert str(batch.value) == str(alone.value)
+    assert batch.value.point == alone.value.point
+
+
+def test_batch_raises_the_first_error_it_meets(sphere2, monkeypatch):
+    """A batch raises errors in round order: a later path that leaves the
+    chart in the first round is reported before an earlier path whose
+    segment runs out of steps when the first round is accepted."""
+    h = math.pi / 2
+    long_way = [Line([0.5, 0.0], [0.5, 6.0])]  # a latitude circle near the pole
+    leaving = [Line([h, 0.0], [math.pi + 1.0, 0.0])]
+    monkeypatch.setattr(transport, "MAX_FINE_STEPS", 2 * MIN_STEPS)
+    with pytest.raises(StepUnderflow):
+        path_transport_matrix(sphere2.manifold, W, long_way)
+    with pytest.raises(OutOfDomain):
+        path_transport_many(sphere2.manifold, W, [long_way, leaving])
+
+
+def test_advancing_keeps_held_points_within_the_cap():
+    """Live segments advance in order while what the batch holds after the
+    round fits the cap (4N + 1 points after level N); the first always
+    advances, and a segment too big to fit waits while later ones go on."""
+    advancing = transport._advancing
+    # levels 8, 32, 8 and two not started: held 33 + 129 + 33 = 195 points;
+    # advancing adds 32, 128 and 32 points, and 33 for each start
+    level = [8, 32, 8, 0, 0]
+    live = list(range(5))
+    assert advancing(live, level, 8, math.inf) == live
+    assert advancing(live, level, 8, 195 + 32 + 128 + 32 + 33) == [0, 1, 2, 3]
+    assert advancing(live, level, 8, 195 + 32 + 32 + 33) == [0, 2, 3]
+    assert advancing(live, level, 8, 0) == [0]
+    assert advancing([3, 4], level, 8, 33) == [3]
 
 
 def test_composition_and_inverse(borel):
@@ -256,12 +360,22 @@ def test_family_derivative_small_s_step(sphere2, s_step, kernel_calls):
     assert sum(kernel_calls) <= 0.05 * 128016
 
 
-def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls):
+def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls,
+                                                  monkeypatch):
     """Every segment of the loops at s, s/2, s/4 and 0 is sampled on one
     grid of 4N + 1 points, each point once."""
     fam = sphere2.families["alpha"]
+    p0_steps = []
+    p0_transport = transport.path_transport_matrix
+
+    def spy(*args, steps=None, **kwargs):
+        p0_steps.append(steps)
+        return p0_transport(*args, steps=steps, **kwargs)
+
+    monkeypatch.setattr(transport, "path_transport_matrix", spy)
     family_derivative(sphere2.manifold, W, fam)
-    grid = kernel_calls[-1]  # last segment of P(0), at the accepted N
+    [n] = p0_steps  # P(0) is integrated at the accepted N
+    grid = 4 * n + 1
     assert grid > 4 * MIN_STEPS + 1  # it doubled
     segments = sum(len(fam.family(s).segments) for s in (0.0, 1e-2, 5e-3, 2.5e-3))
     assert sum(kernel_calls) == segments * grid
@@ -389,6 +503,54 @@ def test_frame_trajectory_endpoint_matches_holonomy(borel):
     P = holonomy(borel.manifold, W, loop, steps=200).matrix
     assert positions.shape[0] == frames.shape[0] == 41
     assert np.abs(frames[-1] - P).max() < 1e-9
+
+
+def test_curve_with_array_callables_samples_arrays(sphere2):
+    """A Curve whose callables take floats and arrays alike is sampled a
+    whole grid at a time: a step-controlled quarter of the equator makes no
+    scalar call."""
+    h = math.pi / 2
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(fn):
+        def call(t):
+            calls["array" if np.ndim(t) else "scalar"] += 1
+            return fn(np.asarray(t, dtype=float))
+        return call
+
+    seg = Curve(counted(lambda t: np.stack([np.full_like(t, h), h * t], axis=-1)),
+                counted(lambda t: np.stack([np.zeros_like(t), np.full_like(t, h)],
+                                           axis=-1)))
+    calls.update(scalar=0, array=0)  # construction checks the velocity with floats
+    P, _ = path_transport_matrix(sphere2.manifold, W, [seg])
+    assert calls["scalar"] == 0 and calls["array"] > 0
+    Q, _ = path_transport_matrix(sphere2.manifold, W, [Line([h, 0.0], [h, h])])
+    assert np.array_equal(P, Q)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_curve_with_float_callables_is_sampled_per_float(n):
+    """A callable of one float that returns its components as an array
+    whatever its argument is called per float, also on 1-d and 2-d charts,
+    where stacking over an array of one or two parameters could pass for
+    an (m, n) array."""
+    scale = np.arange(1.0, n + 1.0)
+    calls = {"scalar": 0, "array": 0}
+
+    def counted(fn):
+        def call(t):
+            calls["array" if np.ndim(t) else "scalar"] += 1
+            return fn(t)
+        return call
+
+    seg = Curve(counted(lambda t: np.array([k * t for k in scale])),
+                counted(lambda t: np.array([k + 0.0 * t for k in scale])))
+    calls.update(scalar=0, array=0)
+    ts = np.array([0.0, 0.25, 1.0])
+    pos, vel = seg.sample(ts)
+    assert np.array_equal(pos, ts[:, None] * scale)
+    assert np.array_equal(vel, np.broadcast_to(scale, (3, n)))
+    assert calls == {"scalar": 6, "array": 0}
 
 
 def _curve_loop():

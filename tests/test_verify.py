@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hololab import catalog, verify
+from hololab import catalog, experiments, transport, verify
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
                               MetricField, WeightedManifold,
                               WeightedMetricTensorField, amari_chentsov,
@@ -123,3 +123,50 @@ def test_default_suite_ordering(borel, so11):
     keys = [(r.check_name, r.entry_name) for r in reports]
     assert keys == sorted(keys)
     assert all(r.passed for r in reports)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """Live-segment counts of every step-controlled lockstep round."""
+    counts = []
+    lockstep = transport._lockstep
+
+    def counting(segments, coeffs, start, accept=None, **options):
+        def counted(live, *rest):
+            counts.append(len(live))
+            return accept(live, *rest)
+        return lockstep(segments, coeffs, start, accept and counted, **options)
+
+    monkeypatch.setattr(transport, "_lockstep", counting)
+    return counts
+
+
+def test_dual_holonomy_makes_one_kernel_call_per_round(kernel_calls, rounds,
+                                                       monkeypatch):
+    """All loops of a check advance together: with every round under the
+    cap, each round is one kernel call (the per-loop parent made 6 calls
+    per loop and level); at the default cap no call passes it."""
+    borel = catalog.borel_2d()
+    cap = transport.MAX_BATCH_POINTS
+    monkeypatch.setattr(transport, "MAX_BATCH_POINTS", 2 ** 12)
+    assert verify.check_dual_holonomy(borel, n_loops=5).passed
+    assert rounds and rounds[0] == 5 * 6
+    assert 0 < len(kernel_calls) <= len(rounds)
+    monkeypatch.setattr(transport, "MAX_BATCH_POINTS", cap)
+    kernel_calls.clear()
+    assert verify.check_dual_holonomy(borel, n_loops=5).passed
+    assert max(kernel_calls) <= cap
+
+
+def test_closure_experiment_integrates_its_loops_as_one_batch(kernel_calls, sphere3,
+                                                              monkeypatch):
+    """60 segments of 10 loops on a fixed grid of 4 * 20 + 1 points: 12
+    segments per call at a cap of 1024 points."""
+    monkeypatch.setattr(transport, "MAX_BATCH_POINTS", 2 ** 10)
+    loops = transport.random_rectangle_loops(sphere3.manifold, sphere3.sample_region,
+                                             10, seed=3, basepoint=sphere3.basepoint)
+    gens, _ = experiments.generators_from_loops(sphere3.manifold,
+                                                ConnectionKind.WEIGHTED, loops, steps=20)
+    assert gens  # some loops are close enough to I for a log
+    assert sum(len(loop.segments) for loop in loops) == 60
+    assert kernel_calls == [12 * 81] * 5
