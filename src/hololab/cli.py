@@ -346,6 +346,8 @@ def cmd_algebra(args):
         "loop_count": exp.loop_count,
         "generators_used": exp.used_count,
         "max_det_error": max((abs(d) for d in exp.det_errors), default=0.0),
+        "svd_cut": dict(zip(("last_kept", "first_dropped"), exp.svd_cut)),
+        "dimension_margin_digits": exp.dimension_margin_digits,
         "basis": [b.tolist() for b in exp.basis.basis],
     }
     print(f"algebra dimension: {exp.dim}   tag: {exp.tag}")

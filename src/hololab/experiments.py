@@ -8,6 +8,7 @@ classify.  Used by the CLI ``algebra`` command and the acceptance suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +36,21 @@ class AlgebraExperiment:
     loop_count: int = 0
     used_count: int = 0
     det_errors: list = field(default_factory=list)
+    svd_cut: tuple = (None, None)  # see condition_generators
 
     @property
     def dim(self):
         return self.basis.dim
+
+    @property
+    def dimension_margin_digits(self):
+        """Decimal digits between the last kept and the first dropped
+        normalized singular value of the loop logs, or None when nothing
+        was dropped."""
+        last_kept, first_dropped = self.svd_cut
+        if first_dropped is None:
+            return None
+        return math.log10(last_kept / first_dropped)
 
 
 def generators_from_loops(M, kind, loops, steps=None):
@@ -66,21 +78,29 @@ def condition_generators(gens, n):
     cascades through later projections.  Stacking the unit-normalized logs
     and keeping the right-singular directions above SVD_FLOOR * sigma_1
     averages the noise out instead.
+
+    Returns the kept directions and the normalized singular values
+    sigma_i / sigma_1 on either side of the cut, (last kept, first
+    dropped): first dropped is None when nothing was dropped, and both are
+    None without generators.
     """
     if not gens:
-        return []
+        return [], (None, None)
     flat = np.array([np.asarray(g, dtype=float).ravel()
                      / np.linalg.norm(g, 'fro') for g in gens])
     _, svals, vt = np.linalg.svd(flat, full_matrices=False)
     keep = svals >= SVD_FLOOR * svals[0]
-    return [vt[i].reshape(n, n) for i in range(len(svals)) if keep[i]]
+    rel = svals / svals[0]
+    kept = int(keep.sum())  # svals descend, so the kept ones come first
+    cut = (float(rel[kept - 1]), float(rel[kept]) if kept < len(rel) else None)
+    return [vt[i].reshape(n, n) for i in range(kept)], cut
 
 
 def run_closure_experiment(M, kind, loops, extra_generators=(), form=None,
                            steps=None) -> AlgebraExperiment:
     gens, det_errors = generators_from_loops(M, kind, loops, steps=steps)
     used = len(gens)
-    cleaned = condition_generators(gens, M.dim)
+    cleaned, svd_cut = condition_generators(gens, M.dim)
     cleaned += [np.asarray(g, dtype=float) for g in extra_generators]
     if not cleaned:
         basis = liealg.LieAlgebraBasis(dim_ambient=M.dim)
@@ -89,4 +109,4 @@ def run_closure_experiment(M, kind, loops, extra_generators=(), form=None,
     tag = liealg.classify(basis, form=form, tol=CLASSIFY_TOL)
     return AlgebraExperiment(basis=basis, tag=tag,
                              loop_count=len(loops), used_count=used,
-                             det_errors=det_errors)
+                             det_errors=det_errors, svd_cut=svd_cut)

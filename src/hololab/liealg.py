@@ -9,7 +9,9 @@ terminating sum so identities like exp(0) = I hold exactly.
 
 Holonomy-algebra candidates are collected into a Frobenius-orthonormal
 basis by modified Gram-Schmidt with a relative rank tolerance; closure
-repeatedly inserts pairwise brackets until the span stabilizes.
+repeatedly inserts pairwise brackets until the span stabilizes.  The
+Frobenius inner product <A, B> = sum_ij A_ij B_ij is ``np.vdot`` of the
+two matrices, one BLAS dot of their flattened entries.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ class LieAlgebraBasis:
             return 0.0
         r = A / norm
         for b in self.basis:
-            r = r - np.tensordot(r, b, axes=2) * b
+            r = r - np.vdot(r, b) * b
         return float(np.linalg.norm(r, 'fro'))
 
 
@@ -171,7 +173,7 @@ def span_insert(basis: LieAlgebraBasis, A):
     r = A / norm
     for _ in range(2):  # second pass tightens orthogonality
         for b in basis.basis:
-            r = r - np.tensordot(r, b, axes=2) * b
+            r = r - np.vdot(r, b) * b
     res = np.linalg.norm(r, 'fro')
     if res <= basis.rank_tol:
         return basis, False

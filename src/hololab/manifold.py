@@ -19,9 +19,11 @@ construction which coordinates its expression contains and takes the
 value and those partials from one vector-dual pass (``expr.eval_dual``
 with a tuple of names); its partials in the other coordinates are exactly
 0 and are never evaluated, and a variable-free expression is evaluated
-once with no dual pass.  ``MetricField.jet`` gives (g, d g), skipping the
-literal 0 entries altogether, and ``DensityField.jet`` gives
-(phi, d phi); ``partials`` and ``gradients`` are views of them.
+once with no dual pass.  ``MetricField.jet`` gives the dense (g, d g),
+skipping the literal 0 entries altogether, ``MetricField.diagonal_jet``
+gives the diagonal entries' values and partials alone, and
+``DensityField.jet`` gives (phi, d phi); ``partials`` and ``gradients``
+are views of them.
 
 ``christoffel_many`` is the one coefficient kernel.  It evaluates the
 metric and density jets once per point array.  Given a path velocity v it
@@ -32,8 +34,14 @@ contracted forms -(v.dphi) delta^k_j - v^k d_j phi and
 +(g v)_j (g^-1 dphi)^k, so no (m, n, n, n) coefficient array is formed.
 Without a velocity it returns the full Gamma, assembled from the same
 contraction with each coordinate direction.  A metric records at
-construction whether every off-diagonal entry is the literal 0; such a
-diagonal metric is inverted as 1/diag with det = prod(diag).  Any other
+construction whether every off-diagonal entry is the literal 0.  Such a
+diagonal metric takes only its diagonal jet, (m, n) values g_aa and
+(m, n, n) partials D[a, l] = d_l g_aa, so no (m, n, n, n) array is formed
+at all: c_aij v^i = delta_aj (D[a].v) + v_a D[a, j] - v_j D[j, a]
+(Kobayashi-Nomizu I, section III.7), rounded as the dense contraction
+rounds it, and g^-1 = 1/diag with det g = prod(diag).  Its arrays keep
+the point axis last in memory, so that elementwise work over the short
+index axes runs along the points.  Any other
 metric of dimension 2 or 3 is inverted from one cofactor factorization:
 the symmetric adjugate, det g expanded along its first row, g^-1 =
 adj / det.  Larger non-diagonal metrics use LAPACK.  Every path rejects
@@ -185,13 +193,18 @@ class ExprScalarField:
         """(m,) values and (m, n) gradient from one vector-dual pass over
         the contained coordinates; a constant is evaluated without one."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grad = np.zeros(pts.shape)
-        if self.constant:
-            return self.values(pts), grad
-        names = tuple(self.chart.coord_names[i] for i in self.axes)
-        val, d = ex.eval_dual(self.expression, self.chart.env(pts), names)
-        grad[:, self.axes] = d.T
+        val, grad = np.empty(len(pts)), np.zeros(pts.shape)
+        self.jet_into(pts, val, grad.T)
         return val, grad
+
+    def jet_into(self, pts, val, grad):
+        """``jet`` written straight into (m,) ``val`` and the contained
+        coordinates' rows of the zeroed (n, m) ``grad``."""
+        if self.constant:
+            val[...] = ex.eval_expr(self.expression, self.chart.env(pts))
+            return
+        names = tuple(self.chart.coord_names[i] for i in self.axes)
+        val[...], grad[self.axes, :] = ex.eval_dual(self.expression, self.chart.env(pts), names)
 
     def second_derivatives(self, pts, i, j):
         env = self.chart.env(pts)
@@ -263,6 +276,19 @@ class MetricField:
                 g[:, i, j] = v
                 g[:, j, i] = v
         return g
+
+    def diagonal_jet(self, pts):
+        """(m, n) values g_aa and (m, n, n) partials D[a, l] = d_l g_aa, each
+        entry's jet written straight into its slot.  Both are views of
+        arrays with the point axis last in memory, so each slot is
+        contiguous."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        n = self.chart.dim
+        vals = np.empty((n, len(pts)))
+        grads = np.zeros((n, n, len(pts)))
+        for a in range(n):
+            self.entries[a][a].jet_into(pts, vals[a], grads[a])
+        return vals.T, grads.transpose(2, 0, 1)
 
     def jet(self, pts):
         """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
@@ -448,23 +474,22 @@ def _adjugate(g):
     return np.stack([np.stack(row, axis=1) for row in adj], axis=1), det
 
 
-def _inverse_metric(metric, g, pts):
-    """g^{-1} at each point: (m, n) reciprocals of the diagonal for a
-    structurally diagonal metric, (m, n, n) adj/det from one cofactor
-    factorization for n = 2 or 3, else (m, n, n) from LAPACK.  Raises
-    SingularMetric at the first point where det g is not finite, else at
-    the smallest |det g| if it is <= DET_FLOOR."""
+def _inverse_metric(g, pts):
+    """g^{-1} at each point: the (m, n) reciprocals of the (m, n) values
+    g_aa of a diagonal metric, (m, n, n) adj/det from one cofactor
+    factorization of (m, n, n) matrices for n = 2 or 3, else (m, n, n) from
+    LAPACK.  Raises SingularMetric at the first point where det g is not
+    finite, else at the smallest |det g| if it is <= DET_FLOOR."""
     n = g.shape[1]
-    if metric.diagonal:
-        diag = np.diagonal(g, axis1=1, axis2=2)
-        dets = diag.prod(axis=1)
+    if g.ndim == 2:
+        dets = g.prod(axis=1)
     elif n <= 3:
         adj, dets = _adjugate(g)
     else:
         dets = np.linalg.det(g)
     _require_nonsingular(pts, dets, np.isfinite(dets))
-    if metric.diagonal:
-        return 1.0 / diag
+    if g.ndim == 2:
+        return 1.0 / g
     if n <= 3:
         return adj / dets[:, None, None]
     return np.linalg.inv(g)
@@ -475,33 +500,85 @@ def _raise_index(ginv, x):
     return ginv[:, :, None] * x if ginv.ndim == 2 else ginv @ x
 
 
-def _contracted(kind, g, ginv, dg, dphi, v):
-    """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n)."""
+def _lower_index(g, v):
+    """(g v)_j for velocities v (m, n); a diagonal g's -0 products read
+    +0, as the matrix product's sums give them."""
+    return g * v + 0.0 if g.ndim == 2 else (g @ v[:, :, None])[:, :, 0]
+
+
+def _diagonal(a):
+    """Writable (m, n) view of the diagonals of (m, n, n) ``a``, in any
+    memory layout."""
+    return np.einsum('mii->mi', a)
+
+
+def _point_last(a):
+    """``a`` with its first (point) axis fastest in memory, so elementwise
+    work over its short trailing axes runs along the points."""
+    return np.ascontiguousarray(a.T).T
+
+
+def _cv(g, dg, v):
+    """c_aij v^i, shape (m, n, n), for velocities v (m, n).
+
+    For (m, n) diagonal values g the partials are D[a, l] = d_l g_aa and
+    c_aij v^i = delta_aj (D[a] . v) + v_a D[a, j] - v_j D[j, a]; otherwise
+    they are the dense d_l g_ij, index order [l, i, j]."""
+    if g.ndim == 2:
+        p = v[:, :, None] * dg  # p[a, j] = v_a D[a, j]
+        p += 0.0  # a -0 product reads +0, as in the dense path's sums
+        cv = p - np.swapaxes(p, 1, 2)
+        # the diagonal in the dense path's order: (D[a].v + p_aa) - p_aa
+        p_aa = _diagonal(p)
+        _diagonal(cv)[...] = (sum(dg[:, :, l] * v[:, l, None] for l in range(g.shape[1]))
+                              + p_aa - p_aa)
+        return cv
     # w[a, j] = v^i d_a g_ij = v^i d_j g_ai (dg is symmetric in its last pair)
     w = np.einsum('maji,mi->maj', dg, v)
-    cv = np.einsum('mi,miaj->maj', v, dg) + np.swapaxes(w, 1, 2) - w
-    B = 0.5 * _raise_index(ginv, cv)
+    return np.einsum('mi,miaj->maj', v, dg) + np.swapaxes(w, 1, 2) - w
+
+
+def _contracted(kind, g, ginv, dg, dphi, v):
+    """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n).
+
+    A diagonal metric's jet has the point axis last in memory (see
+    ``MetricField.diagonal_jet``); v and dphi are laid out the same way
+    for it, and so is B."""
+    if kind == ConnectionKind.WEIGHTED:
+        # summed before the layout changes: einsum's summation order
+        # depends on its operands' layout
+        v_dphi = np.einsum('mi,mi->m', v, dphi)
+    if g.ndim == 2:
+        v = _point_last(v)
+        dphi = None if dphi is None else _point_last(dphi)
+    B = _raise_index(ginv, _cv(g, dg, v))
+    B *= 0.5
     if kind == ConnectionKind.LEVI_CIVITA:
         return B
     if kind == ConnectionKind.WEIGHTED:
-        v_dphi = np.einsum('mi,mi->m', v, dphi)
-        return B - (v_dphi[:, None, None] * np.eye(v.shape[1])
-                    + v[:, :, None] * dphi[:, None, :])
+        # B - ((v.dphi) delta^k_j + v^k d_j phi) with the same roundings,
+        # in place and without a (v.dphi) delta array: its off-diagonal
+        # terms (v.dphi) 0 only set the sign of a zero
+        corr = v[:, :, None] * dphi[:, None, :]
+        corr += (0.0 * v_dphi)[:, None, None]
+        _diagonal(corr)[...] += v_dphi[:, None]
+        B -= corr
+        return B
     if kind == ConnectionKind.DUAL_WEIGHTED:
-        grad_up = _raise_index(ginv, dphi[:, :, None])
-        gv = (g @ v[:, :, None])[:, :, 0]
-        return B + grad_up * gv[:, None, :]
+        B += _raise_index(ginv, dphi[:, :, None]) * _lower_index(g, v)[:, None, :]
+        return B
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
 def _require_finite(coeffs, g, pts):
     """``coeffs`` (m, ...) unchanged, or SingularMetric at the first point
     where they are not finite: g and det g are finite there (the inverse
-    passed), but a jet overflowed."""
+    passed), but a jet overflowed.  ``g`` holds (m, n) diagonal values or
+    (m, n, n) matrices."""
     if not np.isfinite(coeffs).all():
         k = int(np.isfinite(coeffs.reshape(len(pts), -1)).all(axis=1).argmin())
-        raise SingularMetric(pts[k], np.linalg.det(g[k]),
-                             "connection coefficients not finite")
+        det = g[k].prod() if g.ndim == 2 else np.linalg.det(g[k])
+        raise SingularMetric(pts[k], det, "connection coefficients not finite")
     return coeffs
 
 
@@ -511,10 +588,15 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
 
     Returns the (m, n, n, n) array gamma[., k, i, j], or, given velocities
     (m, n), the contracted (m, n, n) array B[., k, j] = Gamma^k_ij v^i.
+    A diagonal metric is evaluated from its diagonal jet, (m, n) values
+    g_aa and (m, n, n) partials D[a, l] = d_l g_aa, and its Levi-Civita
+    part is B^a_j = 1/2 g^aa (v_a D[a, j] - v_j D[j, a]) +
+    delta_aj 1/2 g^aa (D[a] . v); no (m, n, n, n) array is formed.  Other
+    metrics contract their dense jet.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, dg = M.metric.jet(pts)
-    ginv = _inverse_metric(M.metric, g, pts)
+    g, dg = (M.metric.diagonal_jet if M.metric.diagonal else M.metric.jet)(pts)
+    ginv = _inverse_metric(g, pts)
     dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.jet(pts)[1]
     if velocity is not None:
         v = np.asarray(velocity, dtype=float).reshape(pts.shape)
@@ -536,7 +618,8 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n = M.dim
     g, dg = M.metric.jet(pts)            # dg: [l, i, j]
-    ginv = _inverse_metric(M.metric, g, pts)
+    ginv = _inverse_metric(np.diagonal(g, axis1=1, axis2=2) if M.metric.diagonal else g,
+                           pts)
     if ginv.ndim == 2:
         diag, ginv = ginv, np.zeros(g.shape)
         ginv[:, range(n), range(n)] = diag

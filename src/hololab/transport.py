@@ -89,9 +89,10 @@ DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
 MAX_FINE_STEPS = 2 ** 16
 # kernel points per coefficient call of a lockstep round.  Larger calls
-# cost memory (about 1.4 kB of kernel temporaries per point on a 4-d
-# metric), and at 2 ** 11 the perfbench `algebra` workload, whose
-# segments hold 801 points each, ran slower than with one call per segment.
+# cost memory (about 0.7 kB of kernel temporaries per point on the
+# diagonal sphereN(4) metric, 1.5 kB on a dense 4-d jet), and at 2 ** 11 the
+# perfbench `algebra` workload, whose segments hold 801 points each, ran
+# slower than with one call per segment.
 MAX_BATCH_POINTS = 2 ** 10
 # sample points the live segments of a step-controlled batch may hold for
 # their next levels (2 MB of coefficients on a 4-d metric); a segment whose

@@ -144,6 +144,10 @@ def test_algebra_command(tmp_path, capsys):
     assert doc["results"]["dimension"] == 1
     assert doc["results"]["tag"] == "SOplus11"
     assert doc["results"]["max_det_error"] < 1e-6
+    cut = doc["results"]["svd_cut"]
+    assert cut["last_kept"] >= 1e-6 > cut["first_dropped"]
+    assert doc["results"]["dimension_margin_digits"] == math.log10(
+        cut["last_kept"] / cut["first_dropped"])
 
 
 def test_algebra_conjecture_mode(tmp_path):
@@ -411,7 +415,10 @@ def test_algebra_without_loops_does_not_pass(tmp_path, capsys):
         "manifold": {"catalog": "borel2d"}, "algebra": {"random_loops": 0},
         "output": str(out)})
     assert run(["algebra", cfg]) == 1
-    assert json.loads(out.read_text())["results"]["loop_count"] == 0
+    doc = json.loads(out.read_text())["results"]
+    assert doc["loop_count"] == 0
+    assert doc["svd_cut"] == {"last_kept": None, "first_dropped": None}
+    assert doc["dimension_margin_digits"] is None
     assert "NO LOOPS" in capsys.readouterr().out
     # a flat plane's loops are evidence of a trivial algebra
     cfg = write_config(tmp_path, "flat.json", {

@@ -1,10 +1,12 @@
 """Matrix exp/log, span maintenance, closure, classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hololab import liealg
 from hololab.catalog import (ALPHA_DERIVATIVE, BETA_DERIVATIVE, BOREL_LOG1,
                              BOREL_LOOP1_MATRIX, heisenberg_partner_generator)
 from hololab.errors import LogUndefined, ShapeMismatch
@@ -119,6 +121,59 @@ def test_span_insert_basics():
     # numerically-zero candidates are rejected instead of normalized
     basis, ins = span_insert(basis, 1e-12 * unit(0, 0))
     assert not ins
+
+
+def _tensordot_insert(basis, A):
+    """span_insert with the Frobenius inner product taken as
+    np.tensordot(r, b, axes=2): the reference for the vdot form."""
+    norm = np.linalg.norm(A, 'fro')
+    if norm <= basis.rank_tol or len(basis.basis) >= basis.dim_ambient ** 2:
+        return basis, False
+    r = A / norm
+    for _ in range(2):
+        for b in basis.basis:
+            r = r - np.tensordot(r, b, axes=2) * b
+    res = np.linalg.norm(r, 'fro')
+    if res <= basis.rank_tol:
+        return basis, False
+    return replace(basis, basis=basis.basis + (r / res,)), True
+
+
+def _tensordot_contains(basis, A):
+    r = A / np.linalg.norm(A, 'fro')
+    for b in basis.basis:
+        r = r - np.tensordot(r, b, axes=2) * b
+    return float(np.linalg.norm(r, 'fro'))
+
+
+def _generator_sets():
+    """Random generator sets in gl(2), gl(3) and gl(4), each with a nearly
+    dependent member so that rejections are exercised too."""
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for count in (1, 2, 3):
+            gens = list(rng.standard_normal((count, n, n)))
+            gens.append(gens[0] + 1e-9 * rng.standard_normal((n, n)))
+            yield pytest.param(gens, id=f"gl{n}-{count}")
+
+
+@pytest.mark.parametrize("gens", list(_generator_sets()))
+def test_gram_schmidt_matches_tensordot_reference(gens, monkeypatch):
+    n = gens[0].shape[0]
+    probes = np.random.default_rng(n).standard_normal((5, n, n))
+    basis = ref = LieAlgebraBasis(dim_ambient=n)
+    for g in gens:
+        basis, inserted = span_insert(basis, g)
+        ref, ref_inserted = _tensordot_insert(ref, g)
+        assert inserted == ref_inserted
+        assert all(np.array_equal(a, b) for a, b in zip(basis.basis, ref.basis))
+        for A in probes:
+            assert basis.contains(A) == _tensordot_contains(ref, A)
+    closed = closure(gens)
+    monkeypatch.setattr(liealg, "span_insert", _tensordot_insert)
+    closed_ref = closure(gens)
+    assert closed.dim == closed_ref.dim
+    assert all(np.array_equal(a, b) for a, b in zip(closed.basis, closed_ref.basis))
 
 
 def test_closure_examples():

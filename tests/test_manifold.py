@@ -1,7 +1,7 @@
 """Metric/density fields, connection coefficients, curvature."""
 
 import math
-import types
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,8 +239,24 @@ def full_metric_3d():
                                 sample_region=((-0.8, 0.8),) * 3)
 
 
+def zero_off_diagonal_3d():
+    """A metric given as a full matrix whose off-diagonal entries are the
+    literal 0, so it takes the diagonal path like the catalog's."""
+    chart = CoordinateChart(dim=3, coord_names=("x", "y", "z"),
+                            domain=((-0.9, 0.9),) * 3)
+    metric = MetricField.from_expressions(
+        chart, [["2+sin(y)", "0", "0"],
+                ["0", "-(2+cos(x*z))", "0"],
+                ["0", "0", "exp(x*z/2)"]], signature=(2, 1))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x*y+0.5*sin(z)"))
+    return catalog.CatalogEntry(name="zero-off-diagonal3", manifold=M,
+                                basepoint=np.zeros(3), sample_region=((-0.8, 0.8),) * 3)
+
+
 def _kernel_cases():
-    entries = catalog.default_entries() + [catalog.sphere_with_density(4)]
+    entries = catalog.default_entries() + [catalog.sphere_with_density(4),
+                                           zero_off_diagonal_3d()]
     cases = []
     for e in entries:
         cases.append(pytest.param(e, e.manifold, id=e.name))
@@ -257,7 +273,9 @@ def test_kernel_matches_reference_assembly(entry, M, kind):
         M = entry.manifold
         assert not M.metric.diagonal
     else:
-        assert M.metric.diagonal  # every catalog metric takes the 1/diag path
+        # every catalog metric, and a full matrix with literal-0 off-diagonal
+        # entries, takes the diagonal path
+        assert M.metric.diagonal
     pts = entry.random_points(40, seed=5)
     ref = reference_christoffel(M, kind, pts)
     got = christoffel_many(M, kind, pts)
@@ -351,7 +369,7 @@ def _random_metrics(rng, n, m, signs):
 def test_cofactor_inverse_matches_lapack(signs):
     rng = np.random.default_rng(len(signs) * 10 + sum(signs))
     g = _random_metrics(rng, len(signs), 500, signs)
-    got = _inverse_metric(types.SimpleNamespace(diagonal=False), g, np.zeros((500, 2)))
+    got = _inverse_metric(g, np.zeros((500, 2)))
     ref = np.linalg.inv(g)
     scale = np.abs(ref).max(axis=(1, 2))
     assert (np.abs(got - ref).max(axis=(1, 2)) <= 1e-14 * scale).all()
@@ -490,3 +508,41 @@ def test_christoffel_evaluates_each_varying_field_once(monkeypatch):
     assert len(calls["eval_expr"]) == 1
     zero = ex.Num(0.0)
     assert all(e != zero for e in calls["eval_dual"] + calls["eval_expr"])
+
+
+def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
+    """A diagonal metric is evaluated from its diagonal jet alone, for every
+    kind, with and without velocities; the second derivatives keep the
+    dense jet."""
+    entry = catalog.sphere_with_density(4)
+    pts = entry.random_points(20, seed=3)
+    vel = np.random.default_rng(4).standard_normal(pts.shape)
+    expected = {kind: (christoffel_many(entry.manifold, kind, pts),
+                       christoffel_many(entry.manifold, kind, pts, vel))
+                for kind in (LC, W, DW)}
+
+    def dense_jet(self, pts):
+        raise AssertionError("the dense metric jet was evaluated")
+
+    monkeypatch.setattr(MetricField, "jet", dense_jet)
+    for kind, (full, contracted) in expected.items():
+        assert np.array_equal(christoffel_many(entry.manifold, kind, pts), full)
+        assert np.array_equal(christoffel_many(entry.manifold, kind, pts, vel), contracted)
+    with pytest.raises(AssertionError, match="dense metric jet"):
+        christoffel_derivative_many(entry.manifold, W, pts)
+
+
+def test_diagonal_kernel_memory_per_point():
+    """The contracted weighted kernel on sphereN(4) holds at most 1 kB of
+    temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB)."""
+    entry = catalog.sphere_with_density(4)
+    pts = entry.random_points(1024, seed=1)
+    vel = np.random.default_rng(2).standard_normal(pts.shape)
+    christoffel_many(entry.manifold, W, pts, vel)  # warm any first-call state
+    tracemalloc.start()
+    try:
+        christoffel_many(entry.manifold, W, pts, vel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * len(pts)
