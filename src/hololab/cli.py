@@ -33,8 +33,8 @@ from .errors import (ConfigError, ExprSyntaxError, HololabError, NotClosed,
 from .experiments import run_closure_experiment
 from .manifold import (ConnectionKind, CoordinateChart, DensityField, MetricField,
                        WeightedManifold, metric_at, ricci_at)
-from .transport import (Loop, family_derivative, holonomy, polyline_segments,
-                        random_rectangle_loops, rectangle_loop,
+from .transport import (Loop, family_derivative, holonomy, holonomy_many,
+                        polyline_segments, random_rectangle_loops, rectangle_loop,
                         shrinking_rectangle_family)
 
 SCHEMA_VERSION = 1
@@ -181,8 +181,32 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _report_path(config, args):
+    return getattr(args, "output", None) or config.get("output")
+
+
+def _check_writable(path, what):
+    """ConfigError naming ``path``, if given, unless its directory exists
+    and is writable, so that a bad output path stops a command before its
+    work."""
+    if not path:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{what} directory does not exist: {path}")
+    if not os.access(folder, os.W_OK):
+        raise ConfigError(f"{what} directory is not writable: {path}")
+
+
+def _check_report_path(config, args):
+    path = _report_path(config, args)
+    if path and os.path.isdir(path):
+        raise ConfigError(f"report path is a directory: {path}")
+    _check_writable(path, "report")
+
+
 def _write_report(report, config, args):
-    path = getattr(args, "output", None) or config.get("output")
+    path = _report_path(config, args)
     if path:
         with open(path, "w") as fh:
             json.dump(report, fh, indent=2, default=_json_default)
@@ -209,6 +233,7 @@ def cmd_run_example(args):
         entry = cat.get_entry(args.name)
     except UnknownExample as exc:
         return _fail_usage(str(exc))
+    _check_report_path({}, args)
     results = []
     all_pass = True
     print(f"== {entry.name}: {len(entry.goldens)} golden checks")
@@ -243,9 +268,39 @@ def _tasks_from_config(config, default):
     return tasks
 
 
+def _loop_elements(M, kind, loops, steps, frames_per_segment):
+    """One HolonomyElement or error string per loop.  The loops that close
+    integrate as one batch; if the batch fails, each of them integrates
+    alone, so a failing loop gets its own error and the others keep their
+    results."""
+    out = [None] * len(loops)
+    closed = []
+    for i, loop in enumerate(loops):
+        try:
+            loop.validate(M.chart)
+            closed.append(i)
+        except NotClosed as exc:
+            out[i] = f"not closed: {exc}"
+    try:
+        elements = holonomy_many(M, kind, [loops[i] for i in closed], steps=steps,
+                                 frames_per_segment=frames_per_segment)
+        for i, h in zip(closed, elements):
+            out[i] = h
+    except HololabError:
+        for i in closed:
+            try:
+                out[i] = holonomy(M, kind, loops[i], steps=steps,
+                                  frames_per_segment=frames_per_segment)
+            except HololabError as exc:
+                out[i] = str(exc)
+    return out
+
+
 def cmd_holonomy(args):
     config = _load_config(args.config)
     seed = _resolve_seed(config)
+    _check_report_path(config, args)
+    _check_writable(args.plot, "--plot")
     entry, M, kind, steps, loops, families = _transport_from_config(config)
     include_log = bool(config.get("include_log", False))
     tasks = _tasks_from_config(config, ["holonomy"])
@@ -258,23 +313,23 @@ def cmd_holonomy(args):
         ric = ricci_at(M, kind, at)
         report["curvature"] = {"point": at.tolist(), "ricci": ric.tolist()}
         print(f"ricci at {np.round(at, 4).tolist()}: {np.round(ric, 8).tolist()}")
-    for i, loop in enumerate(loops):
+    elements = _loop_elements(M, kind, loops, steps, PLOT_SAMPLES if args.plot else 0)
+    for i, h in enumerate(elements):
         item = {"loop": i}
-        try:
-            h = holonomy(M, kind, loop, steps=steps,
-                         frames_per_segment=PLOT_SAMPLES if args.plot else 0)
-            item.update(matrix=h.matrix.tolist(),
-                        det=float(np.linalg.det(h.matrix)),
-                        est_error=h.est_error, steps_used=h.steps_used)
-            if include_log:
-                item["log"] = liealg.mat_log(h.matrix).tolist()
-            if args.plot:
-                item["plot_csv"] = _write_plot_csv(args.plot, i, M, h)
-        except NotClosed as exc:
-            item["error"] = f"not closed: {exc}"
-            exit_code = 1
-        except HololabError as exc:
-            item["error"] = str(exc)
+        if isinstance(h, str):
+            item["error"] = h
+        else:
+            try:
+                item.update(matrix=h.matrix.tolist(),
+                            det=float(np.linalg.det(h.matrix)),
+                            est_error=h.est_error, steps_used=h.steps_used)
+                if include_log:
+                    item["log"] = liealg.mat_log(h.matrix).tolist()
+                if args.plot:
+                    item["plot_csv"] = _write_plot_csv(args.plot, i, M, h)
+            except HololabError as exc:
+                item["error"] = str(exc)
+        if "error" in item:
             exit_code = 1
         results.append(item)
     for j, (fam, s_step) in enumerate(families):
@@ -301,20 +356,20 @@ def _write_plot_csv(prefix, index, M, h):
     """Write the frame trajectory carried by the holonomy element ``h``."""
     path = f"{prefix}_loop{index}.csv"
     n = M.dim
+    # the bytes csv.writer gives: floats as repr (no cell needs quoting), CRLF
+    rows = np.hstack([h.positions, h.frames.reshape(len(h.frames), -1)]).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = list(M.chart.coord_names)
         frame_cols = [f"P{i}{j}" for i in range(n) for j in range(n)]
-        writer.writerow(["sample"] + names + frame_cols)
-        for k, (pos, P) in enumerate(zip(h.positions, h.frames)):
-            writer.writerow([k] + [repr(float(v)) for v in pos] +
-                            [repr(float(v)) for v in P.ravel()])
+        csv.writer(fh).writerow(["sample", *M.chart.coord_names, *frame_cols])
+        fh.writelines(f"{k}," + ",".join(map(repr, row)) + "\r\n"
+                      for k, row in enumerate(rows))
     return path
 
 
 def cmd_algebra(args):
     config = _load_config(args.config)
     seed = _resolve_seed(config)
+    _check_report_path(config, args)
     entry, M, kind, steps, loops, families = _transport_from_config(config)
     aspec = config.get("algebra", {})
     n_random = int(aspec.get("random_loops", 40 if not loops else 0))
@@ -381,6 +436,7 @@ def cmd_algebra(args):
 def cmd_verify(args):
     config = _load_config(args.config) if args.config else {}
     seed = _resolve_seed(config)
+    _check_report_path(config, args)
     samples = config.get("samples", {})
     n_paths = int(samples.get("paths", 20))
     n_loops = int(samples.get("loops", 20))

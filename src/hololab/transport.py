@@ -52,8 +52,12 @@ steps levels later.
 
 ``path_transport_many`` and ``holonomy_many`` integrate many paths or
 loops as one batch (a verify check's paths of one kind, an algebra
-experiment's loops); ``path_transport_matrix`` and ``holonomy`` are their
-one-path views.  Frame trajectories are assembled after the batch.
+experiment's loops, the CLI's configured loops); ``path_transport_matrix``
+and ``holonomy`` are their one-path views.  Frame trajectories are
+assembled after the batch from piece products: when a segment that
+carries frames retires, its accepted per-step matrices are reduced to the
+products over its pieces, the pieces of each length stacked into one
+ordered product, and to the positions of the piece ends.
 
 ``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
 plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
@@ -67,9 +71,8 @@ are built with stacked matmuls and the ordered product is taken by
 pairwise reduction -- no Python-level inner loop.  Holonomy, loop
 families, block prediction and frame trajectories share the engine: block
 prediction hands its assembled block coefficients to it, and a frame
-trajectory splits each segment's accepted per-step matrices into pieces
-and takes prefix products of the piece products, in the same integration
-that gives the holonomy matrix.
+trajectory takes prefix products of the piece products, from the same
+integration that gives the holonomy matrix.
 """
 
 from __future__ import annotations
@@ -398,7 +401,7 @@ def _advancing(live, level, start, held_cap):
     return chosen
 
 
-def _lockstep(segments, coeffs, start, accept=None, keep=False, held_cap=math.inf):
+def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf):
     """Transfer products of ``segments``, which share the coefficient
     function ``coeffs`` and the first level N = ``start``, each advanced
     through the levels N, 2N, 4N, ... in rounds.
@@ -412,10 +415,14 @@ def _lockstep(segments, coeffs, start, accept=None, keep=False, held_cap=math.in
     their next level.  Without ``accept`` the grid is pinned: every segment
     retires at its first level and holds nothing.
 
-    Returns one (fine, coarse, fine_steps, positions, step_matrices) per
-    segment, positions and step_matrices (the accepted half-step sample
-    positions and fine per-step matrices) only if ``keep``, else None.
+    Returns one (fine, coarse, fine_steps, piece_products, piece_ends) per
+    segment.  With ``pieces`` > 0 a retiring segment's accepted fine
+    per-step matrices are reduced to at most that many piece products (see
+    ``_piece_products``) with the positions of the piece ends, so no
+    segment holds its per-step matrices past its retirement; with
+    ``pieces`` 0 the last two are None.
     """
+    keep = pieces > 0
     results = [None] * len(segments)
     level = [0] * len(segments)
     held = {}  # live segment -> coefficients, positions (if keep), fine product
@@ -449,13 +456,39 @@ def _lockstep(segments, coeffs, start, accept=None, keep=False, held_cap=math.in
                     else accept(members, fine, coarse, 2 * n))
             for j, (i, (A, pos, step_mats)) in enumerate(zip(members, new)):
                 if done[j]:
-                    results[i] = fine[j], coarse[j], 2 * n, pos, step_mats
+                    results[i] = (fine[j], coarse[j], 2 * n) + (
+                        _piece_products(step_mats, pos, pieces) if keep else (None, None))
                 else:
                     # copies, so that retired rows of a group are freed
                     level[i] = n
                     held[i] = A.copy(), None if pos is None else pos.copy(), fine[j]
         live = [i for i in live if results[i] is None]
     return results
+
+
+def _piece_products(step_mats, pos, pieces):
+    """Products of a segment's fine per-step matrices ``step_mats`` over
+    ``pieces`` runs of whole steps (at most one per step), cut at
+    arange(pieces + 1) * n_fine // pieces, and the half-step sample
+    positions ``pos`` at the piece ends; both are new arrays.
+
+    The runs have at most two lengths.  The pieces of one length are
+    gathered into one (count, length, d, d) stack and reduced by one
+    ``_ordered_product``, whose pairwise tree is, row by row, the one of
+    each piece alone, so every product has the same bits.  Padding the
+    shorter runs with identity matrices would not: I @ x turns -0.0 into
+    +0.0.
+    """
+    n_fine = len(step_mats)
+    pieces = min(pieces, n_fine)
+    cuts = np.arange(pieces + 1) * n_fine // pieces
+    lengths = np.diff(cuts)
+    products = np.empty((pieces,) + step_mats.shape[1:])
+    for length in {int(lengths.min()), int(lengths.max())}:
+        which = np.flatnonzero(lengths == length)
+        runs = cuts[which][:, None] + np.arange(length)
+        products[which] = _ordered_product(step_mats[runs])
+    return products, pos[2 * cuts[1:]]
 
 
 def _share_test(shares):
@@ -473,20 +506,20 @@ def _share_test(shares):
     return accept
 
 
-def _transport_many(coeffs, dim, paths, steps=None, error_target=None, keep=False):
+def _transport_many(coeffs, dim, paths, steps=None, error_target=None, pieces=0):
     """(matrix, est_error, trail) of each path, for any coefficient function
     ``coeffs(positions, velocities) -> (m, dim, dim)``; the segments of all
     paths advance as one lockstep batch.  ``trail`` lists (fine_steps,
-    positions, step_matrices) per segment (see ``_lockstep`` and
-    ``keep``)."""
+    piece_products, piece_ends) per segment (see ``_lockstep`` and
+    ``pieces``)."""
     start, target = _start_and_target(steps, error_target)
     shares = np.array([target / max(1, len(path)) for path in paths for _ in path])
     segments = [seg for path in paths for seg in path]
     if steps is None:
-        retired = iter(_lockstep(segments, coeffs, start, _share_test(shares), keep=keep,
+        retired = iter(_lockstep(segments, coeffs, start, _share_test(shares), pieces=pieces,
                                  held_cap=MAX_HELD_POINTS))
     else:
-        retired = iter(_lockstep(segments, coeffs, start, keep=keep))
+        retired = iter(_lockstep(segments, coeffs, start, pieces=pieces))
     eye = np.eye(dim)
     out = []
     for path in paths:
@@ -548,19 +581,16 @@ def transport_covector(M, kind, path, a0, steps=None, error_target=None):
     return P @ np.asarray(a0, dtype=float)
 
 
-def _frames(loop, trail, frames_per_segment, dim):
+def _frames(loop, trail, dim):
     """Positions and transported frames along a loop from its segments'
-    accepted per-step matrices (see ``holonomy``)."""
-    positions = [loop.basepoint]
+    piece products and piece ends (see ``holonomy_many``)."""
+    positions = [loop.basepoint[None]]
     frames = [np.eye(dim)]
-    for n_fine, pos, step_mats in trail:
-        pieces = min(frames_per_segment, n_fine)
-        # step index of each piece end
-        cuts = np.arange(pieces + 1) * n_fine // pieces
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            frames.append(_ordered_product(step_mats[a:b]) @ frames[-1])
-            positions.append(pos[2 * b])
-    return {"positions": np.stack(positions), "frames": np.stack(frames)}
+    for _, products, ends in trail:
+        for piece in products:
+            frames.append(piece @ frames[-1])
+        positions.append(ends)
+    return {"positions": np.concatenate(positions), "frames": np.stack(frames)}
 
 
 def holonomy_many(M, kind, loops, steps=None, error_target=None,
@@ -581,13 +611,12 @@ def holonomy_many(M, kind, loops, steps=None, error_target=None,
     """
     for loop in loops:
         loop.validate(M.chart)
-    keep = frames_per_segment > 0
     results = _transport_many(_kernel(M, kind), M.dim, [loop.segments for loop in loops],
-                              steps=steps, error_target=error_target, keep=keep)
+                              steps=steps, error_target=error_target,
+                              pieces=frames_per_segment)
     return [HolonomyElement(matrix=P, loop=loop, est_error=est,
                             steps_used=sum(n_fine for n_fine, _, _ in trail),
-                            **(_frames(loop, trail, frames_per_segment, M.dim)
-                               if keep else {}))
+                            **(_frames(loop, trail, M.dim) if frames_per_segment > 0 else {}))
             for loop, (P, est, trail) in zip(loops, results)]
 
 

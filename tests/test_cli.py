@@ -1,13 +1,21 @@
 """CLI contract: exit codes, config handling, determinism, report schema."""
 
+import csv
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from hololab import catalog, cli, transport
 from hololab.catalog import BOREL_LOOP1_MATRIX
 from hololab.cli import main
+from hololab.manifold import ConnectionKind
+from hololab.transport import Loop, polyline_segments
 
 E = math.e
 
@@ -445,3 +453,186 @@ def test_holonomy_through_an_overflowing_density_exits_1(tmp_path):
     first, second = json.loads(out.read_text())["results"]
     assert "matrix" in first
     assert second["error"].startswith("density not finite at (")
+
+
+def _holonomy_run(tmp_path, tag, doc, plot=True):
+    """Exit code, result items and CSV bytes (by loop index) of one
+    ``holonomy`` run of ``doc``."""
+    out = tmp_path / f"{tag}.json"
+    cfg = write_config(tmp_path, f"{tag}_c.json", dict(doc, output=str(out)))
+    argv = ["holonomy", cfg] + (["--plot", str(tmp_path / tag)] if plot else [])
+    code = run(argv)
+    csvs = {int(p.stem.rsplit("loop", 1)[1]): p.read_bytes()
+            for p in tmp_path.glob(f"{tag}_loop*.csv")}
+    return code, json.loads(out.read_text())["results"], csvs
+
+
+def test_holonomy_batch_keeps_each_loop_and_each_failure(tmp_path):
+    good = [{"rect": [[1.5, 0.5], [1.7, 0.7]]},
+            {"polyline": [[1.4, 0.4], [1.8, 0.6], [1.5, 0.9], [1.4, 0.4]]},
+            {"rect": [[1.2, 1.0], [1.5, 1.6]]},
+            {"polyline": [[1.6, 1.2], [1.3, 1.2], [1.45, 1.5], [1.6, 1.2]]}]
+    outside = {"rect": [[3.2, 0.5], [3.3, 0.7]]}
+    open_loop = {"polyline": [[1.5, 0.5], [1.7, 0.5], [1.7, 0.7]]}
+    loops = [good[0], outside, good[1], good[2], open_loop, good[3]]
+    doc = {"manifold": {"catalog": "sphere2"}, "loops": loops}
+    code, items, csvs = _holonomy_run(tmp_path, "all", doc)
+    assert code == 1
+    assert sorted(csvs) == [0, 2, 3, 5]
+    for i, loop in enumerate(loops):
+        alone_code, [alone], alone_csvs = _holonomy_run(tmp_path, f"one{i}",
+                                                        dict(doc, loops=[loop]))
+        item = items[i]
+        if loop in good:
+            assert alone_code == 0
+            for key in ("matrix", "est_error", "steps_used", "log"):
+                assert item.get(key) == alone.get(key)
+            assert csvs[i] == alone_csvs[0]
+        else:
+            assert alone_code == 1 and "matrix" not in item
+            assert item["error"] == alone["error"]
+    assert "outside chart domain" in items[1]["error"]
+    assert items[4]["error"].startswith("not closed: ")
+
+
+def test_holonomy_config_is_one_kernel_batch(tmp_path, kernel_calls):
+    # four triangles at steps 20: 12 segments of 81 points fit one call
+    triangles = [[[0, 0], [1, 0], [0, 1], [0, 0]], [[0, 0], [0.5, 0.2], [0.3, 0.9], [0, 0]],
+                 [[0.2, 0.1], [1, 0.5], [0.4, 1], [0.2, 0.1]],
+                 [[0, 0], [-0.7, 0.3], [-0.2, -0.6], [0, 0]]]
+    loops = [{"polyline": t} for t in triangles]
+    doc = {"manifold": {"catalog": "borel2d"}, "loops": loops, "steps": 20}
+    code, items, _ = _holonomy_run(tmp_path, "all", doc)
+    assert code == 0 and len(kernel_calls) == 1
+    assert kernel_calls == [4 * 3 * 81]
+    for i, loop in enumerate(loops):
+        assert _holonomy_run(tmp_path, f"one{i}", dict(doc, loops=[loop]))[0] == 0
+    assert len(kernel_calls) == 1 + 4
+
+
+def _csv_reference(path, M, h):
+    """The frame CSV as csv.writer writes it, cell by cell."""
+    n = M.dim
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample"] + list(M.chart.coord_names)
+                        + [f"P{i}{j}" for i in range(n) for j in range(n)])
+        for k, (pos, P) in enumerate(zip(h.positions, h.frames)):
+            writer.writerow([k] + [repr(float(v)) for v in pos]
+                            + [repr(float(v)) for v in P.ravel()])
+
+
+@pytest.mark.parametrize("steps", [None, 20, 40])
+def test_plot_csv_bytes(tmp_path, steps):
+    ring = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+    doc = {"manifold": {"catalog": "borel2d"}, "loops": [{"polyline": ring}]}
+    if steps is not None:
+        doc["steps"] = steps
+    _, [item], csvs = _holonomy_run(tmp_path, "fr", doc)
+    data = csvs[0]
+    M = catalog.borel_2d().manifold
+    pts = [np.asarray(p, dtype=float) for p in ring]
+    loop = Loop(segments=polyline_segments(pts), basepoint=pts[0])
+    h = cli.holonomy(M, ConnectionKind.WEIGHTED, loop, steps=steps,
+                     frames_per_segment=cli.PLOT_SAMPLES)
+    assert item["steps_used"] == h.steps_used
+    lines = data.split(b"\r\n")
+    assert lines[0] == b"sample,x,y,P00,P01,P10,P11"
+    assert lines[-1] == b"" and b"\n" not in data.replace(b"\r\n", b"")
+    rows = [line.decode().split(",") for line in lines[1:-1]]
+    # one row per frame: the basepoint, then at most 50 pieces per segment
+    [(_, _, trail)] = transport._transport_many(transport._kernel(M, ConnectionKind.WEIGHTED),
+                                                2, [loop.segments], steps=steps)
+    assert len(rows) == len(h.frames) == 1 + sum(min(50, n) for n, _, _ in trail)
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    cells = np.array([[float(v) for v in r[1:]] for r in rows])
+    assert cells[:, :2].tobytes() == h.positions.tobytes()
+    assert cells[:, 2:].tobytes() == h.frames.reshape(len(rows), 4).tobytes()
+    # byte for byte what csv.writer writes, a -0.0 entry included
+    frames = h.frames.copy()
+    frames[1, 1, 0] = -0.0
+    signed = dataclasses.replace(h, frames=frames)
+    path = cli._write_plot_csv(str(tmp_path / "signed"), 0, M, signed)
+    _csv_reference(tmp_path / "reference.csv", M, signed)
+    text = (tmp_path / "signed_loop0.csv").read_bytes()
+    assert path == str(tmp_path / "signed_loop0.csv")
+    assert text == (tmp_path / "reference.csv").read_bytes()
+    assert text.split(b"\r\n")[2].endswith(b",-0.0,1.0")
+
+
+def test_holonomy_plot_does_not_import_numpy_ma(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"custom": {
+            "dim": 3, "coords": ["x", "y", "z"],
+            "metric": {"full": [["2+sin(y)", "0.3*cos(z)", "0"],
+                                ["0.3*cos(z)", "2+cos(x)", "0.2*sin(x*y)"],
+                                ["0", "0.2*sin(x*y)", "exp(x*z/2)"]]},
+            "phi": "x*y+0.5*sin(z)", "domain": [[-0.9, 0.9]] * 3}},
+        "loops": [{"polyline": [[-0.4, 0.1, 0.3], [0.5, -0.2, 0.1], [0.2, 0.5, -0.5],
+                                [-0.4, 0.1, 0.3]]},
+                  {"rect": [[-0.3, -0.2, 0.1], [0.1, 0.2, 0.1]]},
+                  {"family": {"rect": [[-0.2, 0.0, 0.0], [0.1, 0.0, 0.3]]}}],
+        "tasks": ["holonomy", "curvature"], "include_log": True,
+        "output": str(tmp_path / "r.json")})
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "from hololab.cli import main\n"
+            f"assert main(['holonomy', {cfg!r}, '--plot', {str(tmp_path / 'fr')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "fr_loop1.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run-example", "holonomy", "holonomy-config",
+                                     "algebra", "verify"])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, capsys,
+                                                          kernel_calls, command):
+    missing = str(tmp_path / "missing" / "r.json")
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+        "algebra": {"random_loops": 4}})
+    argv = {"run-example": ["run-example", "borel2d", "--output", missing],
+            "holonomy": ["holonomy", cfg, "--output", missing],
+            "holonomy-config": ["holonomy", write_config(tmp_path, "o.json", {
+                "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+                "output": missing})],
+            "algebra": ["algebra", cfg, "--output", missing],
+            "verify": ["verify", "--output", missing]}[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: report directory does not exist: {missing}"]
+    assert kernel_calls == []
+
+
+def test_holonomy_plot_under_a_missing_directory_exits_2(tmp_path, capsys, kernel_calls):
+    prefix = str(tmp_path / "missing" / "fr")
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}]})
+    assert run(["holonomy", cfg, "--plot", prefix]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --plot directory does not exist: {prefix}"]
+    assert kernel_calls == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_report_path_that_is_a_directory_exits_2(tmp_path, capsys, kernel_calls):
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}]})
+    assert run(["holonomy", cfg, "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: report path is a directory: {tmp_path}"]
+    assert kernel_calls == []
+
+
+def test_unwritable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}]})
+    out = str(tmp_path / "r.json")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert run(["holonomy", cfg, "--output", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: report directory is not writable: {out}"]

@@ -8,6 +8,7 @@ import pytest
 from hololab import transport
 from hololab.catalog import (ALPHA_DERIVATIVE, BETA_DERIVATIVE, BOREL_LOOP1_MATRIX,
                              BOREL_LOOP2_MATRIX, HEIS_SQUARE_MATRIX, XI)
+from hololab.cli import _build_custom_manifold
 from hololab.errors import (EmptyRegion, FamilyNotTrivial, NotClosed,
                             NotTotallyGeodesic, OutOfDomain, StepUnderflow)
 from hololab.manifold import ConnectionKind, metric_at
@@ -578,3 +579,104 @@ def test_frames_at_segment_ends_match_prefix_transport(borel, sphere2, which,
         P, _ = path_transport_matrix(M, W, loop.segments[:k], steps=steps)
         assert np.abs(frames[k * pieces] - P).max() <= 1e-12
         assert np.abs(positions[k * pieces] - seg.end).max() <= 1e-12
+
+
+# The benchmark's non-diagonal 3-d metric (perfbench `holonomy` workload).
+BENCH_FULL3 = {
+    "dim": 3, "coords": ["x", "y", "z"],
+    "metric": {"full": [["2+sin(y)", "0.3*cos(z)", "0"],
+                        ["0.3*cos(z)", "2+cos(x)", "0.2*sin(x*y)"],
+                        ["0", "0.2*sin(x*y)", "exp(x*z/2)"]]},
+    "phi": "x*y+0.5*sin(z)", "domain": [[-0.9, 0.9]] * 3, "name": "bench_full3",
+}
+
+
+def _per_piece_frames(basepoint, trail, frames_per_segment, dim):
+    """Reference: frames from each segment's (fine steps, half-step
+    positions, per-step matrices), one ordered product per piece."""
+    positions = [basepoint]
+    frames = [np.eye(dim)]
+    for n_fine, pos, step_mats in trail:
+        pieces = min(frames_per_segment, n_fine)
+        # step index of each piece end
+        cuts = np.arange(pieces + 1) * n_fine // pieces
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            frames.append(transport._ordered_product(step_mats[a:b]) @ frames[-1])
+            positions.append(pos[2 * b])
+    return np.stack(positions), np.stack(frames)
+
+
+def _same_bits(a, b):
+    """Equal arrays, signed zeros included."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("steps", [7, None])
+@pytest.mark.parametrize("per_segment", [3, 5, 1024])
+@pytest.mark.parametrize("which", ["borel2d", "bench_full3"])
+def test_stacked_frame_pieces_equal_per_piece_products(borel, monkeypatch, which,
+                                                       per_segment, steps):
+    if which == "borel2d":
+        M, loop = borel.manifold, borel.loops["golden1"]
+    else:
+        M = _build_custom_manifold(BENCH_FULL3)
+        pts = [[-0.4, 0.1, 0.3], [0.5, -0.2, 0.1], [0.2, 0.5, -0.5], [-0.4, 0.1, 0.3]]
+        loop = Loop(segments=polyline_segments(pts), basepoint=pts[0])
+    trail, calls = [], []
+    piece_products, ordered_product = transport._piece_products, transport._ordered_product
+
+    def recording(step_mats, pos, pieces):
+        trail.append((len(step_mats), pos.copy(), step_mats.copy()))
+        before = len(calls)
+        out = piece_products(step_mats, pos, pieces)
+        assert len(calls) - before <= 2
+        return out
+
+    def counting(mats):
+        calls.append(mats.shape)
+        return ordered_product(mats)
+
+    monkeypatch.setattr(transport, "_piece_products", recording)
+    monkeypatch.setattr(transport, "_ordered_product", counting)
+    h = holonomy(M, W, loop, steps=steps, frames_per_segment=per_segment)
+    # segments retire in level order; put their trails back in path order
+    trail = [next(t for t in trail if np.array_equal(t[1][0], seg.start))
+             for seg in loop.segments]
+    positions, frames = _per_piece_frames(loop.basepoint, trail, per_segment, M.dim)
+    assert _same_bits(h.frames, frames)
+    assert _same_bits(h.positions, positions)
+    n_fine = [n for n, _, _ in trail]
+    if per_segment == 1024:  # one piece per step
+        assert max(n_fine) <= per_segment
+    else:  # pieces of two lengths
+        assert any(n % per_segment for n in n_fine)
+    if which == "borel2d":
+        assert (frames == 0).any()
+
+
+@pytest.mark.parametrize("pieces", [5, 16, 40])
+def test_piece_products_keep_signed_zeros(pieces):
+    # one-step pieces (16 and 40 pieces of 24 steps) are the step matrices
+    # themselves, -0.0 entries included
+    rng = np.random.default_rng(3)
+    step_mats = rng.normal(size=(24, 3, 3))
+    step_mats[rng.random(step_mats.shape) < 0.3] = -0.0
+    pos = rng.normal(size=(49, 3))
+    products, ends = transport._piece_products(step_mats, pos, pieces)
+    cuts = np.arange(min(pieces, 24) + 1) * 24 // min(pieces, 24)
+    assert _same_bits(products, np.stack([transport._ordered_product(step_mats[a:b])
+                                          for a, b in zip(cuts[:-1], cuts[1:])]))
+    assert _same_bits(ends, pos[2 * cuts[1:]])
+    if pieces > 12:
+        assert np.signbit(products[products == 0]).any()
+
+
+def test_retired_segments_hold_only_piece_products(sphere2):
+    loop = rectangle_loop(sphere2.basepoint, 0, 1, 0.3, 0.4)
+    results = transport._lockstep(list(loop.segments), transport._kernel(sphere2.manifold, W),
+                                  start=30, pieces=7)
+    for fine, coarse, n_fine, products, ends in results:
+        assert n_fine == 60
+        assert products.shape == (7, 2, 2) and ends.shape == (7, 2)
+        # new arrays, not views that pin the group's per-step matrices
+        assert products.base is None and ends.base is None
