@@ -7,13 +7,25 @@ exactly with dual numbers.  Second derivatives come from nesting duals
 (dual-over-dual), so user-defined manifolds reach the same accuracy as the
 built-in catalog.
 
+Expressions are evaluated by one evaluator: a ``Program`` lowers one or
+several expressions into a straight-line program over registers, a
+hash-consed DAG in which a subexpression that they share is one register,
+computed once per pass and dropped after its last use.  ``eval_expr``,
+``eval_dual`` and ``eval_dual2`` run programs; given an expression they
+compile it into a program of its own, given a Program they return one
+result per output.  Each register applies the operation that the
+expression node names (the Dual methods, the function table, ``_pow`` and
+the division-by-zero check), so a value does not depend on which
+expressions share the program, and a pass raises the error that the first
+failing expression would raise alone.
+
 ``eval_dual`` with a tuple of k names is vector forward mode: each name is
-seeded with a one-hot tangent row, so one pass over the AST yields the
-value and the (k, ...) stack of partials in all k names; the Dual
-arithmetic broadcasts the rows.  A Dual computes its value exactly as
-plain evaluation does (``tan`` by ``np.tan``, powers by ``**``), so the
-value of a jet equals ``eval_expr`` and each partial row equals the
-single-name pass bit for bit.
+seeded with a one-hot tangent row, so one pass yields the value and the
+(k, ...) stack of partials in all k names; the Dual arithmetic broadcasts
+the rows, each row computed apart from the others.  A Dual computes its
+value exactly as plain evaluation does (``tan`` by ``np.tan``, powers by
+``**``), so the value of a jet equals ``eval_expr`` and each partial row
+equals the single-name pass bit for bit.
 
 Grammar (see docs/grammar.md for the EBNF):
 
@@ -29,6 +41,7 @@ so "-x^2" is -(x^2) and "2*x^2" is 2*(x^2).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +50,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdenti
 
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
-    "parse", "to_source", "eval_expr", "eval_dual", "eval_dual2",
+    "Program", "parse", "to_source", "eval_expr", "eval_dual", "eval_dual2",
     "substitute", "variables", "Dual",
 ]
 
@@ -449,82 +462,167 @@ def _pow(base, expo):
     return value
 
 
+def _cosh(x):
+    return x.cosh() if isinstance(x, Dual) else np.cosh(x)
+
+
+def _sinh(x):
+    return x.sinh() if isinstance(x, Dual) else np.sinh(x)
+
+
+# module-level functions, so that a compiled Program pickles
 _CALL_TABLE = {
     "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
-    "tan": _tan,
-    "cosh": lambda x: x.cosh() if isinstance(x, Dual) else np.cosh(x),
-    "sinh": lambda x: x.sinh() if isinstance(x, Dual) else np.sinh(x),
+    "tan": _tan, "cosh": _cosh, "sinh": _sinh,
 }
 
 
-def _eval(e, env):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Const):
-        return _CONSTANTS[e.name]
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariable(e.name) from None
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env)
-    if isinstance(e, Call):
-        return _CALL_TABLE[e.fn](_eval(e.arg, env))
-    if isinstance(e, BinOp):
-        a = _eval(e.left, env)
-        b = _eval(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            bp = _primitive_value(b)
-            if np.any(np.asarray(bp) == 0):
-                raise DomainError("division by zero")
-            return a / b
-        return _pow(a, b)
-    raise TypeError(f"not an Expr: {e!r}")
+def _div(a, b):
+    if np.any(np.asarray(_primitive_value(b)) == 0):
+        raise DomainError("division by zero")
+    return a / b
 
 
-def eval_expr(e: Expr, env: dict) -> float:
-    """Evaluate with variables bound to scalars or numpy arrays."""
-    return _eval(e, env)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 
 
-def eval_dual(e: Expr, env: dict, wrt):
+# ---------------------------------------------------------------------------
+# Programs: expressions lowered to one straight-line pass over registers
+# ---------------------------------------------------------------------------
+
+class Program:
+    """Expressions lowered to one straight-line program over registers.
+
+    The program is a hash-consed DAG: every distinct subtree of the
+    expressions is one register, so a subexpression they share is computed
+    once.  Registers are numbered in first-use order, the order of a
+    left-to-right post-order walk of the expressions in turn, which is the
+    order in which each expression alone evaluates its nodes; a pass
+    therefore raises the error that the first failing expression raises
+    alone.  Two subtrees are the same node only if they are equal to the
+    bit: a literal 0.0 and -0.0 stay apart.
+
+    ``outputs`` holds the register of each expression.  The instructions
+    come as ``(dest, fn, a, b, dead)``: ``fn`` applied to registers a (and
+    b), or, with ``fn`` None, the variable named ``a`` read from the
+    environment; ``dead`` lists the registers whose last use this is, which
+    the pass drops at once.  Constants are preloaded.
+    """
+
+    __slots__ = ("registers", "code", "outputs")
+
+    def __init__(self, exprs):
+        keys = {}
+        registers = []
+        code = []
+
+        def lower(e):
+            """The register of ``e``, its operands lowered first."""
+            value = op = None
+            if isinstance(e, Num):
+                key, value = (Num, repr(e.value)), e.value
+            elif isinstance(e, Const):
+                key, value = (Const, e.name), _CONSTANTS[e.name]
+            elif isinstance(e, Var):
+                key, op = (Var, e.name), (None, e.name, None)
+            elif isinstance(e, Neg):
+                a = lower(e.arg)
+                key, op = (Neg, a), (operator.neg, a, None)
+            elif isinstance(e, Call):
+                a = lower(e.arg)
+                key, op = (Call, e.fn, a), (_CALL_TABLE[e.fn], a, None)
+            elif isinstance(e, BinOp):
+                a, b = lower(e.left), lower(e.right)
+                key, op = (BinOp, e.op, a, b), (_BINARY[e.op], a, b)
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+            if key not in keys:
+                keys[key] = len(registers)
+                registers.append(value)
+                if op is not None:
+                    code.append((keys[key],) + op)
+            return keys[key]
+
+        self.outputs = tuple(lower(e) for e in exprs)
+        self.registers = tuple(registers)
+        last = {}
+        for k, (_, fn, a, b) in enumerate(code):
+            if fn is not None:
+                last[a] = last[b] = k
+        kept = set(self.outputs)
+        self.code = tuple(
+            (dest, fn, a, b, () if fn is None else
+             tuple(r for r in {a, b} - kept if r is not None and last[r] == k))
+            for k, (dest, fn, a, b) in enumerate(code))
+
+
+def _program(e):
+    return e if isinstance(e, Program) else Program((e,))
+
+
+def _run(program, env):
+    """The outputs of ``program`` with its variables bound by ``env``."""
+    regs = list(program.registers)
+    for dest, fn, a, b, dead in program.code:
+        if fn is None:
+            try:
+                regs[dest] = env[a]
+            except KeyError:
+                raise UnboundVariable(a) from None
+        elif b is None:
+            regs[dest] = fn(regs[a])
+        else:
+            regs[dest] = fn(regs[a], regs[b])
+        for r in dead:
+            regs[r] = None
+    return [regs[r] for r in program.outputs]
+
+
+def eval_expr(e, env: dict):
+    """Evaluate with variables bound to scalars or numpy arrays.
+
+    ``e`` is an expression, or a Program, for the list of its outputs'
+    values from one pass."""
+    out = _run(_program(e), env)
+    return out if isinstance(e, Program) else out[0]
+
+
+def eval_dual(e, env: dict, wrt):
     """Return (value, partials) by forward-mode dual evaluation.
 
     ``wrt`` is a variable name, giving d/d<wrt>, or a tuple of k names,
     giving the (k, ...) stack of partials, row r in wrt[r], from the same
-    single pass over the AST.
+    single pass.  ``e`` is an expression, or a Program, for the list of
+    (value, partials) of its outputs from one pass.
     """
-    if isinstance(wrt, str):
-        denv = {k: (Dual(v, np.ones_like(v) if np.ndim(v) else 1.0) if k == wrt else v)
-                for k, v in env.items()}
-        out = _eval(e, denv)
-        if isinstance(out, Dual):
-            return out.val, out.eps
-        zero = np.zeros_like(env[wrt]) if np.ndim(env.get(wrt, 0.0)) else 0.0
-        return out, zero
     denv = dict(env)
-    for r, name in enumerate(wrt):
-        if name in env:
-            tangent = np.zeros((len(wrt),) + np.shape(env[name]))
-            tangent[r] = 1.0
-            denv[name] = Dual(env[name], tangent)
-    out = _eval(e, denv)
-    if isinstance(out, Dual):
-        return out.val, out.eps
-    return out, np.zeros((len(wrt),) + np.shape(out))
+    if isinstance(wrt, str):
+        if wrt in env:
+            v = env[wrt]
+            denv[wrt] = Dual(v, np.ones_like(v) if np.ndim(v) else 1.0)
+
+        def zero(out):
+            return np.zeros_like(env[wrt]) if np.ndim(env.get(wrt, 0.0)) else 0.0
+    else:
+        for r, name in enumerate(wrt):
+            if name in env:
+                tangent = np.zeros((len(wrt),) + np.shape(env[name]))
+                tangent[r] = 1.0
+                denv[name] = Dual(env[name], tangent)
+
+        def zero(out):
+            return np.zeros((len(wrt),) + np.shape(out))
+    outs = [(out.val, out.eps) if isinstance(out, Dual) else (out, zero(out))
+            for out in _run(_program(e), denv)]
+    return outs if isinstance(e, Program) else outs[0]
 
 
-def eval_dual2(e: Expr, env: dict, wrt1: str, wrt2: str):
+def eval_dual2(e, env: dict, wrt1: str, wrt2: str):
     """Return (value, d1, d2, d1 d2) via nested duals.
 
     wrt1 == wrt2 gives the plain second derivative in that coordinate.
+    ``e`` is an expression, or a Program, for the list of its outputs'
+    tuples from one pass.
     """
     def seed(name, v):
         one = np.ones_like(v) if np.ndim(v) else 1.0
@@ -533,18 +631,17 @@ def eval_dual2(e: Expr, env: dict, wrt1: str, wrt2: str):
         outer_eps = Dual(one if name == wrt2 else zero, zero)
         return Dual(inner, outer_eps)
 
-    denv = {k: seed(k, v) for k, v in env.items()}
-    out = _eval(e, denv)
-    if not isinstance(out, Dual):
-        z = 0.0
-        return out, z, z, z
-    inner = out.val
-    outer = out.eps
-    val = inner.val if isinstance(inner, Dual) else inner
-    d1 = inner.eps if isinstance(inner, Dual) else 0.0
-    d2 = outer.val if isinstance(outer, Dual) else outer
-    d12 = outer.eps if isinstance(outer, Dual) else 0.0
-    return val, d1, d2, d12
+    def split(out):
+        if not isinstance(out, Dual):
+            return out, 0.0, 0.0, 0.0
+        inner, outer = out.val, out.eps
+        return (inner.val if isinstance(inner, Dual) else inner,
+                inner.eps if isinstance(inner, Dual) else 0.0,
+                outer.val if isinstance(outer, Dual) else outer,
+                outer.eps if isinstance(outer, Dual) else 0.0)
+
+    outs = [split(out) for out in _run(_program(e), {k: seed(k, v) for k, v in env.items()})]
+    return outs if isinstance(e, Program) else outs[0]
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:

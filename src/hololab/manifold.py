@@ -15,18 +15,24 @@ exactly through dual numbers.  Everything is evaluated in batch over
 
 Geometry is evaluated as first-order jets: ``jet(pts)`` returns a field's
 values with all its coordinate partials.  An expression field records at
-construction which coordinates its expression contains and takes the
-value and those partials from one vector-dual pass (``expr.eval_dual``
-with a tuple of names); its partials in the other coordinates are exactly
-0 and are never evaluated, and a variable-free expression is evaluated
-once with no dual pass.  ``MetricField.jet`` gives the dense (g, d g),
-skipping the literal 0 entries altogether, ``MetricField.diagonal_jet``
-gives the diagonal entries' values and partials alone, and
-``DensityField.jet`` gives (phi, d phi); ``partials`` and ``gradients``
-are views of them.
+construction which coordinates its expression contains; its partials in
+the other coordinates are exactly 0 and are never read.  Fields are
+evaluated together in one jet pass: their expressions are compiled, on
+first use, into one ``expr.Program`` in which a subexpression that they
+share is computed once, and ``expr.eval_dual`` runs it with one tangent
+row seeded per coordinate that they contain.  A metric compiles its
+entries that are not the literal 0, and a manifold compiles those entries
+followed by the density: the geometry's pass.  ``MetricField.jet`` (the
+dense (g, d g)), ``MetricField.diagonal_jet`` (the diagonal entries'
+values and partials alone) and ``DensityField.jet`` ((phi, d phi)) unpack
+such a pass; ``partials`` and ``gradients`` are views of them.
 
-``christoffel_many`` is the one coefficient kernel.  It evaluates the
-metric and density jets once per point array.  Given a path velocity v it
+``christoffel_many`` is the one coefficient kernel.  Each call runs one
+jet pass: the geometry's, or the metric's alone for the Levi-Civita
+connection.  Errors come as if the metric were evaluated and inverted
+before the density was evaluated: a metric entry's DomainError, then
+SingularMetric, then the density's DomainError or DensityOverflow.  Given
+a path velocity v it
 returns the contracted coefficients B^k_j = Gamma^k_ij v^i that parallel
 transport needs: c_aij = d_i g_aj + d_j g_ai - d_a g_ij is contracted with v before
 the index is raised, and the weighted and dual corrections enter in their
@@ -51,6 +57,7 @@ a det g that is not finite or whose size is at most DET_FLOOR.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,8 +66,8 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import (BadSignature, DensityOverflow, OutOfDomain, SingularMetric,
-                     UnboundVariable, _plain)
+from .errors import (BadSignature, DensityOverflow, DomainError, OutOfDomain,
+                     SingularMetric, UnboundVariable, _plain)
 
 DET_FLOOR = 1e-10
 SYMMETRY_TOL = 1e-12
@@ -105,13 +112,20 @@ class CoordinateChart:
         object.__setattr__(self, "periodicity", tuple(per))
         object.__setattr__(self, "domain", tuple((float(lo), float(hi)) for lo, hi in dom))
 
+    @functools.cached_property
+    def _bounds(self):
+        return np.array(self.domain).T
+
     def contains(self, pts) -> np.ndarray:
-        """Vectorized open-interval membership test for an (m, n) array."""
+        """Vectorized open-interval membership test for an (m, n) array; a
+        row with a NaN is outside."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ok = np.ones(pts.shape[0], dtype=bool)
-        for i, (lo, hi) in enumerate(self.domain):
-            ok &= (pts[:, i] > lo) & (pts[:, i] < hi)
-        return ok
+        lo, hi = self._bounds
+        # column-major, so that the reduction over coordinates runs along
+        # the points
+        inside = np.greater(pts, lo, order="F")
+        inside &= np.less(pts, hi, order="F")
+        return inside.all(axis=1)
 
     def require_inside(self, pts):
         pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -181,37 +195,74 @@ class ExprScalarField:
         self.expression = expression
         self.chart = chart
         self.axes = tuple(i for i, name in enumerate(chart.coord_names) if name in free)
+        self._axes = _index(self.axes)  # the same, as an index
         self.constant = not free  # every partial derivative is exactly 0
+
+    @functools.cached_property
+    def _pass(self):
+        return _Pass(self.chart, [self])
 
     def values(self, pts):
         env = self.chart.env(pts)
-        out = ex.eval_expr(self.expression, env)
+        out, = ex.eval_expr(self._pass.program, env)
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (np.atleast_2d(pts).shape[0],)).copy()
 
     def jet(self, pts):
         """(m,) values and (m, n) gradient from one vector-dual pass over
-        the contained coordinates; a constant is evaluated without one."""
+        the contained coordinates."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        val, grad = np.empty(len(pts)), np.zeros(pts.shape)
-        self.jet_into(pts, val, grad.T)
-        return val, grad
+        return self._unpack(len(pts), self._pass(pts)[0])
 
-    def jet_into(self, pts, val, grad):
-        """``jet`` written straight into (m,) ``val`` and the contained
-        coordinates' rows of the zeroed (n, m) ``grad``."""
-        if self.constant:
-            val[...] = ex.eval_expr(self.expression, self.chart.env(pts))
-            return
-        names = tuple(self.chart.coord_names[i] for i in self.axes)
-        val[...], grad[self.axes, :] = ex.eval_dual(self.expression, self.chart.env(pts), names)
+    def _unpack(self, m, out):
+        """``jet`` from this field's (value, partials) in a ``_Pass``."""
+        val, grad = np.empty(m), np.zeros((m, self.chart.dim))
+        val[...] = out[0]
+        if self.axes:
+            grad.T[self._axes] = out[1]
+        return val, grad
 
     def second_derivatives(self, pts, i, j):
         env = self.chart.env(pts)
-        *_, d12 = ex.eval_dual2(self.expression, env,
-                                self.chart.coord_names[i], self.chart.coord_names[j])
+        (*_, d12), = ex.eval_dual2(self._pass.program, env,
+                                   self.chart.coord_names[i], self.chart.coord_names[j])
         return np.broadcast_to(np.asarray(d12, dtype=float),
                                (np.atleast_2d(pts).shape[0],)).copy()
+
+
+class _Pass:
+    """Scalar fields on one chart lowered into one ``expr.Program``, their
+    expressions in order, and evaluated by one vector-dual pass seeded in
+    the coordinates that they contain, in chart order.
+
+    Called on (m, n) points it returns each field's value and the (k, m)
+    partials in its own k ``axes`` (None for a constant).  The pass also
+    computes a field's rows for the other seeded coordinates; they are 0
+    in exact arithmetic, but 0 * inf reads nan there, so they are dropped
+    unread."""
+
+    __slots__ = ("chart", "program", "names", "rows")
+
+    def __init__(self, chart, fields):
+        seeded = sorted({a for f in fields for a in f.axes})
+        self.chart = chart
+        self.program = ex.Program([f.expression for f in fields])
+        self.names = tuple(chart.coord_names[a] for a in seeded)
+        self.rows = [_index([seeded.index(a) for a in f.axes]) if f.axes else None
+                     for f in fields]
+
+    def __call__(self, pts):
+        outs = ex.eval_dual(self.program, self.chart.env(pts), self.names)
+        return [(val, None if rows is None else eps[rows])
+                for (val, eps), rows in zip(outs, self.rows)]
+
+
+def _index(positions):
+    """Increasing positions as a slice where they are consecutive, so that
+    indexing with them is basic, else as a list."""
+    if positions and positions[-1] - positions[0] == len(positions) - 1:
+        return slice(positions[0], positions[-1] + 1)
+    return list(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -266,43 +317,56 @@ class MetricField:
     # -- evaluation --------------------------------------------------------
 
     def matrices(self, pts):
-        """(m, n, n) metric values; symmetry is structural."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m, n = pts.shape[0], self.chart.dim
-        g = np.empty((m, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = self.entries[i][j].values(pts)
-                g[:, i, j] = v
-                g[:, j, i] = v
-        return g
-
-    def diagonal_jet(self, pts):
-        """(m, n) values g_aa and (m, n, n) partials D[a, l] = d_l g_aa, each
-        entry's jet written straight into its slot.  Both are views of
-        arrays with the point axis last in memory, so each slot is
-        contiguous."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.chart.dim
-        vals = np.empty((n, len(pts)))
-        grads = np.zeros((n, n, len(pts)))
-        for a in range(n):
-            self.entries[a][a].jet_into(pts, vals[a], grads[a])
-        return vals.T, grads.transpose(2, 0, 1)
-
-    def jet(self, pts):
-        """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
-        [l, i, j], one field jet per entry that is not the literal 0."""
+        """(m, n, n) metric values from one plain pass over the entries that
+        are not the literal 0; symmetry is structural."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
         g = np.zeros((m, n, n))
-        dg = np.zeros((m, n, n, n))
-        for i, j in self.nonzero:
-            v, d = self.entries[i][j].jet(pts)
+        for (i, j), v in zip(self.nonzero, ex.eval_expr(self._pass.program, self.chart.env(pts))):
             g[:, i, j] = v
             g[:, j, i] = v
-            dg[:, :, i, j] = d
-            dg[:, :, j, i] = d
+        return g
+
+    @functools.cached_property
+    def _pass(self):
+        """The entries that are not the literal 0, in ``nonzero`` order."""
+        return _Pass(self.chart, [self.entries[i][j] for i, j in self.nonzero])
+
+    def diagonal_jet(self, pts):
+        """(m, n) values g_aa and (m, n, n) partials D[a, l] = d_l g_aa from
+        one pass over the entries.  Both are views of arrays with the point
+        axis last in memory, so each slot is contiguous."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._unpack(len(pts), self._pass(pts), diagonal=True)
+
+    def jet(self, pts):
+        """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
+        [l, i, j], from one pass over the entries that are not the literal
+        0."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._unpack(len(pts), self._pass(pts), diagonal=False)
+
+    def _unpack(self, m, outs, diagonal):
+        """``diagonal_jet`` or ``jet`` from the entries' (value, partials)
+        in a pass whose first outputs are the entries of ``_pass``."""
+        n = self.chart.dim
+        if diagonal:
+            vals = np.zeros((n, m))
+            grads = np.zeros((n, n, m))
+            for (a, _), (v, d) in zip(self.nonzero, outs):
+                vals[a] = v
+                if d is not None:
+                    grads[a][self.entries[a][a]._axes] = d
+            return vals.T, grads.transpose(2, 0, 1)
+        g = np.zeros((m, n, n))
+        dg = np.zeros((m, n, n, n))
+        for (i, j), (v, d) in zip(self.nonzero, outs):
+            g[:, i, j] = v
+            g[:, j, i] = v
+            if d is not None:
+                axes = self.entries[i][j]._axes
+                dg[:, axes, i, j] = d.T
+                dg[:, axes, j, i] = d.T
         return g, dg
 
     def partials(self, pts):
@@ -366,7 +430,12 @@ class DensityField:
     def jet(self, pts):
         """(m,) values phi and (m, n) rows of coordinate partials d_i phi;
         DensityOverflow at the first point where any is not finite."""
-        phi, dphi = self.field.jet(pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._unpack(pts, self.field._pass(pts)[0])
+
+    def _unpack(self, pts, out):
+        """``jet`` from phi's (value, partials) in a pass."""
+        phi, dphi = self.field._unpack(len(pts), out)
         _require_finite_density(pts, "phi or its gradient", phi, dphi)
         return phi, dphi
 
@@ -389,13 +458,13 @@ class DensityField:
 def _require_finite_density(pts, what, *arrays):
     """The last of ``arrays`` (each (m, ...)) unchanged, or DensityOverflow
     at the first point where one of them is not finite."""
+    if all(np.isfinite(a).all() for a in arrays):
+        return arrays[-1]
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     finite = np.ones(pts.shape[0], dtype=bool)
     for a in arrays:
         finite &= np.isfinite(a.reshape(pts.shape[0], -1)).all(axis=1)
-    if not finite.all():
-        raise DensityOverflow(pts[int(finite.argmin())], f"{what} overflows")
-    return arrays[-1]
+    raise DensityOverflow(pts[int(finite.argmin())], f"{what} overflows")
 
 
 @dataclass(frozen=True)
@@ -408,6 +477,13 @@ class WeightedManifold:
     def __post_init__(self):
         if self.metric.chart is not self.chart or self.density.chart is not self.chart:
             raise ValueError("metric and density must share the manifold's chart")
+
+    @functools.cached_property
+    def _pass(self):
+        """The metric's ``_pass`` followed by the density: the geometry's
+        one jet pass, compiled on first use."""
+        return _Pass(self.chart, [self.metric.entries[i][j] for i, j in self.metric.nonzero]
+                     + [self.density.field])
 
     @property
     def dim(self):
@@ -582,6 +658,32 @@ def _require_finite(coeffs, g, pts):
     return coeffs
 
 
+def _jets(M, kind, pts):
+    """g with its partials, in the layout of ``MetricField._unpack`` (the
+    diagonal one for a diagonal metric), g^-1, and the (m, n) density
+    gradient, None for the Levi-Civita connection, from one jet pass: the
+    metric's alone for the Levi-Civita connection, else the geometry's.
+
+    Errors come as if the metric were evaluated and inverted before the
+    density: a metric entry's DomainError, then SingularMetric, then the
+    density's DomainError or DensityOverflow."""
+    m, diagonal = len(pts), M.metric.diagonal
+    if kind == ConnectionKind.LEVI_CIVITA:
+        g, dg = M.metric._unpack(m, M.metric._pass(pts), diagonal)
+        return g, _inverse_metric(g, pts), dg, None
+    try:
+        outs = M._pass(pts)
+    except DomainError:
+        # the metric's pass raises the error if it is a metric entry's
+        _inverse_metric(M.metric._unpack(m, M.metric._pass(pts), diagonal)[0], pts)
+        raise
+    density = outs.pop()
+    g, dg = M.metric._unpack(m, outs, diagonal)
+    del outs  # the entries' jets are unpacked: free them before the inverse
+    ginv = _inverse_metric(g, pts)
+    return g, ginv, dg, M.density._unpack(pts, density)[1]
+
+
 def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
                      velocity=None) -> np.ndarray:
     """Connection coefficients at each point of an (m, n) array.
@@ -595,9 +697,7 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     metrics contract their dense jet.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, dg = (M.metric.diagonal_jet if M.metric.diagonal else M.metric.jet)(pts)
-    ginv = _inverse_metric(g, pts)
-    dphi = None if kind == ConnectionKind.LEVI_CIVITA else M.density.jet(pts)[1]
+    g, ginv, dg, dphi = _jets(M, kind, pts)
     if velocity is not None:
         v = np.asarray(velocity, dtype=float).reshape(pts.shape)
         return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)

@@ -311,12 +311,14 @@ def _rk4_steps(A_half, h):
 
 def _transport_matrices(M, kind, pos, vel, covector=False):
     """Matrix A(t) of the transport ODE Y' = A Y at sampled path points:
-    -B for vectors, B^T for covectors, B^k_j = Gamma^k_ij sigma'^i."""
+    -B for vectors, B^T for covectors, B^k_j = Gamma^k_ij sigma'^i, in C
+    order (a diagonal metric's B has the point axis last in memory), so the
+    RK4 products read contiguous matrices."""
     inside = M.chart.contains(pos)
     if not inside.all():
         raise OutOfDomain(pos[~inside][0], "path exits the chart")
     B = christoffel_many(M, kind, pos, vel)
-    return np.swapaxes(B, 1, 2) if covector else -B
+    return np.ascontiguousarray(np.swapaxes(B, 1, 2)) if covector else np.negative(B, order="C")
 
 
 def _interleave(even, odd):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from hololab import catalog, transport
+from hololab import catalog, expr, transport
 
 # property tests replay the same examples on every run and are not timed:
 # a slow shared host must not turn a passing example into a failure
@@ -22,6 +22,21 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(transport, "christoffel_many", counting)
     return calls
+
+
+@pytest.fixture
+def jet_passes(monkeypatch):
+    """The expression or program of every expr.eval_dual call: one entry
+    per jet pass, wherever it is made."""
+    passes = []
+    eval_dual = expr.eval_dual
+
+    def counting(e, env, wrt):
+        passes.append(e)
+        return eval_dual(e, env, wrt)
+
+    monkeypatch.setattr(expr, "eval_dual", counting)
+    return passes
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ import pytest
 
 from hololab import catalog
 from hololab import expr as ex
-from hololab.errors import BadSignature, DensityOverflow, OutOfDomain, SingularMetric
+from hololab.errors import (BadSignature, DensityOverflow, DomainError, OutOfDomain,
+                            SingularMetric)
 from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               DensityField, ExprScalarField, MetricField,
                               WeightedManifold, WeightedMetricTensorField,
@@ -399,7 +400,7 @@ def test_singular_metric_on_cofactor_3d_and_lapack_4d_paths():
                 christoffel_derivative_many(M, kind, pts)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 @pytest.mark.parametrize("off", ["0", "0.1"])
 def test_non_finite_metric_raises_at_first_such_point(off):
     """exp(exp(exp(2))) overflows: det g is inf (or NaN through the
@@ -472,6 +473,31 @@ def test_overflowing_density_is_named_not_the_metric():
     assert np.array_equal(christoffel_many(M, LC, pts), np.zeros((3, 2, 2, 2)))
 
 
+def test_singular_metric_is_named_before_the_density_error():
+    """Errors come in the order metric entry, singular metric, density,
+    although one pass evaluates the metric and the density together."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+
+    def model(entry, phi):
+        return WeightedManifold(
+            chart=chart,
+            metric=MetricField.from_expressions(chart, [entry, "1"], signature=(2, 0),
+                                                validate=False),
+            density=DensityField.from_expression(chart, phi))
+
+    # g = diag(0, 1) and log(0) at the second point
+    pts = np.array([[0.5, 0.5], [0.0, 0.5]])
+    for kind in (W, DW):
+        with pytest.raises(SingularMetric) as info:
+            christoffel_many(model("x^2", "log(x)"), kind, pts, np.ones_like(pts))
+        assert info.value.point == (0.0, 0.5)
+        with pytest.raises(DomainError, match="log of a nonpositive value"):
+            christoffel_many(model("1+x^2", "log(x)"), kind, pts, np.ones_like(pts))
+        with pytest.raises(DomainError, match="sqrt of a negative value"):
+            christoffel_many(model("sqrt(x-1)", "log(x)"), kind, pts)
+    assert np.isfinite(christoffel_many(model("1+x^2", "log(x)"), LC, pts)).all()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 def test_validate_reports_an_overflowing_metric_as_singular():
     chart = CoordinateChart(dim=2, coord_names=("x", "y"), domain=((-3, 3), (-3, 3)))
@@ -487,27 +513,43 @@ def test_bad_signature_message_shows_plain_floats():
     assert str(info.value).endswith("at (-1.0, -1.0)")
 
 
-def test_christoffel_evaluates_each_varying_field_once(monkeypatch):
-    """sphereN(4): three varying diagonal entries and the density take one
-    dual pass each, the constant entry one plain evaluation, and the six
-    literal-0 off-diagonal entries none."""
+def test_christoffel_evaluates_each_varying_field_once(jet_passes, monkeypatch):
+    """sphereN(4): a weighted call runs one jet pass, compiled from the
+    four diagonal entries and the density (the six literal-0 off-diagonal
+    entries are never compiled), in which sin of r, theta1 and theta2 is
+    computed once each although the entries repeat sin(r)^2 and
+    sin(theta1)^2; a Levi-Civita call runs the metric's pass alone and
+    never evaluates the density cos(r)."""
+    compiled, calls = {}, {"sin": [], "cos": []}
+    compile_program = ex.Program.__init__
+
+    def compiling(self, exprs):
+        compiled[id(self)] = list(exprs)
+        compile_program(self, exprs)
+
+    monkeypatch.setattr(ex.Program, "__init__", compiling)
+    for name, seen in calls.items():
+        def counting(self, _method=getattr(ex.Dual, name), _seen=seen):
+            _seen.append(self.val)
+            return _method(self)
+
+        monkeypatch.setattr(ex.Dual, name, counting)
     entry = catalog.sphere_with_density(4)
+    M = entry.manifold
     pts = entry.random_points(50, seed=1)
     vel = np.ones_like(pts)
-    calls = {"eval_dual": [], "eval_expr": []}
-    for name in calls:
-        original = getattr(ex, name)
-
-        def counting(e, *args, _name=name, _original=original, **kwargs):
-            calls[_name].append(e)
-            return _original(e, *args, **kwargs)
-
-        monkeypatch.setattr(ex, name, counting)
-    christoffel_many(entry.manifold, W, pts, vel)
-    assert len(calls["eval_dual"]) == 4
-    assert len(calls["eval_expr"]) == 1
-    zero = ex.Num(0.0)
-    assert all(e != zero for e in calls["eval_dual"] + calls["eval_expr"])
+    metric = [M.metric.entries[a][a].expression for a in range(4)]
+    for kind, program, cosines in ((W, metric + [M.density.field.expression], 1),
+                                   (LC, metric, 0)):
+        for seen in [jet_passes, *calls.values()]:
+            seen.clear()
+        christoffel_many(M, kind, pts, vel)
+        assert len(jet_passes) == 1
+        assert compiled[id(jet_passes[0])] == program
+        assert len(calls["sin"]) == 3
+        assert all(np.array_equal(v, pts[:, a]) for a, v in enumerate(calls["sin"]))
+        assert len(calls["cos"]) == cosines
+    assert all(ex.Num(0.0) not in exprs for exprs in compiled.values())
 
 
 def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
@@ -533,16 +575,21 @@ def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
 
 
 def test_diagonal_kernel_memory_per_point():
-    """The contracted weighted kernel on sphereN(4) holds at most 1 kB of
-    temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB)."""
+    """The contracted weighted kernel on sphereN(4) holds at most 0.7 kB of
+    temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB),
+    and its jet pass alone at most 0.3 kB: the pass drops each register
+    after its last use (holding them all to the end takes about 0.4 kB)."""
     entry = catalog.sphere_with_density(4)
+    M = entry.manifold
     pts = entry.random_points(1024, seed=1)
     vel = np.random.default_rng(2).standard_normal(pts.shape)
-    christoffel_many(entry.manifold, W, pts, vel)  # warm any first-call state
-    tracemalloc.start()
-    try:
-        christoffel_many(entry.manifold, W, pts, vel)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1024 * len(pts)
+    christoffel_many(M, W, pts, vel)  # warm any first-call state
+    for call, bound in ((lambda: christoffel_many(M, W, pts, vel), 700),
+                        (lambda: M._pass(pts), 300)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(pts)

@@ -3,11 +3,14 @@
 weighted holonomy is unimodular, and the weighted/dual pairing is constant
 along open paths, each within the reported error bars; a shrinking
 rectangle family has derivative 0 at s = 0; a linear change of chart
-conjugates the holonomy."""
+conjugates the holonomy.  The geometry's one jet pass over metric entries
+and density that share subexpressions equals each entry's own pass."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from hololab import expr as ex
+from hololab.errors import HololabError
 from hololab.expr import _CALL_TABLE
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
                               MetricField, WeightedManifold, weighted_metric_at)
@@ -149,3 +152,72 @@ def test_linear_chart_change_conjugates_holonomy(J, entries, loop):
         P = holonomy(M, kind, loop).matrix
         Q = holonomy(N, kind, mapped).matrix
         assert np.abs(Q - Jinv @ P @ J).max() <= 1e-8
+
+
+CHART3 = CoordinateChart(dim=3, coord_names=("x", "y", "z"))
+# mixed-sign points, so roots, logs, fractional powers and quotients also
+# leave the real domain at some of them
+POINTS3 = np.random.default_rng(0).uniform(-1.0, 1.5, (6, 3))
+subtrees = st.recursive(
+    st.sampled_from([ex.Var("x"), ex.Var("y"), ex.Var("z"), ex.Num(2.0), ex.Num(0.5),
+                     ex.Num(-1.0), ex.Num(0.0), ex.Num(-0.0), ex.Const("pi")]),
+    lambda leaf: st.one_of(
+        st.builds(ex.Neg, leaf),
+        st.builds(ex.BinOp, st.sampled_from("+-*/^"), leaf, leaf),
+        st.builds(ex.Call, st.sampled_from(sorted(_CALL_TABLE)), leaf)),
+    max_leaves=5)
+
+
+@st.composite
+def shared_geometries(draw):
+    """A 3-d metric and density whose seven expressions are drawn from a
+    small pool of subtrees: each is a pool subtree, a call on one, or a
+    binary operation on two, so the expressions share subexpressions
+    (literal 0.0 and -0.0 among them)."""
+    pool = draw(st.lists(subtrees, min_size=2, max_size=4))
+    pick = st.sampled_from(pool)
+    shapes = st.one_of(pick, st.builds(ex.Call, st.sampled_from(sorted(_CALL_TABLE)), pick),
+                       st.builds(ex.BinOp, st.sampled_from("+-*/^"), pick, pick))
+    upper = {(i, j): draw(shapes) for i in range(3) for j in range(i, 3)}
+    metric = MetricField.from_expressions(
+        CHART3, [[upper[min(i, j), max(i, j)] for j in range(3)] for i in range(3)],
+        signature=(3, 0), validate=False)
+    return WeightedManifold(chart=CHART3, metric=metric,
+                            density=DensityField.from_expression(CHART3, draw(shapes)))
+
+
+def _outcome(run):
+    """The (value, partials) bytes of each output of ``run()``, in order,
+    or the class and message of the error it raises."""
+    try:
+        outs = run()
+    except HololabError as err:
+        return type(err), str(err)
+    return [(np.asarray(val, dtype=float).tobytes(),
+             None if d is None else np.asarray(d, dtype=float).tobytes()) for val, d in outs]
+
+
+def _own_passes(fields, pts):
+    """Each field's own one-expression pass, in its own coordinates."""
+    env = CHART3.env(pts)
+    outs = []
+    for f in fields:
+        names = tuple(CHART3.coord_names[a] for a in f.axes)
+        val, d = ex.eval_dual(f.expression, env, names)
+        outs.append((val, d if names else None))
+    return outs
+
+
+@settings(max_examples=200)
+@given(M=shared_geometries())
+def test_geometry_pass_equals_each_entry_pass(M):
+    """The joint pass over the entries that are not the literal 0 and the
+    density gives, output by output, the bytes of each expression's own
+    pass, the sign of every zero included, and raises the error that the
+    first failing expression raises alone, at every point and on the
+    whole batch."""
+    fields = [M.metric.entries[i][j] for i, j in M.metric.nonzero] + [M.density.field]
+    with np.errstate(all="ignore"):
+        for pts in [POINTS3] + [POINTS3[k:k + 1] for k in range(len(POINTS3))]:
+            assert (_outcome(lambda: M._pass(pts))
+                    == _outcome(lambda: _own_passes(fields, pts)))
