@@ -3,29 +3,24 @@
 Metric entries and densities are given as small closed-form expressions
 ("exp(2*x*y)", "3+cos(y)", ...).  This module parses them into an immutable
 AST, evaluates them on scalars or numpy arrays, and differentiates them
-exactly with dual numbers.  Second derivatives come from nesting duals
-(dual-over-dual), so user-defined manifolds reach the same accuracy as the
-built-in catalog.
+exactly in forward mode, to second order, so user-defined manifolds reach
+the same accuracy as the built-in catalog.
 
 Expressions are evaluated by one evaluator: a ``Program`` lowers one or
 several expressions into a straight-line program over registers, a
-hash-consed DAG in which a subexpression that they share is one register,
-computed once per pass and dropped after its last use.  ``eval_expr``,
-``eval_dual`` and ``eval_dual2`` run programs; given an expression they
-compile it into a program of its own, given a Program they return one
-result per output.  Each register applies the operation that the
-expression node names (the Dual methods, the function table, ``_pow`` and
-the division-by-zero check), so a value does not depend on which
-expressions share the program, and a pass raises the error that the first
-failing expression would raise alone.
-
-``eval_dual`` with a tuple of k names is vector forward mode: each name is
-seeded with a one-hot tangent row, so one pass yields the value and the
-(k, ...) stack of partials in all k names; the Dual arithmetic broadcasts
-the rows, each row computed apart from the others.  A Dual computes its
-value exactly as plain evaluation does (``tan`` by ``np.tan``, powers by
-``**``), so the value of a jet equals ``eval_expr`` and each partial row
-equals the single-name pass bit for bit.
+hash-consed DAG in which a subexpression that they share is computed once
+per pass.  ``eval_expr``, ``eval_dual`` and ``eval_dual2`` run programs;
+given an expression they compile it into a program of its own, given a
+Program they return one result per output.  A jet pass runs value and
+tangent instructions of one flat program: a tangent register holds the
+partial of a register in one seeded name that its subtree contains, and
+applies the forward-mode rule of the operation to that row in a fixed
+order, so a value does not depend on which expressions share the program,
+a row does not depend on which other names are seeded, and a pass raises
+the error that the first failing expression would raise alone.  Values are
+computed as plain evaluation computes them (``tan`` by ``np.tan``, powers
+by ``**``), so the value of a jet equals ``eval_expr``, and its first-order
+rows equal the single-name pass bit for bit.
 
 Grammar (see docs/grammar.md for the EBNF):
 
@@ -51,7 +46,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdenti
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
     "Program", "parse", "to_source", "eval_expr", "eval_dual", "eval_dual2",
-    "substitute", "variables", "Dual",
+    "substitute", "variables",
 ]
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "cosh", "sinh")
@@ -274,308 +269,358 @@ def to_source(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers (value + tangent, or a stack of tangent rows); nestable for
-# second derivatives
+# Run-time operations on values, with the real-domain checks
 # ---------------------------------------------------------------------------
 
-def _sin(x):
-    return x.sin() if isinstance(x, Dual) else np.sin(x)
-
-
-def _cos(x):
-    return x.cos() if isinstance(x, Dual) else np.cos(x)
-
-
-def _exp(x):
-    return x.exp() if isinstance(x, Dual) else np.exp(x)
-
-
 def _log(x):
-    if isinstance(x, Dual):
-        return x.log()
     if np.any(np.asarray(x) <= 0):
         raise DomainError("log of a nonpositive value")
     return np.log(x)
 
 
-def _tan(x):
-    return x.tan() if isinstance(x, Dual) else np.tan(x)
-
-
-def _ipow(x, k):
-    return x.ipow(k) if isinstance(x, Dual) else x ** k
-
-
 def _sqrt(x):
-    if isinstance(x, Dual):
-        return x.sqrt()
     if np.any(np.asarray(x) < 0):
         raise DomainError("sqrt of a negative value")
     return np.sqrt(x)
 
 
-class Dual:
-    """a + b*eps with eps^2 = 0; components may be floats, arrays or Duals.
-
-    __array_ufunc__ is disabled so numpy arrays defer to the reflected
-    operators instead of broadcasting over the Dual as an object scalar.
-    """
-
-    __slots__ = ("val", "eps")
-    __array_ufunc__ = None
-    __array_priority__ = 1000
-
-    def __init__(self, val, eps):
-        self.val = val
-        self.eps = eps
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.eps + o.eps)
-        return Dual(self.val + o, self.eps)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.eps - o.eps)
-        return Dual(self.val - o, self.eps)
-
-    def __rsub__(self, o):
-        return Dual(o - self.val, -self.eps)
-
-    def __neg__(self):
-        return Dual(-self.val, -self.eps)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val * o.val, self.val * o.eps + self.eps * o.val)
-        return Dual(self.val * o, self.eps * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            q = self.val / o.val
-            return Dual(q, (self.eps - q * o.eps) / o.val)
-        return Dual(self.val / o, self.eps / o)
-
-    def __rtruediv__(self, o):
-        q = o / self.val
-        return Dual(q, -q * self.eps / self.val)
-
-    def sin(self):
-        return Dual(_sin(self.val), _cos(self.val) * self.eps)
-
-    def cos(self):
-        return Dual(_cos(self.val), -(_sin(self.val) * self.eps))
-
-    def tan(self):
-        c = _cos(self.val)
-        return Dual(_tan(self.val), self.eps / (c * c))
-
-    def exp(self):
-        v = _exp(self.val)
-        return Dual(v, v * self.eps)
-
-    def log(self):
-        return Dual(_log(self.val), self.eps / self.val)
-
-    def sqrt(self):
-        v = _sqrt(self.val)
-        return Dual(v, self.eps / (2.0 * v))
-
-    def cosh(self):
-        if isinstance(self.val, Dual):
-            return (self.exp() + (-self).exp()) * 0.5
-        return Dual(np.cosh(self.val), np.sinh(self.val) * self.eps)
-
-    def sinh(self):
-        if isinstance(self.val, Dual):
-            return (self.exp() - (-self).exp()) * 0.5
-        return Dual(np.sinh(self.val), np.cosh(self.val) * self.eps)
-
-    def ipow(self, k):
-        """Integer power, k an int or an array of integral floats (valid for
-        any nonzero base, and for zero where k >= 0); the value is
-        ``base ** k`` as in plain evaluation."""
-        if isinstance(k, np.ndarray):
-            # where k == 0 the derivative is 0 * base^0, never 0 * base^-1
-            return Dual(_ipow(self.val, k),
-                        k * _ipow(self.val, np.where(k == 0, 0, k - 1)) * self.eps)
-        if k == 0:
-            return Dual(_ipow(self.val, 0), self.eps * 0.0)
-        return Dual(_ipow(self.val, k), k * _ipow(self.val, k - 1) * self.eps)
+def _div(a, b):
+    if np.any(np.asarray(b) == 0):
+        raise DomainError("division by zero")
+    return a / b
 
 
-def _primitive_value(x):
-    while isinstance(x, Dual):
-        x = x.val
-    return x
-
-
-def _exp_valued(x, value):
-    """exp of ``x`` whose innermost value is the given ``value``."""
-    if not isinstance(x, Dual):
-        return value
-    v = _exp_valued(x.val, value)
-    return Dual(v, v * x.eps)
-
-
-def _is_flat(x):
-    """x is not a Dual, or every derivative it carries is exactly 0."""
-    return not isinstance(x, Dual) or (_is_flat(x.val) and _is_flat(x.eps)
-                                       and not np.any(_primitive_value(x.eps)))
-
-
-def _integral_power(expo):
-    """The exponent as an int, or as an array of integral floats, if it is
-    integral at every point and every derivative it carries is exactly 0;
-    else None."""
-    if not _is_flat(expo):
-        return None
-    e = _primitive_value(expo)
+def _integral(e):
+    """The exponent as an int or an integral array if integral everywhere."""
     if isinstance(e, np.ndarray) and e.ndim:
         return e if (np.trunc(e) == e).all() else None
     return int(e) if float(e).is_integer() else None
 
 
-def _pow(base, expo):
-    """base ^ expo with the real-domain rules: any base for an integral
-    power (``_integral_power``, the same for a scalar or an array
-    exponent), positive base otherwise."""
-    expo_primitive = _primitive_value(expo)
-    base_primitive = _primitive_value(base)
-    k = _integral_power(expo)
-    if k is not None:
-        negative = k < 0  # a bool, or a bool array for an array exponent
-        if negative is not False and np.any(negative & (np.asarray(base_primitive) == 0)):
-            raise DomainError("zero raised to a negative power")
-        return _ipow(base, k)
-    if np.any(np.asarray(base_primitive) <= 0):
+def _ipow(base, k):
+    if np.any(np.less(k, 0) & (np.asarray(base) == 0)):
+        raise DomainError("zero raised to a negative power")
+    return base ** k
+
+
+def _fpow(base, expo):
+    if np.any(np.asarray(base) <= 0):
         raise DomainError("fractional power of a nonpositive base")
-    value = base_primitive ** expo_primitive
-    if isinstance(base, Dual) or isinstance(expo, Dual):
-        # d(b^e) = b^e d(e log b), with b^e itself computed as above
-        lb = base.log() if isinstance(base, Dual) else np.log(base)
-        return _exp_valued(expo * lb if isinstance(expo, Dual) else lb * expo, value)
-    return value
+    return base ** expo
 
 
-def _cosh(x):
-    return x.cosh() if isinstance(x, Dual) else np.cosh(x)
+def _pow(base, expo):
+    """Any base for an exponent integral at every point, else a positive one."""
+    k = _integral(expo)
+    return _fpow(base, expo) if k is None else _ipow(base, k)
 
 
-def _sinh(x):
-    return x.sinh() if isinstance(x, Dual) else np.sinh(x)
+def _pred(k):  # k - 1, or 0 where k is 0
+    return np.where(k == 0, 0, k - 1) if isinstance(k, np.ndarray) else k - 1 if k else 0
 
 
 # module-level functions, so that a compiled Program pickles
-_CALL_TABLE = {
-    "sin": _sin, "cos": _cos, "exp": _exp, "log": _log, "sqrt": _sqrt,
-    "tan": _tan, "cosh": _cosh, "sinh": _sinh,
-}
-
-
-def _div(a, b):
-    if np.any(np.asarray(_primitive_value(b)) == 0):
-        raise DomainError("division by zero")
-    return a / b
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+_CALL_TABLE = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt,
+               "tan": np.tan, "cosh": np.cosh, "sinh": np.sinh}
 
 
 # ---------------------------------------------------------------------------
-# Programs: expressions lowered to one straight-line pass over registers
+# Programs: expressions and their tangents lowered to one straight-line pass
 # ---------------------------------------------------------------------------
+# While a program is lowered, a jet is a register, or a (value, rows) pair
+# of jets, its rows keyed by the names in which it is not constant; a
+# second-order jet's value and rows are jets in wrt1.
 
-class Program:
-    """Expressions lowered to one straight-line program over registers.
-
-    The program is a hash-consed DAG: every distinct subtree of the
-    expressions is one register, so a subexpression they share is computed
-    once.  Registers are numbered in first-use order, the order of a
-    left-to-right post-order walk of the expressions in turn, which is the
-    order in which each expression alone evaluates its nodes; a pass
-    therefore raises the error that the first failing expression raises
-    alone.  Two subtrees are the same node only if they are equal to the
-    bit: a literal 0.0 and -0.0 stay apart.
-
-    ``outputs`` holds the register of each expression.  The instructions
-    come as ``(dest, fn, a, b, dead)``: ``fn`` applied to registers a (and
-    b), or, with ``fn`` None, the variable named ``a`` read from the
-    environment; ``dead`` lists the registers whose last use this is, which
-    the pass drops at once.  Constants are preloaded.
-    """
-
-    __slots__ = ("registers", "code", "outputs")
-
-    def __init__(self, exprs):
-        keys = {}
-        registers = []
-        code = []
-
-        def lower(e):
-            """The register of ``e``, its operands lowered first."""
-            value = op = None
-            if isinstance(e, Num):
-                key, value = (Num, repr(e.value)), e.value
-            elif isinstance(e, Const):
-                key, value = (Const, e.name), _CONSTANTS[e.name]
-            elif isinstance(e, Var):
-                key, op = (Var, e.name), (None, e.name, None)
-            elif isinstance(e, Neg):
-                a = lower(e.arg)
-                key, op = (Neg, a), (operator.neg, a, None)
-            elif isinstance(e, Call):
-                a = lower(e.arg)
-                key, op = (Call, e.fn, a), (_CALL_TABLE[e.fn], a, None)
-            elif isinstance(e, BinOp):
-                a, b = lower(e.left), lower(e.right)
-                key, op = (BinOp, e.op, a, b), (_BINARY[e.op], a, b)
-            else:
-                raise TypeError(f"not an Expr: {e!r}")
-            if key not in keys:
-                keys[key] = len(registers)
-                registers.append(value)
-                if op is not None:
-                    code.append((keys[key],) + op)
-            return keys[key]
-
-        self.outputs = tuple(lower(e) for e in exprs)
-        self.registers = tuple(registers)
-        last = {}
-        for k, (_, fn, a, b) in enumerate(code):
-            if fn is not None:
-                last[a] = last[b] = k
-        kept = set(self.outputs)
-        self.code = tuple(
-            (dest, fn, a, b, () if fn is None else
-             tuple(r for r in {a, b} - kept if r is not None and last[r] == k))
-            for k, (dest, fn, a, b) in enumerate(code))
+def _parts(x):
+    return x if type(x) is tuple else (x, {})
 
 
-def _program(e):
-    return e if isinstance(e, Program) else Program((e,))
+def _regs(x):
+    """The registers of a jet, its innermost value first."""
+    if type(x) is not tuple:
+        return [x]
+    return _regs(x[0]) + [r for e in x[1].values() for r in _regs(e)]
 
 
-def _run(program, env):
-    """The outputs of ``program`` with its variables bound by ``env``."""
-    regs = list(program.registers)
-    for dest, fn, a, b, dead in program.code:
+def _pairs(x, y):
+    """(register of x, the one in its place in y or None) per register of x."""
+    if type(x) is not tuple:
+        return [(x, y if type(y) is not tuple else _regs(y)[0])]
+    yv, ye = _parts(y)
+    return _pairs(x[0], yv) + [p for c, e in x[1].items() for p in _pairs(e, ye.get(c))]
+
+
+class _Branch:
+    """A power whose exponent is not a literal: the integral code (register
+    ``k`` holding the exponent) if the exponent's rows are all 0 and its
+    value is integral at every point, else the fractional code."""
+
+    __slots__ = ("expo", "rows", "k", "integral", "fractional", "reads")
+
+    def __call__(self, regs, env):
+        k = regs[self.k] = (None if any(np.any(regs[r]) for r in self.rows)
+                            else _integral(regs[self.expo]))
+        _exec(self.fractional if k is None else self.integral, regs, env)
+
+
+class _Lowering:
+    """One program under construction.  Jet arithmetic applies, row by row,
+    each operation's forward-mode rule in a fixed order (a db + da b,
+    (da - q db)/b, ...), without the terms whose rows are structurally 0.
+    Instructions are hash-consed: sin(x) is also the derivative of cos(x).
+    Register 0 is the unit seed, folded away since x * 1.0 is x."""
+
+    def __init__(self):
+        self.registers, self.code, self.keys = [1.0], [], {}
+
+    def reg(self, value=None):
+        self.registers.append(value)
+        return len(self.registers) - 1
+
+    def const(self, value):
+        key = (type(value), repr(value))
+        if key not in self.keys:
+            self.keys[key] = self.reg(value)
+        return self.keys[key]
+
+    def op(self, fn, a, b=None):
+        if fn is operator.mul and (a == 0 or b == 0):
+            return b if a == 0 else a
+        key = (fn, a, b)
+        if key not in self.keys:
+            self.keys[key] = self.reg()
+            self.code.append((self.keys[key], fn, a, b))
+        return self.keys[key]
+
+    def add(self, a, b, fn=operator.add):
+        if a is None or b is None:
+            return a if b is None else b if fn is operator.add else self.neg(b)
+        if type(a) is int and type(b) is int:
+            return self.op(fn, a, b)
+        (av, ae), (bv, be) = _parts(a), _parts(b)
+        return self.add(av, bv, fn), {c: self.add(ae.get(c), be.get(c), fn) for c in {**ae, **be}}
+
+    def neg(self, a):
+        if type(a) is int:
+            return self.op(operator.neg, a)
+        return self.neg(a[0]), {c: self.neg(e) for c, e in a[1].items()}
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        if type(a) is int and type(b) is int:
+            return self.op(operator.mul, a, b)
+        (av, ae), (bv, be) = _parts(a), _parts(b)
+        return self.mul(av, bv), {c: self.add(self.mul(av, be.get(c)), self.mul(ae.get(c), bv))
+                                  for c in {**ae, **be}}
+
+    def div(self, a, b, fn=operator.truediv):
+        """a / b, ``fn`` dividing the innermost values (``_div`` checks the
+        divisor); a row of b alone gives (-q db) / b."""
+        if type(a) is int and type(b) is int:
+            return self.op(fn, a, b)
+        (av, ae), (bv, be) = _parts(a), _parts(b)
+        q = self.div(av, bv, fn)
+        top = {c: self.add(e, self.mul(q, be.get(c)), operator.sub) for c, e in ae.items()}
+        top.update({c: self.mul(self.neg(q), e) for c, e in be.items() if c not in ae})
+        return q, {c: self.div(e, bv) for c, e in top.items()}
+
+    def call(self, fn, a):
+        if type(a) is int:
+            return self.op(_CALL_TABLE[fn], a)
+        v, value = a[0], self.call(fn, a[0])
+        if not a[1]:
+            return value, {}
+        if fn in ("tan", "log", "sqrt"):
+            over = (self.mul(self.call("cos", v), self.call("cos", v)) if fn == "tan" else
+                    v if fn == "log" else self.mul(self.const(2.0), value))
+            return value, {c: self.div(e, over) for c, e in a[1].items()}
+        f = value if fn == "exp" else self.call(
+            {"sin": "cos", "cos": "sin", "cosh": "sinh", "sinh": "cosh"}[fn], v)
+        rows = {c: self.mul(f, e) for c, e in a[1].items()}
+        return value, {c: self.neg(e) for c, e in rows.items()} if fn == "cos" else rows
+
+    def ipow(self, a, k, fn=operator.pow):
+        """a ** k for the register k of an integral exponent: the value by
+        ``fn`` (``_ipow`` checks it), the rows (k a^pred(k)) da."""
+        known = self.registers[k]
+        if type(a) is int:
+            return a if fn is operator.pow and known == 1 else self.op(fn, a, k)
+        value = self.ipow(a[0], k, fn)
+        if not a[1]:
+            return value, {}
+        f = self.mul(k, self.ipow(a[0], self.op(_pred, k) if known is None
+                                  else self.const(_pred(known))))
+        return value, {c: self.mul(f, e) for c, e in a[1].items()}
+
+    def fpow(self, a, b):
+        """a ** b for a positive base: d(a^b) = a^b d(b log a)."""
+        value = self.op(_fpow, _regs(a)[0], _regs(b)[0])
+        if type(a) is int and type(b) is int:
+            return value
+
+        def valued(x):  # the jet x with a^b for its value
+            if type(x) is not tuple:
+                return value
+            v = valued(x[0])
+            return v, {c: self.mul(v, e) for c, e in x[1].items()}
+        return valued(self.mul(b, self.call("log", a)))
+
+    def pow(self, a, b):
+        """a ^ b for an exponent that is not a literal, by the rule of
+        ``_pow``."""
+        if type(a) is int and type(b) is int:
+            return self.op(_pow, a, b)
+        key = (_Branch, tuple(_regs(a)), tuple(_regs(b)))
+        if key in self.keys:  # the same power again
+            return self.keys[key]
+        branch = _Branch()
+        branch.k = start = self.reg()
+        integral, branch.integral = self.block(self.ipow, a, branch.k, _ipow)
+        jet, branch.fractional = self.block(self.fpow, a, b)
+        # the fractional jet has a register wherever the integral one has
+        branch.integral += tuple((r, operator.pos, self.const(0.0) if s is None else s, None, ())
+                                 for r, s in _pairs(jet, integral))
+        branch.expo, *branch.rows = _regs(b)
+        branch.reads = tuple({r for ins in branch.integral + branch.fractional
+                              for r in _reads(ins) if r < start} | set(_regs(b)))
+        self.code.append((None, None, branch, None))
+        self.keys[key] = jet
+        return jet
+
+    def block(self, lower, *args):
+        """``lower(*args)`` and its code, lowered apart: none of it is shared."""
+        saved, self.code, self.keys = (self.code, self.keys), [], dict(self.keys)
+        jet, code = lower(*args), tuple(ins + ((),) for ins in self.code)
+        self.code, self.keys = saved
+        return jet, code
+
+
+def _literal(e):
+    """The value of a number or a constant, maybe negated, else None."""
+    if isinstance(e, Neg):
+        v = _literal(e.arg)
+        return None if v is None else -v
+    return e.value if isinstance(e, Num) else _CONSTANTS[e.name] if isinstance(e, Const) else None
+
+
+def _reads(ins):
+    fn, a, b = ins[1:4]
+    if fn is None:
+        return a.reads if isinstance(a, _Branch) else ()
+    return (a,) if b is None else (a, b)
+
+
+def _compile(exprs, variant):
+    """(registers, code, outputs) of ``exprs`` lowered in post-order.
+
+    ``variant`` is (0,) for values, (1, *names) for the rows in the names,
+    or (2, wrt1, wrt2) for second-order jets; an output is (value, row in
+    each name) or (value, d1, d2, d12), None where structurally 0.  Value
+    instructions come in the order in which each expression alone
+    evaluates its nodes, so a pass raises the error that the first failing
+    expression raises alone; a literal 0.0 and -0.0 stay apart."""
+    order, *names = variant
+    L = _Lowering()
+
+    def lower(e):
+        """e's jet, its operands lowered first; a repeated subtree adds no
+        instruction, since its operations are the same registers' again."""
+        cls = type(e)
+        if cls is BinOp:
+            a = lower(e.left)
+            k = _literal(e.right) if e.op == "^" else None
+            if k is not None and float(k).is_integer():  # resolved here
+                return L.ipow(a, L.const(int(k)), _ipow if k < 0 else operator.pow)
+            if k is not None:
+                return L.fpow(a, L.const(k))
+            b = lower(e.right)
+            return (L.add(a, b, operator.add if e.op == "+" else operator.sub) if e.op in "+-"
+                    else L.mul(a, b) if e.op == "*" else L.div(a, b, _div) if e.op == "/"
+                    else L.pow(a, b))
+        if cls is Num or cls is Const:
+            return L.const(e.value if cls is Num else _CONSTANTS[e.name])
+        if cls is Neg or cls is Call:
+            return L.neg(lower(e.arg)) if cls is Neg else L.call(e.fn, lower(e.arg))
+        if cls is not Var:
+            raise TypeError(f"not an Expr: {e!r}")
+        if (None, e.name) not in L.keys:
+            L.keys[None, e.name] = r = L.reg()
+            L.code.append((r, None, e.name, None))
+        r = L.keys[None, e.name]
+        if order < 2:
+            return (r, {e.name: 0}) if e.name in names else r
+        # a jet at the top is an outer one, even with no row in wrt2
+        inner = (r, {e.name: 0}) if e.name == names[0] else r
+        return inner, {e.name: 0} if e.name == names[1] else {}
+
+    outputs = []
+    for e in exprs:
+        val, eps = _parts(lower(e))
+        if order == 2:
+            (val, eps1), (d2, eps12) = _parts(val), _parts(eps.get(names[1]))
+            outputs.append((val, eps1.get(names[0]), d2, eps12.get(names[0])))
+        else:
+            outputs.append((val, *(eps.get(n) for n in names)))
+    kept = {r for out in outputs for r in out}
+    dead = [()] * len(L.code)  # the registers whose last use each instruction is
+    for r, k in {r: k for k, ins in enumerate(L.code) for r in _reads(ins)}.items():
+        dead[k] += (r,) * (r not in kept)
+    return tuple(L.registers), tuple(ins + (d,) for ins, d in zip(L.code, dead)), outputs
+
+
+def _exec(code, regs, env):
+    for dest, fn, a, b, dead in code:
         if fn is None:
-            try:
+            if a.__class__ is not str:
+                a(regs, env)
+            elif a not in env:
+                raise UnboundVariable(a)
+            else:
                 regs[dest] = env[a]
-            except KeyError:
-                raise UnboundVariable(a) from None
         elif b is None:
             regs[dest] = fn(regs[a])
         else:
             regs[dest] = fn(regs[a], regs[b])
         for r in dead:
             regs[r] = None
-    return [regs[r] for r in program.outputs]
+
+
+class Program:
+    """Expressions lowered to straight-line programs over registers, one
+    for each kind of pass, compiled on first use and kept (``_compile``).
+    A jet pass has a tangent register for each register and each seeded
+    name that its subtree contains, so no row is 0 by construction; each
+    register is dropped after its last use."""
+
+    __slots__ = ("exprs", "_compiled")
+
+    def __init__(self, exprs):
+        self.exprs = tuple(exprs)
+        self._compiled = {}
+
+    def _run(self, variant, env):
+        """Each output's tuple of ``_compile`` from one pass over ``env``."""
+        if variant not in self._compiled:
+            self._compiled[variant] = _compile(self.exprs, variant)
+        registers, code, outputs = self._compiled[variant]
+        regs = list(registers)
+        _exec(code, regs, env)
+        return [(regs[v], *(None if r is None else _full(regs[r], getattr(regs[v], "shape", ()))
+                            for r in rows)) for v, *rows in outputs]
+
+
+def _program(e):
+    return e if isinstance(e, Program) else Program((e,))
+
+
+def _full(x, shape):
+    """``x``, or a copy broadcast to ``shape`` (a constant row is a scalar)."""
+    if getattr(x, "shape", ()) == shape:
+        return x
+    full = np.empty(np.broadcast_shapes(x.shape, shape) if getattr(x, "shape", ()) else shape)
+    full[...] = x
+    return full
 
 
 def eval_expr(e, env: dict):
@@ -583,65 +628,41 @@ def eval_expr(e, env: dict):
 
     ``e`` is an expression, or a Program, for the list of its outputs'
     values from one pass."""
-    out = _run(_program(e), env)
-    return out if isinstance(e, Program) else out[0]
+    values = [val for val, in _program(e)._run((0,), env)]
+    return values if isinstance(e, Program) else values[0]
 
 
 def eval_dual(e, env: dict, wrt):
-    """Return (value, partials) by forward-mode dual evaluation.
+    """Return (value, partials) by forward-mode evaluation.
 
     ``wrt`` is a variable name, giving d/d<wrt>, or a tuple of k names,
-    giving the (k, ...) stack of partials, row r in wrt[r], from the same
-    single pass.  ``e`` is an expression, or a Program, for the list of
-    (value, partials) of its outputs from one pass.
+    giving the (k, ...) stack of partials, row r in wrt[r].  ``e`` is an
+    expression, or a Program, for the list of (value, rows) of its outputs
+    from one pass: the partials in the names of wrt that the output's
+    expression contains, in wrt order; the others are exactly 0.
     """
-    denv = dict(env)
-    if isinstance(wrt, str):
-        if wrt in env:
-            v = env[wrt]
-            denv[wrt] = Dual(v, np.ones_like(v) if np.ndim(v) else 1.0)
-
-        def zero(out):
-            return np.zeros_like(env[wrt]) if np.ndim(env.get(wrt, 0.0)) else 0.0
-    else:
-        for r, name in enumerate(wrt):
-            if name in env:
-                tangent = np.zeros((len(wrt),) + np.shape(env[name]))
-                tangent[r] = 1.0
-                denv[name] = Dual(env[name], tangent)
-
-        def zero(out):
-            return np.zeros((len(wrt),) + np.shape(out))
-    outs = [(out.val, out.eps) if isinstance(out, Dual) else (out, zero(out))
-            for out in _run(_program(e), denv)]
-    return outs if isinstance(e, Program) else outs[0]
+    names = (wrt,) if isinstance(wrt, str) else tuple(wrt)
+    results = []
+    for val, *rows in _program(e)._run((1, *names), env):
+        if isinstance(e, Program):
+            results.append((val, tuple(r for r in rows if r is not None)))
+        elif isinstance(wrt, str):
+            results.append((val, rows[0] if rows[0] is not None else np.zeros_like(env[wrt])
+                            if np.ndim(env.get(wrt, 0.0)) else 0.0))
+        else:
+            results.append((val, np.array([np.zeros(np.shape(val)) if r is None else r
+                                           for r in rows], float)))
+    return results if isinstance(e, Program) else results[0]
 
 
 def eval_dual2(e, env: dict, wrt1: str, wrt2: str):
-    """Return (value, d1, d2, d1 d2) via nested duals.
-
-    wrt1 == wrt2 gives the plain second derivative in that coordinate.
-    ``e`` is an expression, or a Program, for the list of its outputs'
-    tuples from one pass.
-    """
-    def seed(name, v):
-        one = np.ones_like(v) if np.ndim(v) else 1.0
-        zero = np.zeros_like(v) if np.ndim(v) else 0.0
-        inner = Dual(v, one if name == wrt1 else zero)
-        outer_eps = Dual(one if name == wrt2 else zero, zero)
-        return Dual(inner, outer_eps)
-
-    def split(out):
-        if not isinstance(out, Dual):
-            return out, 0.0, 0.0, 0.0
-        inner, outer = out.val, out.eps
-        return (inner.val if isinstance(inner, Dual) else inner,
-                inner.eps if isinstance(inner, Dual) else 0.0,
-                outer.val if isinstance(outer, Dual) else outer,
-                outer.eps if isinstance(outer, Dual) else 0.0)
-
-    outs = [split(out) for out in _run(_program(e), {k: seed(k, v) for k, v in env.items()})]
-    return outs if isinstance(e, Program) else outs[0]
+    """Return (value, d1, d2, d1 d2) by second-order forward mode; wrt1 ==
+    wrt2 gives the plain second derivative in that coordinate.  ``e`` is an
+    expression, or a Program, for the list of its outputs' tuples from one
+    pass."""
+    results = [(val, *(np.zeros(np.shape(val)) if r is None else r for r in parts))
+               for val, *parts in _program(e)._run((2, wrt1, wrt2), env)]
+    return results if isinstance(e, Program) else results[0]
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:

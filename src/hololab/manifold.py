@@ -10,22 +10,18 @@ torsion-free connections live on it:
 the last two being dual to each other with respect to h = e^{-phi} g.
 
 Metric entries and the density are expressions (``expr``), differentiated
-exactly through dual numbers.  Everything is evaluated in batch over
-(m, n) point arrays so path integration stays vectorized.
-
-Geometry is evaluated as first-order jets: ``jet(pts)`` returns a field's
-values with all its coordinate partials.  An expression field records at
-construction which coordinates its expression contains; its partials in
-the other coordinates are exactly 0 and are never read.  Fields are
-evaluated together in one jet pass: their expressions are compiled, on
-first use, into one ``expr.Program`` in which a subexpression that they
-share is computed once, and ``expr.eval_dual`` runs it with one tangent
-row seeded per coordinate that they contain.  A metric compiles its
-entries that are not the literal 0, and a manifold compiles those entries
-followed by the density: the geometry's pass.  ``MetricField.jet`` (the
-dense (g, d g)), ``MetricField.diagonal_jet`` (the diagonal entries'
-values and partials alone) and ``DensityField.jet`` ((phi, d phi)) unpack
-such a pass; ``partials`` and ``gradients`` are views of them.
+exactly in forward mode, in batch over (m, n) point arrays.  Geometry is
+evaluated as first-order jets: ``jet(pts)`` returns a field's values with
+all its coordinate partials.  An expression field records which
+coordinates its expression contains; its partials in the others are
+exactly 0 and are never computed.  Fields are evaluated together in one
+jet pass: ``expr.eval_dual`` runs one ``expr.Program`` of their
+expressions, which computes a subexpression that they share once and
+hands each field its own rows.  A metric's pass has its entries that are
+not the literal 0, and a manifold's has those entries and the density:
+the geometry's pass.  ``MetricField.jet`` (the dense (g, d g)),
+``MetricField.diagonal_jet`` (the diagonal entries alone) and
+``DensityField.jet`` ((phi, d phi)) write such a pass into their arrays.
 
 ``christoffel_many`` is the one coefficient kernel.  Each call runs one
 jet pass: the geometry's, or the metric's alone for the Levi-Civita
@@ -195,7 +191,6 @@ class ExprScalarField:
         self.expression = expression
         self.chart = chart
         self.axes = tuple(i for i, name in enumerate(chart.coord_names) if name in free)
-        self._axes = _index(self.axes)  # the same, as an index
         self.constant = not free  # every partial derivative is exactly 0
 
     @functools.cached_property
@@ -209,60 +204,36 @@ class ExprScalarField:
                                (np.atleast_2d(pts).shape[0],)).copy()
 
     def jet(self, pts):
-        """(m,) values and (m, n) gradient from one vector-dual pass over
-        the contained coordinates."""
+        """(m,) values and (m, n) gradient from one forward-mode pass."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return self._unpack(len(pts), self._pass(pts)[0])
 
     def _unpack(self, m, out):
-        """``jet`` from this field's (value, partials) in a ``_Pass``."""
+        """``jet`` from this field's (value, rows) in a ``_Pass``."""
         val, grad = np.empty(m), np.zeros((m, self.chart.dim))
         val[...] = out[0]
-        if self.axes:
-            grad.T[self._axes] = out[1]
+        for a, row in zip(self.axes, out[1] or ()):
+            grad[:, a] = row
         return val, grad
-
-    def second_derivatives(self, pts, i, j):
-        env = self.chart.env(pts)
-        (*_, d12), = ex.eval_dual2(self._pass.program, env,
-                                   self.chart.coord_names[i], self.chart.coord_names[j])
-        return np.broadcast_to(np.asarray(d12, dtype=float),
-                               (np.atleast_2d(pts).shape[0],)).copy()
 
 
 class _Pass:
     """Scalar fields on one chart lowered into one ``expr.Program``, their
-    expressions in order, and evaluated by one vector-dual pass seeded in
-    the coordinates that they contain, in chart order.
+    expressions in order.  Called on (m, n) points it runs one forward-mode
+    pass and returns each field's value and its (m,) partials in its own
+    ``axes`` (None for a constant); it computes no other row."""
 
-    Called on (m, n) points it returns each field's value and the (k, m)
-    partials in its own k ``axes`` (None for a constant).  The pass also
-    computes a field's rows for the other seeded coordinates; they are 0
-    in exact arithmetic, but 0 * inf reads nan there, so they are dropped
-    unread."""
-
-    __slots__ = ("chart", "program", "names", "rows")
+    __slots__ = ("chart", "program", "names")
 
     def __init__(self, chart, fields):
-        seeded = sorted({a for f in fields for a in f.axes})
         self.chart = chart
         self.program = ex.Program([f.expression for f in fields])
-        self.names = tuple(chart.coord_names[a] for a in seeded)
-        self.rows = [_index([seeded.index(a) for a in f.axes]) if f.axes else None
-                     for f in fields]
+        self.names = tuple(name for a, name in enumerate(chart.coord_names)
+                           if any(a in f.axes for f in fields))
 
     def __call__(self, pts):
-        outs = ex.eval_dual(self.program, self.chart.env(pts), self.names)
-        return [(val, None if rows is None else eps[rows])
-                for (val, eps), rows in zip(outs, self.rows)]
-
-
-def _index(positions):
-    """Increasing positions as a slice where they are consecutive, so that
-    indexing with them is basic, else as a list."""
-    if positions and positions[-1] - positions[0] == len(positions) - 1:
-        return slice(positions[0], positions[-1] + 1)
-    return list(positions)
+        return [(val, rows or None)
+                for val, rows in ex.eval_dual(self.program, self.chart.env(pts), self.names)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +324,19 @@ class MetricField:
         if diagonal:
             vals = np.zeros((n, m))
             grads = np.zeros((n, n, m))
-            for (a, _), (v, d) in zip(self.nonzero, outs):
+            for (a, _), (v, rows) in zip(self.nonzero, outs):
                 vals[a] = v
-                if d is not None:
-                    grads[a][self.entries[a][a]._axes] = d
+                for l, row in zip(self.entries[a][a].axes, rows or ()):
+                    grads[a, l] = row
             return vals.T, grads.transpose(2, 0, 1)
         g = np.zeros((m, n, n))
         dg = np.zeros((m, n, n, n))
-        for (i, j), (v, d) in zip(self.nonzero, outs):
+        for (i, j), (v, rows) in zip(self.nonzero, outs):
             g[:, i, j] = v
             g[:, j, i] = v
-            if d is not None:
-                axes = self.entries[i][j]._axes
-                dg[:, axes, i, j] = d.T
-                dg[:, axes, j, i] = d.T
+            for l, row in zip(self.entries[i][j].axes, rows or ()):
+                dg[:, l, i, j] = row
+                dg[:, l, j, i] = row
         return g, dg
 
     def partials(self, pts):
@@ -378,10 +348,11 @@ class MetricField:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
         d2g = np.zeros((m, n, n, n, n))
+        env, names = self.chart.env(pts), self.chart.coord_names
         for a in range(n):
             for b in range(a, n):
-                for i, j in self.varying:
-                    v = self.entries[i][j].second_derivatives(pts, a, b)
+                outs = ex.eval_dual2(self._pass.program, env, names[a], names[b])
+                for (i, j), (*_, v) in zip(self.nonzero, outs):
                     d2g[:, a, b, i, j] = v
                     d2g[:, a, b, j, i] = v
                     d2g[:, b, a, i, j] = v
@@ -445,11 +416,11 @@ class DensityField:
 
     def hessians(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = self.chart.dim
+        n, env, names = self.chart.dim, self.chart.env(pts), self.chart.coord_names
         out = np.empty((pts.shape[0], n, n))
         for i in range(n):
             for j in range(i, n):
-                v = self.field.second_derivatives(pts, i, j)
+                (*_, v), = ex.eval_dual2(self.field._pass.program, env, names[i], names[j])
                 out[:, i, j] = v
                 out[:, j, i] = v
         return _require_finite_density(pts, "its Hessian", out)

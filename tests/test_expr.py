@@ -114,6 +114,22 @@ def test_eval_dual_second_derivatives():
     assert dxx == pytest.approx(-math.sin(0.7), rel=1e-13)
 
 
+@pytest.mark.parametrize("fn", ["cosh", "sinh"])
+def test_second_order_hyperbolic_functions(fn):
+    """cosh and sinh keep at second order the value of plain evaluation and
+    the partials of a first-order pass, to the bit; their mixed partial in
+    x and y of f(xy) is f'(xy) + xy f(xy)."""
+    e = ex.parse(f"{fn}(x*y)")
+    env = {"x": np.array([0.7, -1.3, 0.0]), "y": np.array([-0.4, 2.1, 0.5])}
+    val, dx, dy, dxy = ex.eval_dual2(e, env, "x", "y")
+    v, d = ex.eval_dual(e, env, ("x", "y"))
+    assert val.tobytes() == v.tobytes() == ex.eval_expr(e, env).tobytes()
+    assert dx.tobytes() == d[0].tobytes() and dy.tobytes() == d[1].tobytes()
+    xy = env["x"] * env["y"]
+    f, df = (np.cosh, np.sinh) if fn == "cosh" else (np.sinh, np.cosh)
+    assert np.allclose(dxy, df(xy) + xy * f(xy), rtol=1e-14, atol=0)
+
+
 # deterministic random expression generator for the autodiff-vs-FD sweep
 _FUNCS = ["sin", "cos", "exp", "cosh", "sinh", "tan"]
 

@@ -4,7 +4,8 @@ weighted holonomy is unimodular, and the weighted/dual pairing is constant
 along open paths, each within the reported error bars; a shrinking
 rectangle family has derivative 0 at s = 0; a linear change of chart
 conjugates the holonomy.  The geometry's one jet pass over metric entries
-and density that share subexpressions equals each entry's own pass."""
+and density that share subexpressions equals each entry's own pass, and
+the second-order program extends the first-order one."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -221,3 +222,56 @@ def test_geometry_pass_equals_each_entry_pass(M):
         for pts in [POINTS3] + [POINTS3[k:k + 1] for k in range(len(POINTS3))]:
             assert (_outcome(lambda: M._pass(pts))
                     == _outcome(lambda: _own_passes(fields, pts)))
+
+
+def _raised(run):
+    """(None, run()), or (the class and message of the error it raises, None)."""
+    try:
+        return None, run()
+    except HololabError as err:
+        return (type(err), str(err)), None
+
+
+def _byte_strings(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+# (x * a) op (y + b) for subtrees a and b, bare or under a call, so that
+# the mixed second partial in x and y is seldom 0
+mixed_trees = st.builds(
+    lambda op, a, b: ex.BinOp(op, ex.BinOp("*", ex.Var("x"), a), ex.BinOp("+", ex.Var("y"), b)),
+    st.sampled_from("*/^"), subtrees, subtrees)
+mixed_trees = st.one_of(mixed_trees, st.builds(ex.Call, st.sampled_from(sorted(_CALL_TABLE)),
+                                               mixed_trees))
+
+
+@settings(max_examples=200)
+@given(tree=mixed_trees)
+def test_second_order_program_extends_the_first(tree):
+    """At each point, eval_dual2 in (x, y) gives the value and both
+    partials of eval_dual in (x, y) byte for byte, or raises the same error
+    class and message; its mixed partial equals the one in (y, x) to 1e-9
+    relative, and a central difference in y of the x partial to 1e-6
+    relative plus that difference's truncation, estimated by the change
+    from step 2h to step h."""
+    h = 1e-6
+    with np.errstate(all="ignore"):
+        for point in POINTS3:
+            env = CHART3.env(point)
+            error, first = _raised(lambda: ex.eval_dual(tree, env, ("x", "y")))
+            assert _raised(lambda: ex.eval_dual2(tree, env, "x", "y"))[0] == error
+            if error is not None:
+                continue
+            val, dx, dy, dxy = ex.eval_dual2(tree, env, "x", "y")
+            assert _byte_strings(val, dx, dy) == _byte_strings(first[0], *first[1])
+            dyx = ex.eval_dual2(tree, env, "y", "x")[3]
+            near = [_raised(lambda: ex.eval_dual(tree, {**env, "y": env["y"] + s}, "x"))
+                    for s in (h, -h, 2 * h, -2 * h)]
+            if not np.isfinite([dxy, dyx, dx]).all() or any(err for err, _ in near):
+                continue
+            scale = max(1.0, float(np.abs(dxy).max()))
+            assert np.all(np.abs(dxy - dyx) <= 1e-9 * scale)
+            up, down, up2, down2 = (d for _, (_, d) in near)
+            fd, fd2 = (up - down) / (2 * h), (up2 - down2) / (4 * h)
+            assert np.all(np.abs(dxy - fd) <= 1e-6 * max(scale, float(np.abs(dx).max()))
+                          + np.abs(fd2 - fd))
