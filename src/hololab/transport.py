@@ -51,8 +51,9 @@ round is reported before an earlier path whose segment would run out of
 steps levels later.
 
 ``path_transport_many`` and ``holonomy_many`` integrate many paths or
-loops as one batch (a verify check's paths of one kind, an algebra
-experiment's loops, the CLI's configured loops); ``path_transport_matrix``
+loops as one batch (the paths and loops of all of a verify entry's checks
+of one kind and direction, an algebra experiment's loops, the CLI's
+configured loops); ``path_transport_matrix``
 and ``holonomy`` are their one-path views.  Frame trajectories are
 assembled after the batch from piece products: when a segment that
 carries frames retires, its accepted per-step matrices are reduced to the

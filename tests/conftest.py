@@ -25,6 +25,27 @@ def kernel_calls(monkeypatch):
 
 
 @pytest.fixture
+def lockstep_batches(monkeypatch):
+    """One list per lockstep batch, wherever it is made: the live segments
+    that its accept rule is given at each level of each round (empty on a
+    pinned grid)."""
+    batches = []
+    lockstep = transport._lockstep
+
+    def counting(segments, coeffs, start, accept=None, **options):
+        rounds = []
+        batches.append(rounds)
+
+        def counted(live, *rest):
+            rounds.append(len(live))
+            return accept(live, *rest)
+        return lockstep(segments, coeffs, start, accept and counted, **options)
+
+    monkeypatch.setattr(transport, "_lockstep", counting)
+    return batches
+
+
+@pytest.fixture
 def jet_passes(monkeypatch):
     """The expression or program of every expr.eval_dual call: one entry
     per jet pass, wherever it is made."""

@@ -227,6 +227,29 @@ def test_verify_selected_entries(tmp_path):
     assert run(["verify", cfg]) == 0
 
 
+def test_verify_reports_the_first_failure_of_the_batches(tmp_path, capsys):
+    """The sample region leaves the chart.  The loop checks cannot draw
+    their loops, but that is raised only when they are judged: the entry's
+    weighted batch, integrated first, meets the first open path's exit."""
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"custom": {
+            "dim": 2, "coords": ["x", "y"],
+            "metric": {"diag": ["exp(x)", "exp(2*x+y)"]}, "phi": "x+y",
+            "domain": [[-1, 1], [-1, 1]],
+        }},
+        "region": [[-1.5, 1.5], [-1, 1]],
+        "samples": {"paths": 2, "loops": 2, "points": 5},
+        "seed": 3,
+        "output": str(out),
+    })
+    assert run(["verify", cfg]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: point (-1.243052498569127, -0.5263789868078006) "
+        "outside chart domain: path exits the chart"]
+    assert not out.exists()
+
+
 def test_reports_deterministic_excluding_timestamp(tmp_path, monkeypatch):
     o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
     base = {
@@ -369,10 +392,10 @@ def test_verify_runs_only_the_selected_checks(tmp_path, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a check that was not asked for ran")
 
-    for name in ("check_duality_pairing", "check_dual_holonomy",
-                 "check_dual_vector_fields", "check_unimodularity",
-                 "check_totally_geodesic_blocks"):
-        monkeypatch.setattr(verify, name, never)
+    for check in ("duality_pairing", "dual_holonomy", "dual_vector_fields",
+                  "unimodularity", "totally_geodesic_blocks"):
+        monkeypatch.setattr(verify, f"check_{check}", never)
+        monkeypatch.setattr(verify, f"_plan_{check}", never)
     out = tmp_path / "v.json"
     cfg = write_config(tmp_path, "c.json", {
         "entries": ["so_pq(1,2)"], "checks": ["projective_equivalence", "codazzi"],
@@ -391,7 +414,8 @@ def test_verify_with_an_empty_check_list_runs_nothing(tmp_path, monkeypatch, cap
     def never(*args, **kwargs):
         raise AssertionError("no check was asked for")
 
-    for name in ("check_codazzi", "check_unimodularity", "check_duality_pairing"):
+    for name in ("check_codazzi", "check_unimodularity", "check_duality_pairing",
+                 "_plan_unimodularity", "_plan_duality_pairing"):
         monkeypatch.setattr(verify, name, never)
     out = tmp_path / "v.json"
     cfg = write_config(tmp_path, "c.json", {"entries": ["borel2d"], "checks": [],

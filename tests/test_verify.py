@@ -1,11 +1,13 @@
 """Check harness: determinism, serialization, and pass behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from hololab import catalog, experiments, transport, verify
+from hololab.errors import OutOfDomain
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
                               MetricField, WeightedManifold,
                               WeightedMetricTensorField, amari_chentsov,
@@ -125,23 +127,7 @@ def test_default_suite_ordering(borel, so11):
     assert all(r.passed for r in reports)
 
 
-@pytest.fixture
-def rounds(monkeypatch):
-    """Live-segment counts of every step-controlled lockstep round."""
-    counts = []
-    lockstep = transport._lockstep
-
-    def counting(segments, coeffs, start, accept=None, **options):
-        def counted(live, *rest):
-            counts.append(len(live))
-            return accept(live, *rest)
-        return lockstep(segments, coeffs, start, accept and counted, **options)
-
-    monkeypatch.setattr(transport, "_lockstep", counting)
-    return counts
-
-
-def test_dual_holonomy_makes_one_kernel_call_per_round(kernel_calls, rounds,
+def test_dual_holonomy_makes_one_kernel_call_per_round(kernel_calls, lockstep_batches,
                                                        monkeypatch):
     """All loops of a check advance together: with every round under the
     cap, each round is one kernel call (the per-loop parent made 6 calls
@@ -150,12 +136,105 @@ def test_dual_holonomy_makes_one_kernel_call_per_round(kernel_calls, rounds,
     cap = transport.MAX_BATCH_POINTS
     monkeypatch.setattr(transport, "MAX_BATCH_POINTS", 2 ** 12)
     assert verify.check_dual_holonomy(borel, n_loops=5).passed
-    assert rounds and rounds[0] == 5 * 6
+    rounds = [live for batch in lockstep_batches for live in batch]
+    assert len(lockstep_batches) == 2 and rounds[0] == 5 * 6
     assert 0 < len(kernel_calls) <= len(rounds)
     monkeypatch.setattr(transport, "MAX_BATCH_POINTS", cap)
     kernel_calls.clear()
     assert verify.check_dual_holonomy(borel, n_loops=5).passed
     assert max(kernel_calls) <= cap
+
+
+def test_suite_makes_one_batch_per_entry_kind_and_direction(lockstep_batches, borel,
+                                                            sphere2, tri3):
+    """Weighted vectors, dual vectors and dual covectors: three batches per
+    entry across all its transport checks, and one per block prediction
+    (triangular(3) has one block slice of one loop)."""
+    for entry in (borel, sphere2):
+        lockstep_batches.clear()
+        verify.default_suite([entry], n_paths=1, n_loops=1, n_points=20)
+        assert len(lockstep_batches) == 3
+    lockstep_batches.clear()
+    verify.default_suite([borel, sphere2, tri3], n_paths=1, n_loops=1, n_points=20)
+    blocks = sum(len(loops) for _, _, loops in tri3.block_slices)
+    assert blocks == 1 and len(lockstep_batches) == 3 * 3 + blocks
+
+
+def _full3_entry():
+    """A non-diagonal 3-d metric with a density whose gradient has no
+    symmetry, positive definite on its domain by diagonal dominance."""
+    chart = CoordinateChart(dim=3, coord_names=("x", "y", "z"),
+                            domain=((-0.9, 0.9),) * 3)
+    metric = MetricField.from_expressions(
+        chart, [["2+sin(y)", "0.3*cos(z)", "0"],
+                ["0.3*cos(z)", "2+cos(x)", "0.2*sin(x*y)"],
+                ["0", "0.2*sin(x*y)", "exp(x*z/2)"]], signature=(3, 0))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x*y+0.5*sin(z)"),
+                         name="full3")
+    return catalog.CatalogEntry(name="full3", manifold=M, basepoint=np.zeros(3),
+                                sample_region=((-0.6, 0.6),) * 3)
+
+
+@pytest.mark.parametrize("steps", [None, 6])
+def test_suite_reports_equal_each_check_alone(steps, borel, sopq12):
+    entries = [borel, sopq12, _full3_entry()]
+    seed = 4
+    suite = verify.default_suite(entries, seed=seed, n_paths=2, n_loops=2, n_points=5,
+                                 steps=steps)
+    alone = []
+    for entry in entries:
+        alone += [verify.check_duality_pairing(entry, 2, seed, steps=steps),
+                  verify.check_dual_holonomy(entry, 2, seed + 1, steps=steps),
+                  verify.check_dual_vector_fields(entry, 2, seed + 2, steps=steps),
+                  verify.check_codazzi(entry, 5, seed + 3),
+                  verify.check_unimodularity(entry, 2, seed + 5, steps=steps)]
+        if entry.companion is not None:
+            alone.append(verify.check_projective_equivalence(entry, 5, seed + 4))
+    alone.sort(key=lambda r: (r.check_name, r.entry_name))
+    assert len(suite) == 16
+    assert [r.to_dict() for r in suite] == [r.to_dict() for r in alone]
+    subset = ("dual_vector_fields", "unimodularity")
+    picked = verify.default_suite(entries, seed=seed, n_paths=2, n_loops=2, n_points=5,
+                                  steps=steps, checks=subset)
+    assert [r.to_dict() for r in picked] == [r.to_dict() for r in suite
+                                             if r.check_name in subset]
+
+
+def test_planning_failure_is_raised_when_its_check_is_judged(lockstep_batches):
+    """A sample region on the chart's open boundary: the loops cannot be
+    drawn, but the open paths stay inside.  In the suite, dual_holonomy
+    still raises what it raises alone, after duality_pairing's batches."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"),
+                            domain=((-1.0, 1.0), (-1.0, 1.0)))
+    M = WeightedManifold(chart=chart,
+                         metric=MetricField.from_expressions(chart, ["1", "1"],
+                                                            signature=(2, 0)),
+                         density=DensityField.zero(chart), name="edge")
+    entry = catalog.CatalogEntry(name="edge", manifold=M, basepoint=np.zeros(2),
+                                 sample_region=((-1, 1), (-1, 1)))
+    with pytest.raises(OutOfDomain, match="region not inside chart domain") as alone:
+        verify.check_dual_holonomy(entry, 2, steps=STEPS)
+    assert lockstep_batches == []
+    with pytest.raises(OutOfDomain) as suite:
+        verify.default_suite([entry], n_paths=2, n_loops=2, steps=STEPS,
+                             checks=["duality_pairing", "dual_holonomy"])
+    assert str(suite.value) == str(alone.value)
+    assert len(lockstep_batches) == 2
+
+
+def test_non_finite_violation_fails_the_report():
+    nan, inf = float("nan"), float("inf")
+    for violations in ([("a", 1e-9), ("b", nan)], [("b", nan), ("a", 1e-9)]):
+        r = verify._report("x", "e", 1e-6, violations)
+        assert math.isnan(r.max_violation) and r.passed is False
+        assert [d["where"] for d in r.details] == ["b", "a"]
+    r = verify._report("x", "e", 1e-6, [("a", 1e-9), ("b", inf), ("c", 2e-9)])
+    assert r.max_violation == inf and r.passed is False
+    assert [d["where"] for d in r.details] == ["b", "c", "a"]
+    r = verify._report("x", "e", 1e-6, [("a", 1e-9), ("b", 3e-9), ("c", 3e-9)])
+    assert r.max_violation == 3e-9 and r.passed is True
+    assert [d["where"] for d in r.details] == ["b", "c", "a"]
 
 
 def test_closure_experiment_integrates_its_loops_as_one_batch(kernel_calls, sphere3,
