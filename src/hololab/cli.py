@@ -63,10 +63,15 @@ def _load_config(path):
 
 
 def _steps_from_config(config):
-    """An explicit ``steps`` pins a fixed grid; without it transports are
-    step-controlled."""
+    """An explicit ``steps``, a positive integer (200.0 reads as 200), pins
+    a fixed grid; without it transports are step-controlled."""
     steps = config.get("steps")
-    return None if steps is None else int(steps)
+    if steps is None:
+        return None
+    whole = isinstance(steps, int) or isinstance(steps, float) and steps.is_integer()
+    if isinstance(steps, bool) or not whole or steps < 1:
+        raise ConfigError(f"steps must be a positive integer, got {steps!r}")
+    return int(steps)
 
 
 def _resolve_seed(config):

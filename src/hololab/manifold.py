@@ -476,9 +476,16 @@ def metric_at(M: WeightedManifold, x) -> np.ndarray:
 
 def weighted_metric_at(M: WeightedManifold, x) -> np.ndarray:
     """h = e^{-phi} g, the metric the weighted/dual pair is dual under."""
-    M.chart.require_inside(x)
-    pts = _one_point(x)
-    return math.exp(-M.density.values(pts)[0]) * M.metric.matrices(pts)[0]
+    return weighted_metrics_at(M, _one_point(x))[0]
+
+
+def weighted_metrics_at(M: WeightedManifold, pts) -> list:
+    """``weighted_metric_at`` at each of the (m, n) points, from one pass
+    of the density and one of the metric; e^{-phi} is taken by math.exp,
+    point by point."""
+    M.chart.require_inside(pts)
+    scales = [math.exp(-phi) for phi in M.density.values(pts)]
+    return [s * g for s, g in zip(scales, M.metric.matrices(pts))]
 
 
 def conformal_metric_at(M: WeightedManifold, x) -> np.ndarray:

@@ -50,6 +50,22 @@ in level and segment order, so a path that leaves the chart in the first
 round is reported before an earlier path whose segment would run out of
 steps levels later.
 
+Straight segments (``Line`` stores its ``delta``) are sampled together as
+data, start + t * delta in Line's own arithmetic; only the others call
+their callables.  The transport kernel (``_kernel``) declares the
+coordinates its geometry reads.  A straight segment whose delta is 0 in
+all of them is *constant*: the coefficients at all its samples have the
+same bits (the kernel gives the same bits on one point as on many of a
+call), so it gives its group's kernel call one row (its first new
+sample, one point toward ``MAX_BATCH_POINTS``), takes one RK4 step on it,
+and gets its fine and coarse products from ``_uniform_product``, the
+pairwise tree of ``_ordered_product`` replayed on copies of that step in
+O(log N) matmuls, bit for bit.  The chart is still checked at every
+sample of the group, in segment order, before the kernel, and
+``_advancing`` still counts 4N + 1 held points, so errors and rounds do
+not move.  Segments that carry frames, and coefficient functions that
+declare nothing (block prediction), are sampled whole.
+
 ``path_transport_many`` and ``holonomy_many`` integrate many paths or
 loops as one batch (the paths and loops of all of a verify entry's checks
 of one kind and direction, an algebra experiment's loops, the CLI's
@@ -122,13 +138,16 @@ class PathSegment:
     ``position`` and ``velocity`` map a 1-d array of m parameter values to
     (m, n) arrays.  Line(start, end), Curve(position, velocity) and
     Loop.reversed build segments of this form; Curve also accepts
-    callables of one float.
+    callables of one float.  A Line also stores its ``delta``, end -
+    start, so that the lockstep engine samples it as data; it is None on
+    every other segment.
     """
 
     position: Callable
     velocity: Callable
     start: np.ndarray
     end: np.ndarray
+    delta: np.ndarray = None
 
     def sample(self, ts):
         ts = np.asarray(ts, dtype=float)
@@ -149,7 +168,8 @@ def Line(start, end) -> PathSegment:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return np.broadcast_to(delta, (ts.shape[0], delta.shape[0])).copy()
 
-    return PathSegment(position=position, velocity=velocity, start=start, end=end)
+    return PathSegment(position=position, velocity=velocity, start=start, end=end,
+                       delta=delta)
 
 
 def Curve(position, velocity) -> PathSegment:
@@ -281,6 +301,21 @@ def _ordered_product(mats):
     return mats[..., 0, :, :]
 
 
+def _uniform_product(step, count):
+    """``_ordered_product`` of ``count`` copies of each (d, d) matrix of
+    ``step`` (..., d, d), with the same bits, in O(log count) stacked
+    matmuls: each level of its pairwise tree holds copies of one matrix u
+    and a last entry w, and pairs them into u @ u and, when the count is
+    even, a last w @ u."""
+    u = w = step
+    while count > 1:
+        if count % 2 == 0:
+            w = w @ u
+        u = u @ u
+        count = (count + 1) // 2
+    return w
+
+
 def _fine_grid(steps):
     """Half-step sample grid of the fine pass (2*steps RK4 steps on [0, 1]);
     its even-index subset is the coarse pass's grid."""
@@ -315,11 +350,16 @@ def _transport_matrices(M, kind, pos, vel, covector=False):
     -B for vectors, B^T for covectors, B^k_j = Gamma^k_ij sigma'^i, in C
     order (a diagonal metric's B has the point axis last in memory), so the
     RK4 products read contiguous matrices."""
-    inside = M.chart.contains(pos)
-    if not inside.all():
-        raise OutOfDomain(pos[~inside][0], "path exits the chart")
+    _require_on_chart(M.chart, pos)
     B = christoffel_many(M, kind, pos, vel)
     return np.ascontiguousarray(np.swapaxes(B, 1, 2)) if covector else np.negative(B, order="C")
+
+
+def _require_on_chart(chart, pos):
+    """OutOfDomain at the first of the (m, n) points outside ``chart``."""
+    inside = chart.contains(pos)
+    if not inside.all():
+        raise OutOfDomain(pos[~inside][0], "path exits the chart")
 
 
 def _interleave(even, odd):
@@ -357,36 +397,98 @@ def _check_refinable(fine_steps, miss):
 def _start_and_target(steps, error_target):
     """First level and error target: MIN_STEPS and ``error_target``
     (default DEFAULT_ERROR_TARGET), or ``steps`` and math.inf (a fixed
-    grid) when ``steps`` is given."""
+    grid) when ``steps`` is given; ValueError if it is below 1."""
     if steps is not None:
+        if steps < 1:
+            raise ValueError(f"steps must be at least 1, got {steps}")
         return steps, math.inf
     return MIN_STEPS, DEFAULT_ERROR_TARGET if error_target is None else error_target
 
 
 def _kernel(M, kind, covector=False):
-    """Coefficient function of the transport ODE of ``kind`` on M."""
-    return lambda pos, vel: _transport_matrices(M, kind, pos, vel, covector)
+    """Coefficient function of the transport ODE of ``kind`` on M.  It
+    carries M's ``chart`` and ``reads``, the axes of the coordinates that
+    the geometry reads (the metric's for the Levi-Civita connection, also
+    the density's for the others), so that its rows along a straight
+    segment that moves no coordinate of ``reads`` are all equal."""
+    def coeffs(pos, vel):
+        return _transport_matrices(M, kind, pos, vel, covector)
+    names = (M.metric if kind == ConnectionKind.LEVI_CIVITA else M)._pass.names
+    coeffs.chart = M.chart
+    coeffs.reads = [a for a, name in enumerate(M.chart.coord_names) if name in names]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------
 # The lockstep engine
 # ---------------------------------------------------------------------------
 
+def _constant_segments(segments, coeffs):
+    """Which ``segments`` are constant: straight, moving none of the axes
+    that ``coeffs`` declares it ``reads``.  None is, for a coefficient
+    function that declares nothing."""
+    reads = getattr(coeffs, "reads", None)
+    return np.array([reads is not None and seg.delta is not None
+                     and not seg.delta[reads].any() for seg in segments], dtype=bool)
+
+
+def _groups(members, constant, m):
+    """``members`` cut, in order, into groups of at most MAX_BATCH_POINTS
+    kernel rows, m per segment and 1 per constant one (a larger segment
+    alone)."""
+    groups, rows = [], MAX_BATCH_POINTS
+    for i in members:
+        r = 1 if constant[i] else m
+        if rows + r > MAX_BATCH_POINTS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += r
+    return groups
+
+
 def _sample(segments, ts):
-    """(g, m, n) positions and velocities of ``segments`` at parameters ts."""
-    pos, vel = zip(*(seg.sample(ts) for seg in segments))
-    return np.stack(pos), np.stack(vel)
+    """(g, m, n) positions and velocities of ``segments`` at parameters
+    ts: the straight ones (with a ``delta``) together by Line's
+    arithmetic, start + t * delta elementwise, the others by their
+    callables."""
+    straight = np.array([seg.delta is not None for seg in segments])
+    pos = np.empty((len(segments), len(ts), len(segments[0].start)))
+    vel = np.empty_like(pos)
+    for j in np.flatnonzero(~straight):
+        pos[j], vel[j] = segments[j].sample(ts)
+    if straight.any():
+        lines = [segments[j] for j in np.flatnonzero(straight)]
+        deltas = np.stack([seg.delta for seg in lines])[:, None]
+        pos[straight] = np.stack([seg.start for seg in lines])[:, None] + ts[:, None] * deltas
+        vel[straight] = deltas
+    return pos, vel
 
 
-def _coefficients(coeffs, pos, vel):
-    """``coeffs`` at the (g, m, n) points, (g, m, d, d), from calls of at
-    most MAX_BATCH_POINTS points each."""
-    flat_pos = pos.reshape(-1, pos.shape[-1])
-    flat_vel = vel.reshape(flat_pos.shape)
+def _coefficients(coeffs, segments, ts, constant):
+    """``coeffs`` on a group of ``segments`` sampled at ts: (gv, m, d, d)
+    rows of its varying segments and the (gc, d, d) row of its
+    ``constant`` ones (None if it has none), which give the kernel only
+    their first point, from calls of at most MAX_BATCH_POINTS points in
+    segment order; and the (g, m, n) positions, None with a constant
+    segment."""
+    pos, vel = _sample(segments, ts)
+    g, m, n = pos.shape
+    if constant.any():
+        # every sampled point is checked against the chart before the kernel
+        _require_on_chart(coeffs.chart, pos.reshape(-1, n))
+        rows = np.ones((g, m), dtype=bool)
+        rows[constant, 1:] = False
+        pos, vel = pos[rows], vel[rows]
+    flat_pos, flat_vel = pos.reshape(-1, n), vel.reshape(-1, n)
     chunks = [coeffs(flat_pos[a:a + MAX_BATCH_POINTS], flat_vel[a:a + MAX_BATCH_POINTS])
               for a in range(0, len(flat_pos), MAX_BATCH_POINTS)]
     A = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return A.reshape(pos.shape[:2] + A.shape[1:])
+    if not constant.any():
+        return A.reshape((g, m) + A.shape[1:]), None, pos
+    counts = np.where(constant, 1, m)
+    first = np.cumsum(counts) - counts
+    return A[first[~constant, None] + np.arange(m)], A[first[constant]], None
 
 
 def _advancing(live, level, start, held_cap):
@@ -426,9 +528,13 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
     ``pieces`` 0 the last two are None.
     """
     keep = pieces > 0
+    # frames need every step matrix, so with pieces no segment is constant
+    constant = _constant_segments(segments, None if keep else coeffs)
     results = [None] * len(segments)
     level = [0] * len(segments)
-    held = {}  # live segment -> coefficients, positions (if keep), fine product
+    # live segment -> coefficients (one row if constant), positions (if
+    # keep), fine product
+    held = {}
     live = list(range(len(segments)))
     while live:
         by_level = {}
@@ -436,24 +542,13 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
             by_level.setdefault(2 * level[i] or start, []).append(i)
         for n, members in by_level.items():
             ts = _fine_grid(n) if n == start else np.arange(1, 4 * n, 2) / (4 * n)
-            size = max(1, MAX_BATCH_POINTS // len(ts))
             fine, coarse, new = [], [], []
-            for a in range(0, len(members), size):
-                group = members[a:a + size]
-                pos, vel = _sample([segments[i] for i in group], ts)
-                A = _coefficients(coeffs, pos, vel)
-                if n == start:
-                    coarse.append(_ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)))
-                else:
-                    old = [held.pop(i) for i in group]
-                    A = _interleave([h[0] for h in old], A)
-                    if keep:
-                        pos = _interleave([h[1] for h in old], pos)
-                    coarse.append(np.stack([h[2] for h in old]))
-                step_mats = _rk4_steps(A, 1.0 / (2 * n))
-                fine.append(_ordered_product(step_mats))
-                new += [(A[j] if accept is not None else None, pos[j] if keep else None,
-                         step_mats[j] if keep else None) for j in range(len(group))]
+            for group in _groups(members, constant, len(ts)):
+                f, c = _advance(coeffs, [segments[i] for i in group], ts, constant[group], n,
+                                None if n == start else [held.pop(i) for i in group],
+                                keep, accept is not None, new)
+                fine.append(f)
+                coarse.append(c)
             fine, coarse = np.concatenate(fine), np.concatenate(coarse)
             done = (np.ones(len(members), dtype=bool) if accept is None
                     else accept(members, fine, coarse, 2 * n))
@@ -465,8 +560,54 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
                     # copies, so that retired rows of a group are freed
                     level[i] = n
                     held[i] = A.copy(), None if pos is None else pos.copy(), fine[j]
+            # only the copies in held outlive the level, not these views
+            del A, pos, step_mats
         live = [i for i in live if results[i] is None]
     return results
+
+
+def _advance(coeffs, segments, ts, constant, n, old, keep, hold, new):
+    """Level N = ``n`` of a group of ``segments``, sampled at the new
+    parameters ts: their stacked fine and coarse products.  Appends to
+    ``new``, per segment, what it keeps if it does not retire
+    (coefficients if ``hold``, positions and per-step matrices if
+    ``keep``).  ``old`` lists what they kept from their previous level,
+    None at their first.  Nothing else of the group outlives the call."""
+    A, A_const, pos = _coefficients(coeffs, segments, ts, constant)
+    fine_const = coarse_const = None
+    if A_const is not None:
+        # a constant segment's steps are all equal: one RK4 step on its row
+        # taken thrice, its products from copies of that step
+        A_const = A_const[:, None]
+        thrice = np.repeat(A_const, 3, axis=1)
+        fine_const = _uniform_product(_rk4_steps(thrice, 1.0 / (2 * n))[:, 0], 2 * n)
+        coarse_const = _uniform_product(_rk4_steps(thrice, 1.0 / n)[:, 0], n)
+    if old is None:
+        coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
+                         coarse_const)
+    else:
+        A = _interleave([h[0] for h, c in zip(old, constant) if not c], A)
+        if keep:
+            pos = _interleave([h[1] for h in old], pos)
+        coarse = np.stack([h[2] for h in old])
+    step_mats = _rk4_steps(A, 1.0 / (2 * n))
+    new += [(row if hold else None, pos[j] if keep else None, step_mats[j] if keep else None)
+            for j, row in enumerate(_in_order(constant, A, A_const))]
+    return _merged(constant, _ordered_product(step_mats), fine_const), coarse
+
+
+def _in_order(constant, varying, uniform):
+    """The rows of a group's segments in order, from those of its varying
+    and of its ``constant`` segments (None if it has none)."""
+    if uniform is None:
+        return list(varying)
+    varying, uniform = iter(varying), iter(uniform)
+    return [next(uniform if c else varying) for c in constant]
+
+
+def _merged(constant, varying, uniform):
+    """``_in_order`` stacked, or ``varying`` itself."""
+    return varying if uniform is None else np.stack(_in_order(constant, varying, uniform))
 
 
 def _piece_products(step_mats, pos, pieces):
@@ -701,8 +842,8 @@ def shrinking_rectangle_family(corner, axis_a, axis_b, extent_a, extent_b, s_max
 
     def make(s):
         if s == 0.0:
-            # degenerate: out-and-back along the first edge keeps segment
-            # count fixed and has identity transport
+            # degenerate: four zero-length segments keep the segment count
+            # of the rectangles and have identity transport
             e1 = np.zeros_like(corner)
             return Loop(segments=[Line(corner, corner + e1), Line(corner + e1, corner),
                                   Line(corner, corner), Line(corner, corner)],

@@ -27,7 +27,8 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .errors import HololabError
-from .manifold import ConnectionKind, christoffel_many, weighted_metric_at
+from .manifold import (ConnectionKind, christoffel_many, weighted_metric_at,
+                       weighted_metrics_at)
 from .transport import (path_transport_many, polyline_segments,
                         predicted_block_transport, random_rectangle_loops)
 
@@ -106,6 +107,14 @@ def _loop_paths(entry, loops):
     return [loop.segments for loop in loops]
 
 
+def _metrics_at_ends(entry, paths):
+    """(h at the start, h at the end) of each path, h = e^{-phi} g, from
+    one evaluation over all the ends."""
+    ends = np.array([p for path in paths for p in (path[0].start, path[-1].end)])
+    h = iter(weighted_metrics_at(entry.manifold, ends.reshape(-1, entry.dim)))
+    return list(zip(h, h))
+
+
 def _require_riemannian(entry):
     p, q = entry.manifold.metric.signature
     if q != 0:
@@ -174,12 +183,10 @@ def _plan_duality_pairing(entry, n_paths, seed, tol, steps):
 
     def judge(weighted, dual):
         violations = []
-        for k, (path, Pw, Pd) in enumerate(zip(paths, weighted, dual)):
-            start, end = path[0].start, path[-1].end
-            h0 = weighted_metric_at(entry.manifold, start)
-            h1 = weighted_metric_at(entry.manifold, end)
+        for k, (path, Pw, Pd, (h0, h1)) in enumerate(
+                zip(paths, weighted, dual, _metrics_at_ends(entry, paths))):
             viol = float(np.abs(Pw.T @ h1 @ Pd - h0).max())
-            violations.append((f"path {k} from {start.tolist()}", viol))
+            violations.append((f"path {k} from {path[0].start.tolist()}", viol))
         return _report("duality_pairing", entry.name, tol, violations)
     return _Plan(((ConnectionKind.WEIGHTED, False, paths),
                   (ConnectionKind.DUAL_WEIGHTED, False, paths)),
@@ -227,10 +234,8 @@ def _plan_dual_vector_fields(entry, n_paths, seed, tol, steps):
     def judge(weighted, dual):
         rng = np.random.default_rng(seed + 1000)
         violations = []
-        for k, (path, Pw, Pcov) in enumerate(zip(paths, weighted, dual)):
-            start, end = path[0].start, path[-1].end
-            h0 = weighted_metric_at(entry.manifold, start)
-            h1 = weighted_metric_at(entry.manifold, end)
+        for k, (Pw, Pcov, (h0, h1)) in enumerate(
+                zip(weighted, dual, _metrics_at_ends(entry, paths))):
             v0 = rng.standard_normal(entry.dim)
             v0 /= np.linalg.norm(v0)
             a0 = h0 @ v0

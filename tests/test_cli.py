@@ -126,6 +126,32 @@ def test_config_errors_exit_2(tmp_path):
     assert run(["holonomy", bad_kind]) == 2
 
 
+@pytest.mark.parametrize("command", ["holonomy", "algebra", "verify"])
+@pytest.mark.parametrize("steps", [0, -3, "abc", 2.7, True, "200"])
+def test_steps_that_are_not_a_positive_integer_exit_2(tmp_path, capsys, kernel_calls,
+                                                      command, steps):
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+        "algebra": {"random_loops": 4}, "steps": steps})
+    assert run([command, cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: steps must be a positive integer, got {steps!r}"]
+    assert kernel_calls == []
+
+
+def test_integral_float_steps_read_as_an_integer(tmp_path):
+    results = []
+    for steps in (20, 20.0):
+        out = tmp_path / f"r{steps!r}.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+            "steps": steps, "output": str(out)})
+        assert run(["holonomy", cfg]) == 0
+        results.append(json.loads(out.read_text())["results"])
+    assert results[0] == results[1]
+    assert results[0][0]["steps_used"] == 4 * 2 * 20
+
+
 def test_expression_error_reports_offset(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.json", {
         "manifold": {"custom": {

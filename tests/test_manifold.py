@@ -18,7 +18,7 @@ from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               christoffel_derivative_many, christoffel_many,
                               conformal_metric_at, covariant_derivative_of_tensor,
                               curvature_at, dphi_at, metric_at, ricci_at,
-                              weighted_metric_at)
+                              weighted_metric_at, weighted_metrics_at)
 
 E = math.e
 LC = ConnectionKind.LEVI_CIVITA
@@ -54,6 +54,23 @@ def test_weighted_metric_at(borel, tri3):
     M0 = euclidean()
     assert np.allclose(weighted_metric_at(M0, [0.2, 0.4]),
                        metric_at(M0, [0.2, 0.4]))
+
+
+def test_weighted_metrics_at_equal_one_point_evaluations():
+    rng = np.random.default_rng(6)
+    for entry in catalog.default_entries():
+        M = entry.manifold
+        lo, hi = np.array(entry.sample_region).T
+        pts = lo + (hi - lo) * rng.random((7, M.dim))
+        for x, h in zip(pts, weighted_metrics_at(M, pts)):
+            assert h.tobytes() == weighted_metric_at(M, x).tobytes()
+    sphere = catalog.sphere_with_density(2).manifold
+    pts = np.array([[1.0, 0.5], [0.01, 0.0], [4.0, 0.0]])  # the last two outside
+    with pytest.raises(OutOfDomain) as batch:
+        weighted_metrics_at(sphere, pts)
+    with pytest.raises(OutOfDomain) as alone:
+        weighted_metric_at(sphere, pts[1])
+    assert str(batch.value) == str(alone.value)
 
 
 def test_conformal_metric_at(tri2):

@@ -127,6 +127,16 @@ def test_step_underflow():
                               error_target=1e-14)
 
 
+@pytest.mark.parametrize("steps", [0, -3])
+def test_steps_below_one_raise(borel, kernel_calls, steps):
+    loop = borel.loops["golden1"]
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        path_transport_matrix(borel.manifold, W, loop.segments, steps=steps)
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        holonomy(borel.manifold, W, loop, steps=steps)
+    assert kernel_calls == []
+
+
 def test_step_underflow_without_steps(borel):
     # no grid reaches 1e-18: doubling stops at the step cap
     with pytest.raises(StepUnderflow):
@@ -232,8 +242,12 @@ def test_holonomy_batch_equals_each_loop_alone(tri3, monkeypatch, steps):
 
 
 def test_kernel_calls_hold_at_most_max_batch_points(sphere3, kernel_calls):
+    """3 loops of 6 segments and their 2-segment middle pieces on a fixed
+    grid of 801 points, but the second loop's two edges along the last
+    angle, which sphereN(3)'s geometry does not read, and the one of its
+    middle piece give one point each."""
     path_transport_many(sphere3.manifold, W, _paths(sphere3, 3, seed=5), steps=200)
-    assert sum(kernel_calls) == 6 * 3 * 801 + 2 * 3 * 801
+    assert sum(kernel_calls) == 6 * 3 * 801 + 2 * 3 * 801 - 3 * 800
     assert max(kernel_calls) <= transport.MAX_BATCH_POINTS
 
 
@@ -363,8 +377,11 @@ def test_family_derivative_small_s_step(sphere2, s_step, kernel_calls):
 
 def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls,
                                                   monkeypatch):
-    """Every segment of the loops at s, s/2, s/4 and 0 is sampled on one
-    grid of 4N + 1 points, each point once."""
+    """Every segment of the loops at s, s/2, s/4 that moves r is sampled on
+    one grid of 4N + 1 points, each point once.  The others move only the
+    angle, which sphere2's geometry does not read, and give one point per
+    level: the two of each loop at s, s/2, s/4 at the levels 8, 16, ...,
+    N, and the four of the loop at 0 once."""
     fam = sphere2.families["alpha"]
     p0_steps = []
     p0_transport = transport.path_transport_matrix
@@ -378,8 +395,8 @@ def test_family_derivative_samples_one_shared_grid(sphere2, kernel_calls,
     [n] = p0_steps  # P(0) is integrated at the accepted N
     grid = 4 * n + 1
     assert grid > 4 * MIN_STEPS + 1  # it doubled
-    segments = sum(len(fam.family(s).segments) for s in (0.0, 1e-2, 5e-3, 2.5e-3))
-    assert sum(kernel_calls) == segments * grid
+    levels = int(math.log2(n // MIN_STEPS)) + 1
+    assert sum(kernel_calls) == 6 * grid + 6 * levels + 4
 
 
 def test_default_family_derivative_kernel_points(borel, kernel_calls):
@@ -680,3 +697,175 @@ def test_retired_segments_hold_only_piece_products(sphere2):
         assert products.shape == (7, 2, 2) and ends.shape == (7, 2)
         # new arrays, not views that pin the group's per-step matrices
         assert products.base is None and ends.base is None
+
+
+# ---------------------------------------------------------------------------
+# Constant segments: straight, along coordinates the geometry does not read
+# ---------------------------------------------------------------------------
+
+def _curves(segments):
+    """The same segments as Curves of their own callables, which are
+    sampled through them and never taken for constant.  (A Line's callables
+    give one row for a float, which Curve reads as a point.)"""
+    def curve_of(fn):
+        return lambda t: fn(t) if np.ndim(t) else fn(t)[0]
+    return [Curve(curve_of(seg.position), curve_of(seg.velocity)) for seg in segments]
+
+
+def _curve_loop_of(loop):
+    return Loop(segments=_curves(loop.segments), basepoint=loop.basepoint)
+
+
+def test_uniform_product_equals_the_ordered_product_of_copies():
+    rng = np.random.default_rng(5)
+    step = np.eye(3) + 0.05 * rng.standard_normal((3, 3, 3))
+    step[1][rng.random((3, 3)) < 0.4] = -0.0
+    step[2] *= 8.0  # its powers overflow past about 340 copies
+    for count in list(range(1, 70)) + [200, 400, 401, 800, 1024, 2 ** 16]:
+        copies = np.repeat(step[:, None], count, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = transport._ordered_product(copies)
+            assert _same_bits(transport._uniform_product(step, count), expected), count
+    assert not np.isfinite(expected[2]).any()
+
+
+@pytest.mark.parametrize("kind", [W, DW, LC])
+def test_one_point_kernel_rows_equal_batched_rows(kind):
+    """A constant segment gives the kernel one point and stands for all of
+    its rows, so a row must not depend on the points it is batched with."""
+    from hololab.catalog import default_entries
+    rng = np.random.default_rng(17)
+    for entry in default_entries():
+        M = entry.manifold
+        lo, hi = np.array(entry.sample_region).T
+        pos = lo + (hi - lo) * rng.random((9, M.dim))
+        vel = rng.standard_normal((9, M.dim))
+        vel[rng.random(vel.shape) < 0.3] = 0.0
+        for covector in (False, True):
+            kernel = transport._kernel(M, kind, covector)
+            batched = kernel(pos, vel)
+            for k in range(len(pos)):
+                assert _same_bits(kernel(pos[k:k + 1], vel[k:k + 1])[0], batched[k]), \
+                    (entry.name, covector, k)
+
+
+def _loops_along_unread_axes(name):
+    """Seeded loops of ``name`` with spokes, and rectangles whose edges or
+    spokes move only coordinates that its geometry does not read."""
+    from hololab.catalog import get_entry
+    entry = get_entry(name)
+    base = entry.basepoint
+    loops = random_rectangle_loops(entry.manifold, entry.sample_region, 3, seed=4,
+                                   basepoint=base)
+    unread = {"sphereN(4)": [3], "so_pq(1,2)": [0, 1], "so11_2d": [0]}[name]
+    last = unread[-1]
+    shifted = base.copy()
+    shifted[last] += 0.3
+    loops.append(rectangle_loop(base, 0 if last else 1, last, 0.2, 0.5))
+    loops.append(rectangle_loop(shifted, 0 if last else 1, last, -0.2, 0.4, basepoint=base))
+    if len(unread) == 2:
+        loops.append(rectangle_loop(base, unread[0], unread[1], 0.3, -0.4))
+    return entry.manifold, loops
+
+
+@pytest.mark.parametrize("steps", [None, 8, 200])
+@pytest.mark.parametrize("name", ["sphereN(4)", "so_pq(1,2)", "so11_2d"])
+def test_constant_segments_equal_their_sampled_transport(name, steps, kernel_calls):
+    """Lines and the same paths as Curves give bit-identical matrices,
+    estimates and steps, for every kind and both directions, and with
+    frames; the Lines give the kernel fewer points."""
+    M, loops = _loops_along_unread_axes(name)
+    curve_loops = [_curve_loop_of(loop) for loop in loops]
+    paths = [loop.segments for loop in loops] + [loop.segments[1:4] for loop in loops]
+    curve_paths = [_curves(path) for path in paths]
+    constant = transport._constant_segments([s for p in paths for s in p],
+                                            transport._kernel(M, W))
+    assert constant.any() and not constant.all()
+    points = {"lines": 0, "curves": 0}
+    for kind in (W, DW, LC):
+        for covector in (False, True):
+            kernel_calls.clear()
+            lines = path_transport_many(M, kind, paths, steps=steps, covector=covector)
+            points["lines"] += sum(kernel_calls)
+            kernel_calls.clear()
+            curves = path_transport_many(M, kind, curve_paths, steps=steps, covector=covector)
+            points["curves"] += sum(kernel_calls)
+            for (P, est), (Pc, estc) in zip(lines, curves):
+                assert _same_bits(P, Pc) and est == estc
+        frames = 3 if kind == W else 0
+        for h, hc in zip(holonomy_many(M, kind, loops, steps=steps, frames_per_segment=frames),
+                         holonomy_many(M, kind, curve_loops, steps=steps,
+                                       frames_per_segment=frames)):
+            assert _same_bits(h.matrix, hc.matrix)
+            assert (h.est_error, h.steps_used) == (hc.est_error, hc.steps_used)
+            if frames:
+                assert _same_bits(h.frames, hc.frames)
+                assert _same_bits(h.positions, hc.positions)
+    assert points["lines"] < points["curves"]
+
+
+def test_constant_segments_keep_family_derivatives(sphere2, so11, kernel_calls):
+    """The alpha loops of sphere2 run along the angle, which its geometry
+    does not read, on two of their four edges, and so11_2d's shrinking
+    rectangle along x on two: the derivatives keep their bits."""
+    cases = [(sphere2.manifold, sphere2.families["alpha"], None),
+             (sphere2.manifold, sphere2.families["alpha"], 20),
+             (so11.manifold, shrinking_rectangle_family([0.2, -0.3], 0, 1, 0.5, 0.4), None)]
+    for M, fam, steps in cases:
+        as_curves = LoopFamily(family=lambda s, fam=fam: _curve_loop_of(fam.family(s)),
+                               s_max=fam.s_max)
+        kernel_calls.clear()
+        D = family_derivative(M, W, fam, steps=steps)
+        points = sum(kernel_calls)
+        kernel_calls.clear()
+        assert _same_bits(D, family_derivative(M, W, as_curves, steps=steps))
+        assert points < sum(kernel_calls)
+
+
+BOUNDED_Y = {"dim": 2, "coords": ["x", "y"], "metric": {"diag": ["1+x^2", "2+cos(x)"]},
+             "phi": "x/2", "domain": [[-2, 2], [-1, 1]]}
+
+
+def _same_error(run, paths, error):
+    """``run`` raises the same ``error``, message and point, on ``paths``
+    as on the same paths as Curves."""
+    with pytest.raises(error) as lines:
+        run(paths)
+    with pytest.raises(error) as curves:
+        run([_curves(path) for path in paths])
+    assert str(lines.value) == str(curves.value)
+    assert np.array_equal(lines.value.point, curves.value.point)
+    return lines.value
+
+
+@pytest.mark.parametrize("steps", [None, 50])
+def test_constant_segment_leaving_the_chart_raises_at_its_first_outside_sample(steps):
+    M = _build_custom_manifold(BOUNDED_Y)
+    leaving = [Line([0.3, 0.0], [0.3, 1.5])]  # moves y only; the geometry reads x
+    assert transport._constant_segments(leaving, transport._kernel(M, W)).all()
+    run = lambda paths: path_transport_many(M, W, paths, steps=steps)  # noqa: E731
+    error = _same_error(run, [leaving], OutOfDomain)
+    ts = transport._fine_grid(steps or MIN_STEPS)
+    assert np.array_equal(error.point, [0.3, 1.5 * ts[1.5 * ts >= 1.0][0]])
+    # with a varying segment that also leaves, before and after it
+    varying = [Line([0.0, 0.0], [2.5, 0.5])]
+    inside = [Line([0.0, 0.0], [0.5, 0.5])]
+    for paths in ([inside, leaving, varying], [inside, varying, leaving]):
+        _same_error(run, paths, OutOfDomain)
+
+
+def test_constant_segment_on_a_singular_metric_raises_the_kernel_error():
+    from hololab.errors import SingularMetric
+    from hololab.manifold import (CoordinateChart, DensityField, MetricField,
+                                  WeightedManifold)
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    M = WeightedManifold(chart=chart, density=DensityField.from_expression(chart, "x"),
+                         metric=MetricField.from_expressions(chart, ["1+x^2", "x^2"], (2, 0),
+                                                             validate=False))
+    singular = [Line([0.0, 0.1], [0.0, 0.5])]  # det g = 0 all along x = 0
+    assert transport._constant_segments(singular, transport._kernel(M, W)).all()
+    crossing = [Line([-0.5, 0.2], [0.5, 0.3])]
+    inside = [Line([0.5, 0.0], [0.7, 0.5])]
+    run = lambda paths: path_transport_many(M, W, paths, steps=8)  # noqa: E731
+    for paths in ([inside, singular, crossing], [inside, crossing, singular]):
+        _same_error(run, paths, SingularMetric)
