@@ -62,26 +62,34 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _integer(value, what, least):
+    """``value`` as an int: a whole number (200.0 reads as 200) of at least
+    ``least``, 0 or 1, else ConfigError naming ``what``."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole or value < least:
+        raise ConfigError(f"{what} must be a {'positive' if least else 'nonnegative'} "
+                          f"integer, got {value!r}")
+    return int(value)
+
+
 def _steps_from_config(config):
-    """An explicit ``steps``, a positive integer (200.0 reads as 200), pins
-    a fixed grid; without it transports are step-controlled."""
+    """An explicit ``steps``, a positive integer, pins a fixed grid; without
+    it transports are step-controlled."""
     steps = config.get("steps")
-    if steps is None:
-        return None
-    whole = isinstance(steps, int) or isinstance(steps, float) and steps.is_integer()
-    if isinstance(steps, bool) or not whole or steps < 1:
-        raise ConfigError(f"steps must be a positive integer, got {steps!r}")
-    return int(steps)
+    return None if steps is None else _integer(steps, "steps", 1)
 
 
 def _resolve_seed(config):
+    """The run's seed, a nonnegative integer: HOLOLAB_SEED if it is set,
+    else the config's ``seed`` (default 0)."""
     env = os.environ.get("HOLOLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"HOLOLAB_SEED must be an integer, got {env!r}")
-    return int(config.get("seed", 0))
+    if env is None:
+        return _integer(config.get("seed", 0), "seed", 0)
+    try:
+        value = int(env)
+    except ValueError:
+        value = env
+    return _integer(value, "HOLOLAB_SEED", 0)
 
 
 def _build_custom_manifold(spec):
@@ -377,7 +385,8 @@ def cmd_algebra(args):
     _check_report_path(config, args)
     entry, M, kind, steps, loops, families = _transport_from_config(config)
     aspec = config.get("algebra", {})
-    n_random = int(aspec.get("random_loops", 40 if not loops else 0))
+    n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
+                        "algebra.random_loops", 0)
     if n_random:
         region = aspec.get("region")
         if region is None:
@@ -443,9 +452,9 @@ def cmd_verify(args):
     seed = _resolve_seed(config)
     _check_report_path(config, args)
     samples = config.get("samples", {})
-    n_paths = int(samples.get("paths", 20))
-    n_loops = int(samples.get("loops", 20))
-    n_points = int(samples.get("points", 50))
+    n_paths, n_loops, n_points = (
+        _integer(samples.get(key, default), f"samples.{key}", 0)
+        for key, default in (("paths", 20), ("loops", 20), ("points", 50)))
     steps = _steps_from_config(config)
     wanted = config.get("checks")
     if wanted is not None:

@@ -55,11 +55,11 @@ class AlgebraExperiment:
 
 def generators_from_loops(M, kind, loops, steps=None):
     """Principal logs of the usable loop transports, plus det diagnostics;
-    the loops are integrated as one batch."""
+    the loops are integrated as one batch, without error estimates."""
     gens = []
     det_errors = []
     n = M.dim
-    for h in holonomy_many(M, kind, loops, steps=steps):
+    for h in holonomy_many(M, kind, loops, steps=steps, estimate=False):
         det_errors.append(abs(float(np.linalg.det(h.matrix))) - 1.0)
         gap = np.linalg.norm(h.matrix - np.eye(n), 'fro')
         if gap < LOG_WINDOW:

@@ -502,11 +502,11 @@ def dphi_at(M: WeightedManifold, x) -> np.ndarray:
 
 def _require_nonsingular(pts, dets, finite):
     """SingularMetric at the first point where ``finite`` is false, else at
-    the smallest |det g| if it is <= DET_FLOOR."""
+    the smallest |det g| if it is <= DET_FLOOR; nothing on no points."""
     if not finite.all():
         k = int(finite.argmin())
         raise SingularMetric(pts[k], dets[k])
-    if np.abs(dets).min() <= DET_FLOOR:
+    if len(dets) and np.abs(dets).min() <= DET_FLOOR:
         k = int(np.abs(dets).argmin())
         raise SingularMetric(pts[k], dets[k])
 

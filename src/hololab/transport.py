@@ -17,7 +17,14 @@ product.  Without an explicit ``steps`` the levels are step-controlled
 15 meets the error target, ``DEFAULT_ERROR_TARGET`` unless one is given;
 past ``MAX_FINE_STEPS`` fine steps the target is out of reach and
 ``StepUnderflow`` is raised.  An explicit ``steps`` pins a fixed grid of
-N = steps, the first level, accepted whatever its estimate.
+N = steps, the first level, accepted whatever its estimate.  There the
+coarse pass serves only the estimate, so it is formed only where the
+estimate is read: for an explicit error target, which the estimate must
+meet, and for callers that report ``est_error`` (``estimate=True``, the
+default of ``path_transport_many`` and ``holonomy_many``).  Callers that
+use matrices only (algebra experiments, verification checks, block
+predictions, a family's derivative, ``transport_vector``) skip it, and
+the fine products keep their bits.
 
 One engine, ``_lockstep``, integrates every transport.  It advances a
 batch of segments that share a coefficient function and a first level in
@@ -109,10 +116,11 @@ DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
 MAX_FINE_STEPS = 2 ** 16
 # kernel points per coefficient call of a lockstep round.  Larger calls
-# cost memory (about 0.7 kB of kernel temporaries per point on the
-# diagonal sphereN(4) metric, 1.5 kB on a dense 4-d jet), and at 2 ** 11 the
-# perfbench `algebra` workload, whose segments hold 801 points each, ran
-# slower than with one call per segment.
+# cost memory (by tracemalloc, about 0.7 kB of kernel temporaries per point
+# on the diagonal sphereN(4) metric, 1.2 kB on a dense 4-d jet) and show no
+# resolved gain: on the perfbench `algebra` batch (801-point segments,
+# fixed grid) 2 ** 11 moved the median time by -3.0% at seed 7 and +0.1%
+# at seed 101, faster in 20 and 15 of 30 alternated pairs (2-CPU host).
 MAX_BATCH_POINTS = 2 ** 10
 # sample points the live segments of a step-controlled batch may hold for
 # their next levels (2 MB of coefficients on a 4-d metric); a segment whose
@@ -177,10 +185,12 @@ def Curve(position, velocity) -> PathSegment:
     taking a float, or a 1-d array of m parameter values for (m, n) points.
 
     The velocity is spot-checked against a central difference of the
-    position at five interior parameters.
+    position at five interior parameters.  The dimension is read from the
+    flattened start point, so callables that return one (1, n) row for a
+    float, as Line's do, are taken too.
     """
-    p0 = np.asarray(position(0.0), dtype=float)
-    p1 = np.asarray(position(1.0), dtype=float)
+    p0 = np.asarray(position(0.0), dtype=float).ravel()
+    p1 = np.asarray(position(1.0), dtype=float).ravel()
     h = 1e-6
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         fd = (np.asarray(position(t + h), dtype=float)
@@ -267,9 +277,10 @@ class Loop:
 
 @dataclass(frozen=True)
 class HolonomyElement:
-    """A loop's transport matrix with its error estimate and the accepted
-    fine steps summed over segments; ``positions`` and ``frames`` are set
-    when ``holonomy`` was asked for frames."""
+    """A loop's transport matrix with its error estimate (None when
+    ``holonomy_many`` was asked for none) and the accepted fine steps
+    summed over segments; ``positions`` and ``frames`` are set when
+    ``holonomy`` was asked for frames."""
 
     matrix: np.ndarray
     loop: Loop
@@ -506,7 +517,8 @@ def _advancing(live, level, start, held_cap):
     return chosen
 
 
-def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf):
+def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf,
+              estimate=True):
     """Transfer products of ``segments``, which share the coefficient
     function ``coeffs`` and the first level N = ``start``, each advanced
     through the levels N, 2N, 4N, ... in rounds.
@@ -518,16 +530,18 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
     (L, d, d) fine and coarse products, returns which of them retire (or
     raises StepUnderflow); the others keep a copy of their samples for
     their next level.  Without ``accept`` the grid is pinned: every segment
-    retires at its first level and holds nothing.
+    retires at its first level and holds nothing, and its coarse product
+    is formed only if ``estimate``.
 
     Returns one (fine, coarse, fine_steps, piece_products, piece_ends) per
-    segment.  With ``pieces`` > 0 a retiring segment's accepted fine
-    per-step matrices are reduced to at most that many piece products (see
-    ``_piece_products``) with the positions of the piece ends, so no
-    segment holds its per-step matrices past its retirement; with
-    ``pieces`` 0 the last two are None.
+    segment, coarse None if it was not formed.  With ``pieces`` > 0 a
+    retiring segment's accepted fine per-step matrices are reduced to at
+    most that many piece products (see ``_piece_products``) with the
+    positions of the piece ends, so no segment holds its per-step matrices
+    past its retirement; with ``pieces`` 0 the last two are None.
     """
     keep = pieces > 0
+    estimate = estimate or accept is not None
     # frames need every step matrix, so with pieces no segment is constant
     constant = _constant_segments(segments, None if keep else coeffs)
     results = [None] * len(segments)
@@ -546,10 +560,11 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
             for group in _groups(members, constant, len(ts)):
                 f, c = _advance(coeffs, [segments[i] for i in group], ts, constant[group], n,
                                 None if n == start else [held.pop(i) for i in group],
-                                keep, accept is not None, new)
+                                keep, accept is not None, estimate, new)
                 fine.append(f)
                 coarse.append(c)
-            fine, coarse = np.concatenate(fine), np.concatenate(coarse)
+            fine = np.concatenate(fine)
+            coarse = np.concatenate(coarse) if estimate else [None] * len(members)
             done = (np.ones(len(members), dtype=bool) if accept is None
                     else accept(members, fine, coarse, 2 * n))
             for j, (i, (A, pos, step_mats)) in enumerate(zip(members, new)):
@@ -566,30 +581,33 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf)
     return results
 
 
-def _advance(coeffs, segments, ts, constant, n, old, keep, hold, new):
+def _advance(coeffs, segments, ts, constant, n, old, keep, hold, estimate, new):
     """Level N = ``n`` of a group of ``segments``, sampled at the new
-    parameters ts: their stacked fine and coarse products.  Appends to
-    ``new``, per segment, what it keeps if it does not retire
-    (coefficients if ``hold``, positions and per-step matrices if
-    ``keep``).  ``old`` lists what they kept from their previous level,
-    None at their first.  Nothing else of the group outlives the call."""
+    parameters ts: their stacked fine products and their coarse products,
+    None unless ``estimate``.  Appends to ``new``, per segment, what it
+    keeps if it does not retire (coefficients if ``hold``, positions and
+    per-step matrices if ``keep``).  ``old`` lists what they kept from
+    their previous level, None at their first; their coarse products are
+    then the fine ones kept.  Nothing else of the group outlives the
+    call."""
     A, A_const, pos = _coefficients(coeffs, segments, ts, constant)
-    fine_const = coarse_const = None
+    fine_const = coarse_const = coarse = None
     if A_const is not None:
         # a constant segment's steps are all equal: one RK4 step on its row
         # taken thrice, its products from copies of that step
         A_const = A_const[:, None]
         thrice = np.repeat(A_const, 3, axis=1)
         fine_const = _uniform_product(_rk4_steps(thrice, 1.0 / (2 * n))[:, 0], 2 * n)
-        coarse_const = _uniform_product(_rk4_steps(thrice, 1.0 / n)[:, 0], n)
-    if old is None:
-        coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
-                         coarse_const)
-    else:
+        if estimate and old is None:
+            coarse_const = _uniform_product(_rk4_steps(thrice, 1.0 / n)[:, 0], n)
+    if old is not None:
         A = _interleave([h[0] for h, c in zip(old, constant) if not c], A)
         if keep:
             pos = _interleave([h[1] for h in old], pos)
         coarse = np.stack([h[2] for h in old])
+    elif estimate:
+        coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
+                         coarse_const)
     step_mats = _rk4_steps(A, 1.0 / (2 * n))
     new += [(row if hold else None, pos[j] if keep else None, step_mats[j] if keep else None)
             for j, row in enumerate(_in_order(constant, A, A_const))]
@@ -650,33 +668,39 @@ def _share_test(shares):
     return accept
 
 
-def _transport_many(coeffs, dim, paths, steps=None, error_target=None, pieces=0):
+def _transport_many(coeffs, dim, paths, steps=None, error_target=None, pieces=0,
+                    estimate=True):
     """(matrix, est_error, trail) of each path, for any coefficient function
     ``coeffs(positions, velocities) -> (m, dim, dim)``; the segments of all
     paths advance as one lockstep batch.  ``trail`` lists (fine_steps,
     piece_products, piece_ends) per segment (see ``_lockstep`` and
-    ``pieces``)."""
+    ``pieces``).  Without ``estimate`` est_error is None, and a pinned grid
+    without an ``error_target`` forms no coarse products."""
     start, target = _start_and_target(steps, error_target)
     shares = np.array([target / max(1, len(path)) for path in paths for _ in path])
     segments = [seg for path in paths for seg in path]
+    checked = steps is not None and error_target is not None
     if steps is None:
         retired = iter(_lockstep(segments, coeffs, start, _share_test(shares), pieces=pieces,
                                  held_cap=MAX_HELD_POINTS))
     else:
-        retired = iter(_lockstep(segments, coeffs, start, pieces=pieces))
+        retired = iter(_lockstep(segments, coeffs, start, pieces=pieces,
+                                 estimate=estimate or checked))
     eye = np.eye(dim)
     out = []
     for path in paths:
         segs = [next(retired) for _ in path]
         fine = _chain([s[0] for s in segs], eye)
-        coarse = _chain([s[1] for s in segs], eye)
         fine_steps = sum(s[2] for s in segs)
-        # whole-path Richardson estimate plus the roundoff floor of the product
-        est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
-        if steps is not None and error_target is not None and est > error_target:
-            raise StepUnderflow(f"estimated error {est:.3e} exceeds target "
-                                f"{error_target:.3e}")
-        out.append((fine, est, [s[2:] for s in segs]))
+        est = None
+        if estimate or checked:
+            coarse = _chain([s[1] for s in segs], eye)
+            # whole-path Richardson estimate plus the roundoff floor of the product
+            est = _richardson(fine, coarse) + fine_steps * EPS * float(np.abs(fine).max())
+            if checked and est > error_target:
+                raise StepUnderflow(f"estimated error {est:.3e} exceeds target "
+                                    f"{error_target:.3e}")
+        out.append((fine, est if estimate else None, [s[2:] for s in segs]))
     return out
 
 
@@ -685,7 +709,7 @@ def _transport_many(coeffs, dim, paths, steps=None, error_target=None, pieces=0)
 # ---------------------------------------------------------------------------
 
 def path_transport_many(M, kind, paths, steps=None, covector=False,
-                        error_target=None):
+                        error_target=None, estimate=True):
     """Transfer matrices of piecewise paths with their error estimates,
     the segments of all paths integrated as one lockstep batch.
 
@@ -694,12 +718,14 @@ def path_transport_many(M, kind, paths, steps=None, covector=False,
     segment is step-controlled to its path's share of ``error_target``
     (default DEFAULT_ERROR_TARGET); with ``steps`` the grid is fixed, and
     an explicit ``error_target`` that a path's estimate misses raises
-    StepUnderflow.  A batch raises the first error it meets (see the module
-    docstring), which need not be the one its first failing path raises
-    alone.
+    StepUnderflow.  With ``estimate`` False est_error is None, and a fixed
+    grid without an ``error_target`` skips the coarse pass; the matrices
+    keep their bits.  A batch raises the first error it meets (see the
+    module docstring), which need not be the one its first failing path
+    raises alone.
     """
     results = _transport_many(_kernel(M, kind, covector), M.dim, paths, steps=steps,
-                              error_target=error_target)
+                              error_target=error_target, estimate=estimate)
     return [(P, est) for P, est, _ in results]
 
 
@@ -714,14 +740,15 @@ def path_transport_matrix(M, kind, path, steps=None, covector=False,
 def transport_vector(M, kind, path, v0, steps=None, error_target=None):
     """Parallel-transport the vector v0 along the path; returns endpoint
     components in the coordinate basis."""
-    P, _ = path_transport_matrix(M, kind, path, steps=steps, error_target=error_target)
+    [(P, _)] = path_transport_many(M, kind, [path], steps=steps,
+                                   error_target=error_target, estimate=False)
     return P @ np.asarray(v0, dtype=float)
 
 
 def transport_covector(M, kind, path, a0, steps=None, error_target=None):
     """Parallel-transport the 1-form a0 (row of components) along the path."""
-    P, _ = path_transport_matrix(M, kind, path, steps=steps, covector=True,
-                                 error_target=error_target)
+    [(P, _)] = path_transport_many(M, kind, [path], steps=steps, covector=True,
+                                   error_target=error_target, estimate=False)
     return P @ np.asarray(a0, dtype=float)
 
 
@@ -738,11 +765,12 @@ def _frames(loop, trail, dim):
 
 
 def holonomy_many(M, kind, loops, steps=None, error_target=None,
-                  frames_per_segment=0) -> list:
+                  frames_per_segment=0, estimate=True) -> list:
     """Transport around closed loops, the segments of all loops integrated
     as one lockstep batch; one HolonomyElement per loop, each as
-    ``holonomy`` gives it alone (see ``path_transport_many`` for ``steps``
-    and ``error_target``).
+    ``holonomy`` gives it alone (see ``path_transport_many`` for ``steps``,
+    ``error_target`` and ``estimate``; without ``estimate`` est_error is
+    None).
 
     With ``frames_per_segment`` > 0 each element also carries the
     transported frame along its loop (the CLI's --plot output):
@@ -757,7 +785,7 @@ def holonomy_many(M, kind, loops, steps=None, error_target=None,
         loop.validate(M.chart)
     results = _transport_many(_kernel(M, kind), M.dim, [loop.segments for loop in loops],
                               steps=steps, error_target=error_target,
-                              pieces=frames_per_segment)
+                              pieces=frames_per_segment, estimate=estimate)
     return [HolonomyElement(matrix=P, loop=loop, est_error=est,
                             steps_used=sum(n_fine for n_fine, _, _ in trail),
                             **(_frames(loop, trail, M.dim) if frames_per_segment > 0 else {}))
@@ -826,7 +854,8 @@ def family_derivative(M, kind, fam: LoopFamily, s_step=1e-2, steps=None):
         return np.zeros(len(live), dtype=bool)
 
     results = _lockstep([seg for loop in loops for seg in loop.segments],
-                        _kernel(M, kind), start, None if steps is not None else accept)
+                        _kernel(M, kind), start, None if steps is not None else accept,
+                        estimate=False)
     D = _s_extrapolated(loop_products([r[0] for r in results]), s_step, eye)
     n_fine = results[0][2]  # the same on every segment
     P0, P0_est = path_transport_matrix(M, kind, trivial.segments, steps=n_fine // 2)
@@ -954,7 +983,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         return A
 
     [(fine, _, _)] = _transport_many(coeffs, d, [loop.segments], steps=steps,
-                                     error_target=error_target)
+                                     error_target=error_target, estimate=False)
 
     mix = fine[:s, s:]          # acting on full ambient normal start vectors
     amb = fine[s:, s:]          # ambient metric transport in ambient coordinates

@@ -167,7 +167,8 @@ def _judged(M, steps, plans):
     matrices = {}
     for (kind, covector, target), paths in batches.items():
         matrices[kind, covector, target] = iter([P for P, _ in path_transport_many(
-            M, kind, paths, steps=steps, covector=covector, error_target=target)])
+            M, kind, paths, steps=steps, covector=covector, error_target=target,
+            estimate=False)])
     return [plan.judge(*[[next(matrices[kind, covector, plan.target]) for _ in paths]
                          for kind, covector, paths in plan.requests])
             for plan in plans]
@@ -286,7 +287,7 @@ def check_codazzi(entry: CatalogEntry, n_points=50, seed=3,
     gaps = [np.abs(Tw - np.transpose(Tw, perm))
             for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]]
     gaps += [np.abs(Tw - D), np.abs(Td + D)]
-    viol = np.max([gap.reshape(len(pts), -1).max(axis=1) for gap in gaps], axis=0)
+    viol = np.max([gap.max(axis=(1, 2, 3)) for gap in gaps], axis=0)
     violations = [(f"point {np.round(x, 4).tolist()}", float(v))
                   for x, v in zip(pts, viol)]
     return _report("codazzi", entry.name, tol, violations)
@@ -301,7 +302,7 @@ def check_projective_equivalence(entry: CatalogEntry, n_points=50, seed=4,
     pts = entry.random_points(n_points, seed)
     gw = christoffel_many(entry.manifold, ConnectionKind.WEIGHTED, pts)
     gl = christoffel_many(entry.companion, ConnectionKind.LEVI_CIVITA, pts)
-    gaps = np.abs(gw - gl).reshape(len(pts), -1).max(axis=1)
+    gaps = np.abs(gw - gl).max(axis=(1, 2, 3))
     violations = [(f"point {np.round(x, 4).tolist()}", float(g))
                   for x, g in zip(pts, gaps)]
     return _report("projective_equivalence", entry.name, tol, violations)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import settings
 
@@ -42,6 +44,45 @@ def lockstep_batches(monkeypatch):
         return lockstep(segments, coeffs, start, accept and counted, **options)
 
     monkeypatch.setattr(transport, "_lockstep", counting)
+    return batches
+
+
+@pytest.fixture
+def rk4_passes(monkeypatch):
+    """Calls of the RK4 kernels by name (per-step matrices, ordered and
+    uniform products), wherever transport makes them."""
+    passes = Counter()
+    for name in ("_rk4_steps", "_ordered_product", "_uniform_product"):
+        def counting(*args, name=name, kernel=getattr(transport, name)):
+            passes[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(transport, name, counting)
+    return passes
+
+
+class _CoarseBatches(list):
+    forced = False
+
+    def force(self):
+        self.forced = True
+
+
+@pytest.fixture
+def coarse_batches(monkeypatch):
+    """One bool per lockstep batch, wherever it is made: whether it formed
+    its segments' coarse products.  After ``coarse_batches.force()`` every
+    batch forms them, for a run to compare with one that skips them."""
+    batches = _CoarseBatches()
+    lockstep = transport._lockstep
+
+    def recording(*args, **options):
+        if batches.forced:
+            options["estimate"] = True
+        results = lockstep(*args, **options)
+        batches.append(all(r[1] is not None for r in results))
+        return results
+
+    monkeypatch.setattr(transport, "_lockstep", recording)
     return batches
 
 

@@ -686,3 +686,97 @@ def test_unwritable_output_directory_exits_2(tmp_path, capsys, monkeypatch):
     assert run(["holonomy", cfg, "--output", out]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: report directory is not writable: {out}"]
+
+
+def test_verify_with_no_points_writes_zero_sample_reports(tmp_path, capsys):
+    """The point checks on every default entry with no points: each report
+    has checked nothing and fails, and the run exits 1."""
+    out = tmp_path / "v.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "checks": ["codazzi", "projective_equivalence"], "samples": {"points": 0},
+        "output": str(out)})
+    assert run(["verify", cfg]) == 1
+    doc = json.loads(out.read_text())
+    names = [r["check_name"] for r in doc["results"]]
+    assert names.count("codazzi") == len(catalog.default_entries())
+    assert names.count("projective_equivalence") == sum(
+        e.companion is not None for e in catalog.default_entries())
+    assert all(r["samples"] == 0 and r["passed"] is False for r in doc["results"])
+    assert doc["passed"] is False
+    assert "FAILURES PRESENT" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,key,value", (
+    [("algebra", "algebra.random_loops", v) for v in ("abc", -3, 2.7, True)]
+    + [(c, "seed", v) for c in ("holonomy", "algebra", "verify") for v in ("abc", -1, 2.5)]
+    + [("verify", f"samples.{k}", v) for k in ("paths", "loops", "points")
+       for v in ("x", -1, 2.5)]))
+def test_counts_and_seeds_that_are_not_whole_exit_2(tmp_path, capsys, kernel_calls,
+                                                    command, key, value):
+    doc = {"manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+           "algebra": {"random_loops": 4}, "samples": {"paths": 1}}
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    assert run([command, write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {key} must be a nonnegative integer, got {value!r}"]
+    assert kernel_calls == []
+
+
+@pytest.mark.parametrize("env,shown", [("abc", "'abc'"), ("-1", "-1"), ("2.5", "'2.5'")])
+def test_env_seed_that_is_not_whole_exits_2(tmp_path, capsys, monkeypatch, kernel_calls,
+                                            env, shown):
+    monkeypatch.setenv("HOLOLAB_SEED", env)
+    cfg = write_config(tmp_path, "c.json", {"manifold": {"catalog": "borel2d"},
+                                            "algebra": {"random_loops": 4}})
+    assert run(["algebra", cfg]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: HOLOLAB_SEED must be a nonnegative integer, got {shown}"]
+    assert kernel_calls == []
+
+
+def test_integral_float_counts_and_seeds_read_as_integers(tmp_path):
+    """3.0 loops at seed 7.0 are 3 loops at seed 7; zero counts are counts."""
+    results = []
+    for count, seed in ((3, 7), (3.0, 7.0)):
+        out = tmp_path / "r.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "manifold": {"catalog": "borel2d"}, "algebra": {"random_loops": count},
+            "seed": seed, "steps": 20, "output": str(out)})
+        assert run(["algebra", cfg]) == 0
+        doc = json.loads(out.read_text())
+        results.append((doc["seed"], doc["results"]))
+    assert results[0] == results[1] and results[0][0] == 7
+    assert results[0][1]["loop_count"] == 3
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "loops": [{"rect": [[0, 0], [1, 1]]}],
+        "algebra": {"random_loops": 0}, "seed": 0, "steps": 20, "output": str(out)})
+    assert run(["algebra", cfg]) == 0
+    assert json.loads(out.read_text())["results"]["loop_count"] == 1
+
+
+def test_holonomy_with_steps_forms_the_estimate_it_reports(tmp_path, capsys,
+                                                           coarse_batches):
+    """On a fixed grid the holonomy command reports est_error: its loop
+    batch and its family's P(0) check form coarse products, the family's
+    own batch does not, and report, frames and stdout have the bytes of a
+    run in which every batch forms them."""
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"}, "steps": 50, "include_log": True,
+        "loops": [{"rect": [[0, 0], [1, 1]]}, {"polyline": [[0, 0], [1, 0], [0, 1], [0, 0]]},
+                  {"family": {"rect": [[0, 0], [0.5, 0.5]], "s_max": 1.0}}],
+        "output": str(out)})
+    runs = []
+    for force in (False, True):
+        if force:
+            coarse_batches.force()
+        assert run(["holonomy", cfg, "--plot", str(tmp_path / "fr")]) == 0
+        doc = json.loads(out.read_text())
+        doc.pop("timestamp")
+        frames = [(tmp_path / f"fr_loop{i}.csv").read_bytes() for i in range(2)]
+        runs.append((json.dumps(doc), frames, capsys.readouterr().out))
+    assert coarse_batches == [True, False, True] + [True] * 3
+    assert runs[0] == runs[1]
+    assert all(item["est_error"] > 0 for item in json.loads(runs[0][0])["results"][:2])

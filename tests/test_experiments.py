@@ -1,5 +1,6 @@
 """Closure experiments: the dimension margin and the held-sample bound."""
 
+import json
 import math
 import sys
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from hololab import catalog, transport
+from hololab.cli import main
 from hololab.experiments import (SVD_FLOOR, condition_generators,
                                  generators_from_loops, run_closure_experiment)
 from hololab.manifold import ConnectionKind, metric_at
@@ -72,3 +74,28 @@ def test_held_samples_stay_within_the_cap(monkeypatch, kernel_calls):
     assert max(kernel_calls) <= transport.MAX_BATCH_POINTS
     assert len(capped) == len(uncapped) > 0
     assert all(np.array_equal(a, b) for a, b in zip(capped, uncapped))
+
+
+def test_benchmark_algebra_config_skips_the_coarse_pass(tmp_path, capsys, rk4_passes,
+                                                        coarse_batches):
+    """The algebra benchmark's config (sphereN(4), 60 loops on a fixed grid
+    of 200 steps, seed 7) reads no estimate: its batch forms half the RK4
+    passes of one that forms the coarse products too, and the same report."""
+    config = tmp_path / "algebra.json"
+    config.write_text(json.dumps({"manifold": {"catalog": "sphereN(4)"},
+                                  "algebra": {"random_loops": 60}, "steps": 200,
+                                  "seed": 7}))
+    out = tmp_path / "report.json"
+    reports, passes = [], []
+    for force in (False, True):
+        if force:
+            coarse_batches.force()
+        rk4_passes.clear()
+        assert main(["algebra", str(config), "--output", str(out)]) == 0
+        passes.append(dict(rk4_passes))
+        reports.append(json.dumps(json.loads(out.read_text())["results"])
+                       + capsys.readouterr().out)
+    assert coarse_batches == [False, True]
+    assert passes == [{"_rk4_steps": 360, "_ordered_product": 282, "_uniform_product": 78},
+                      {"_rk4_steps": 720, "_ordered_product": 564, "_uniform_product": 156}]
+    assert reports[0] == reports[1]

@@ -634,3 +634,18 @@ def test_diagonal_kernel_memory_per_point():
         finally:
             tracemalloc.stop()
         assert peak <= bound * len(pts)
+
+
+@pytest.mark.parametrize("kind", [LC, W, DW])
+def test_christoffel_many_on_no_points_gives_empty_arrays(kind):
+    """Zero points are a batch like any other: every default entry and
+    companion gives (0, n, n, n) coefficients, or (0, n, n) with
+    velocities."""
+    for entry in catalog.default_entries():
+        for M in filter(None, (entry.manifold, entry.companion)):
+            n = M.dim
+            none = np.empty((0, n))
+            gamma = christoffel_many(M, kind, none)
+            assert gamma.shape == (0, n, n, n) and gamma.dtype == float, entry.name
+            B = christoffel_many(M, kind, none, none)
+            assert B.shape == (0, n, n) and B.dtype == float, entry.name

@@ -705,11 +705,8 @@ def test_retired_segments_hold_only_piece_products(sphere2):
 
 def _curves(segments):
     """The same segments as Curves of their own callables, which are
-    sampled through them and never taken for constant.  (A Line's callables
-    give one row for a float, which Curve reads as a point.)"""
-    def curve_of(fn):
-        return lambda t: fn(t) if np.ndim(t) else fn(t)[0]
-    return [Curve(curve_of(seg.position), curve_of(seg.velocity)) for seg in segments]
+    sampled through them and never taken for constant."""
+    return [Curve(seg.position, seg.velocity) for seg in segments]
 
 
 def _curve_loop_of(loop):
@@ -869,3 +866,75 @@ def test_constant_segment_on_a_singular_metric_raises_the_kernel_error():
     run = lambda paths: path_transport_many(M, W, paths, steps=8)  # noqa: E731
     for paths in ([inside, singular, crossing], [inside, crossing, singular]):
         _same_error(run, paths, SingularMetric)
+
+
+@pytest.mark.parametrize("steps", [None, 20])
+def test_curve_of_a_lines_own_callables_equals_the_line(borel, steps):
+    """A Line's callables give one (1, n) row for a float; Curve reads the
+    dimension from the flattened start point, and the Curve's transport has
+    the Line's bits, on a varying and on a constant (sphereN(4)) path."""
+    M4, loops = _loops_along_unread_axes("sphereN(4)")
+    for M, loop in [(borel.manifold, borel.loops["golden1"]), (M4, loops[-1])]:
+        curves = _curves(loop.segments)
+        assert [c.start.shape for c in curves] == [(M.dim,)] * len(curves)
+        h = holonomy(M, W, loop, steps=steps)
+        hc = holonomy(M, W, Loop(segments=curves, basepoint=loop.basepoint), steps=steps)
+        assert _same_bits(h.matrix, hc.matrix)
+        assert (h.est_error, h.steps_used) == (hc.est_error, hc.steps_used)
+
+
+def test_pinned_grid_matrices_keep_their_bits_without_the_estimate(sphere2, tri3,
+                                                                   coarse_batches,
+                                                                   rk4_passes):
+    """On a fixed grid the batches whose estimate nobody reads skip the
+    coarse pass (a family's P(0) check reads its own); every matrix has the
+    bits of a run in which every batch forms it."""
+    M, loops = _loops_along_unread_axes("sphereN(4)")
+    paths = [loop.segments for loop in loops] + [loop.segments[1:4] for loop in loops]
+    v0 = np.arange(1.0, M.dim + 1.0)
+
+    def run():
+        out = [h.matrix for h in holonomy_many(M, W, loops, steps=20, estimate=False)]
+        for covector in (False, True):
+            out += [P for P, _ in path_transport_many(M, DW, paths, steps=20,
+                                                      covector=covector, estimate=False)]
+        out.append(family_derivative(sphere2.manifold, W, sphere2.families["alpha"],
+                                     steps=20))
+        out.append(predicted_block_transport(tri3.manifold, [0, 1], {2: 0.0},
+                                             tri3.loops["square"], steps=20))
+        out.append(transport_vector(M, LC, paths[0], v0, steps=20))
+        out.append(transport_covector(M, LC, paths[0], v0, steps=20))
+        return out
+
+    skipped = run()
+    assert coarse_batches == [False, False, False, False, True, False, False, False]
+    passes = dict(rk4_passes)
+    rk4_passes.clear()
+    coarse_batches.force()
+    formed = run()
+    assert len(skipped) == len(formed)
+    assert all(_same_bits(a, b) for a, b in zip(skipped, formed))
+    # half the RK4 passes, 21 of 42, besides the 4 of the P(0) batch (its
+    # degenerate segments are constant: a fine and a coarse pass on their
+    # rows and on the group's empty varying rows)
+    assert (passes["_rk4_steps"], rk4_passes["_rk4_steps"]) == (4 + 21, 4 + 42)
+    for h in holonomy_many(M, W, loops[:1], steps=20, estimate=False):
+        assert h.est_error is None
+    assert path_transport_many(M, W, paths[:1], steps=20, estimate=False)[0][1] is None
+
+
+def test_the_estimate_is_formed_wherever_it_is_read(borel, coarse_batches):
+    """By default, under step control and for an explicit error target the
+    coarse pass is formed: without an estimate a fixed grid still checks
+    its target."""
+    loop = borel.loops["golden1"]
+    h = holonomy(borel.manifold, W, loop, steps=50)
+    assert h.est_error == holonomy(borel.manifold, W, loop, steps=50, error_target=1.0).est_error
+    assert 0 < h.est_error < 1e-6
+    with pytest.raises(StepUnderflow):
+        path_transport_many(borel.manifold, W, [loop.segments], steps=4,
+                            error_target=1e-14, estimate=False)
+    [(P, est)] = path_transport_many(borel.manifold, W, [loop.segments], estimate=False)
+    assert est is None
+    assert _same_bits(P, path_transport_matrix(borel.manifold, W, loop.segments)[0])
+    assert coarse_batches == [True] * 5

@@ -265,3 +265,17 @@ def test_closure_experiment_integrates_its_loops_as_one_batch(kernel_calls, sphe
     assert gens  # some loops are close enough to I for a log
     assert sum(len(loop.segments) for loop in loops) == 60
     assert kernel_calls == [12 * 81 + 2, 12 * 81 + 1, 12 * 81 + 7, 12 * 81 + 2]
+
+
+def test_pinned_grid_suite_skips_the_coarse_pass(coarse_batches, borel, tri3):
+    """On a fixed grid the suite reads only matrices: no batch forms coarse
+    products (block predictions included), and its reports have the bits of
+    a run in which every batch forms them."""
+    def run():
+        return json.dumps([r.to_dict() for r in verify.default_suite(
+            [borel, tri3], n_paths=2, n_loops=2, n_points=3, steps=20)])
+
+    skipped = run()
+    assert len(coarse_batches) > 6 and not any(coarse_batches)
+    coarse_batches.force()
+    assert run() == skipped
