@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -55,11 +56,19 @@ def _fail_usage(msg):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    return _object(config, "config")
+
+
+def _object(value, what):
+    """``value`` if it is a JSON object, else ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
 
 
 def _integer(value, what, least):
@@ -93,6 +102,7 @@ def _resolve_seed(config):
 
 
 def _build_custom_manifold(spec):
+    _object(spec, "manifold.custom")
     try:
         dim = int(spec["dim"])
         coords = tuple(spec["coords"])
@@ -135,7 +145,7 @@ def _entry_from_config(config):
     mspec = config.get("manifold")
     if mspec is None:
         raise ConfigError("config needs a 'manifold' section")
-    if "catalog" in mspec:
+    if "catalog" in _object(mspec, "manifold"):
         entry = cat.get_entry(mspec["catalog"])
         return entry, entry.manifold
     if "custom" in mspec:
@@ -158,8 +168,11 @@ def _rect_from_config(i, corners, label):
 def _loops_from_config(config):
     loops = []
     families = []
-    for i, spec in enumerate(config.get("loops", [])):
-        if "polyline" in spec:
+    specs = config.get("loops", [])
+    if not isinstance(specs, list):
+        raise ConfigError(f"loops must be a list, got {specs!r}")
+    for i, spec in enumerate(specs):
+        if "polyline" in _object(spec, f"loop {i}"):
             pts = [np.asarray(p, dtype=float) for p in spec["polyline"]]
             if len(pts) < 2:
                 raise ConfigError(f"loop {i}: polyline needs at least 2 points")
@@ -167,7 +180,7 @@ def _loops_from_config(config):
         elif "rect" in spec:
             loops.append(rectangle_loop(*_rect_from_config(i, spec["rect"], "rect")))
         elif "family" in spec:
-            fs = spec["family"]
+            fs = _object(spec["family"], f"loop {i} family")
             rect = _rect_from_config(i, fs["rect"], "family rect")
             family = shrinking_rectangle_family(*rect, s_max=float(fs.get("s_max", 1.0)))
             families.append((family, float(fs.get("s_step", 1e-2))))
@@ -221,9 +234,9 @@ def _check_report_path(config, args):
 def _write_report(report, config, args):
     path = _report_path(config, args)
     if path:
+        text = json.dumps(report, indent=2, default=_json_default)
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, default=_json_default)
-            fh.write("\n")
+            fh.write(text + "\n")
         print(f"report written to {path}")
 
 
@@ -371,11 +384,12 @@ def _write_plot_csv(prefix, index, M, h):
     n = M.dim
     # the bytes csv.writer gives: floats as repr (no cell needs quoting), CRLF
     rows = np.hstack([h.positions, h.frames.reshape(len(h.frames), -1)]).tolist()
+    text = io.StringIO()
+    frame_cols = [f"P{i}{j}" for i in range(n) for j in range(n)]
+    csv.writer(text).writerow(["sample", *M.chart.coord_names, *frame_cols])
+    text.writelines(f"{k}," + ",".join(map(repr, row)) + "\r\n" for k, row in enumerate(rows))
     with open(path, "w", newline="") as fh:
-        frame_cols = [f"P{i}{j}" for i in range(n) for j in range(n)]
-        csv.writer(fh).writerow(["sample", *M.chart.coord_names, *frame_cols])
-        fh.writelines(f"{k}," + ",".join(map(repr, row)) + "\r\n"
-                      for k, row in enumerate(rows))
+        fh.write(text.getvalue())
     return path
 
 
@@ -383,8 +397,8 @@ def cmd_algebra(args):
     config = _load_config(args.config)
     seed = _resolve_seed(config)
     _check_report_path(config, args)
+    aspec = _object(config.get("algebra", {}), "algebra")
     entry, M, kind, steps, loops, families = _transport_from_config(config)
-    aspec = config.get("algebra", {})
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
     if n_random:
@@ -451,7 +465,7 @@ def cmd_verify(args):
     config = _load_config(args.config) if args.config else {}
     seed = _resolve_seed(config)
     _check_report_path(config, args)
-    samples = config.get("samples", {})
+    samples = _object(config.get("samples", {}), "samples")
     n_paths, n_loops, n_points = (
         _integer(samples.get(key, default), f"samples.{key}", 0)
         for key, default in (("paths", 20), ("loops", 20), ("points", 50)))
@@ -464,8 +478,9 @@ def cmd_verify(args):
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}; "
                               f"known: {list(verify.CHECK_NAMES)}")
-    if "manifold" in config and "custom" in config["manifold"]:
-        M = _build_custom_manifold(config["manifold"]["custom"])
+    mspec = _object(config.get("manifold", {}), "manifold")
+    if "custom" in mspec:
+        M = _build_custom_manifold(mspec["custom"])
         region = config.get("region")
         if region is None:
             region = M.chart.sample_box()

@@ -57,18 +57,20 @@ in level and segment order, so a path that leaves the chart in the first
 round is reported before an earlier path whose segment would run out of
 steps levels later.
 
-Straight segments (``Line`` stores its ``delta``) are sampled together as
-data, start + t * delta in Line's own arithmetic; only the others call
-their callables.  The transport kernel (``_kernel``) declares the
-coordinates its geometry reads.  A straight segment whose delta is 0 in
+A group of straight segments (``Line`` stores its ``delta``) is sampled
+in one broadcast of start + t * delta in Line's own arithmetic, and each
+coordinate is monotone in t, so the chart's open box is tested once, at
+segment ends, before the kernel; if an end is outside, every sample is
+tested in segment order before each kernel call, so errors do not move.
+Other segments call their callables.  The transport kernel (``_kernel``)
+declares the coordinates its geometry reads.  A straight segment whose delta is 0 in
 all of them is *constant*: the coefficients at all its samples have the
 same bits (the kernel gives the same bits on one point as on many of a
 call), so it gives its group's kernel call one row (its first new
 sample, one point toward ``MAX_BATCH_POINTS``), takes one RK4 step on it,
 and gets its fine and coarse products from ``_uniform_product``, the
 pairwise tree of ``_ordered_product`` replayed on copies of that step in
-O(log N) matmuls, bit for bit.  The chart is still checked at every
-sample of the group, in segment order, before the kernel, and
+O(log N) matmuls, bit for bit.  Its samples are still tested, and
 ``_advancing`` still counts 4N + 1 held points, so errors and rounds do
 not move.  Segments that carry frames, and coefficient functions that
 declare nothing (block prediction), are sampled whole.
@@ -360,8 +362,7 @@ def _transport_matrices(M, kind, pos, vel, covector=False):
     """Matrix A(t) of the transport ODE Y' = A Y at sampled path points:
     -B for vectors, B^T for covectors, B^k_j = Gamma^k_ij sigma'^i, in C
     order (a diagonal metric's B has the point axis last in memory), so the
-    RK4 products read contiguous matrices."""
-    _require_on_chart(M.chart, pos)
+    RK4 products read contiguous matrices; the engine tests the chart."""
     B = christoffel_many(M, kind, pos, vel)
     return np.ascontiguousarray(np.swapaxes(B, 1, 2)) if covector else np.negative(B, order="C")
 
@@ -378,8 +379,8 @@ def _interleave(even, odd):
     even[j][r] for each j, from ``even``, a sequence of g (r + 1, ...)
     arrays, and ``odd`` of shape (g, r, ...)."""
     out = np.empty((odd.shape[0], 2 * odd.shape[1] + 1) + odd.shape[2:])
-    for j, rows in enumerate(even):
-        out[j, 0::2] = rows
+    if even:  # none in a group of constant segments
+        out[:, 0::2] = even
     out[:, 1::2] = odd
     return out
 
@@ -439,8 +440,11 @@ def _constant_segments(segments, coeffs):
     that ``coeffs`` declares it ``reads``.  None is, for a coefficient
     function that declares nothing."""
     reads = getattr(coeffs, "reads", None)
-    return np.array([reads is not None and seg.delta is not None
-                     and not seg.delta[reads].any() for seg in segments], dtype=bool)
+    if reads is None or not segments:
+        return np.zeros(len(segments), dtype=bool)
+    # a segment without a delta moves by NaN, which is not 0
+    deltas = np.array([np.nan * seg.start if seg.delta is None else seg.delta for seg in segments])
+    return ~deltas[:, reads].any(axis=1)
 
 
 def _groups(members, constant, m):
@@ -459,21 +463,23 @@ def _groups(members, constant, m):
 
 
 def _sample(segments, ts):
-    """(g, m, n) positions and velocities of ``segments`` at parameters
-    ts: the straight ones (with a ``delta``) together by Line's
-    arithmetic, start + t * delta elementwise, the others by their
-    callables."""
-    straight = np.array([seg.delta is not None for seg in segments])
-    pos = np.empty((len(segments), len(ts), len(segments[0].start)))
-    vel = np.empty_like(pos)
-    for j in np.flatnonzero(~straight):
-        pos[j], vel[j] = segments[j].sample(ts)
-    if straight.any():
-        lines = [segments[j] for j in np.flatnonzero(straight)]
-        deltas = np.stack([seg.delta for seg in lines])[:, None]
-        pos[straight] = np.stack([seg.start for seg in lines])[:, None] + ts[:, None] * deltas
-        vel[straight] = deltas
-    return pos, vel
+    """(g, m, n) positions and velocities of ``segments`` at the ascending
+    parameters ts, and the samples whose chart test stands for all.  Lines
+    are sampled coordinate by coordinate along the points (t * delta =
+    delta * t) and copied once into place; every rounding is monotone, so
+    in an open box a Line's first and last samples bound the others.  A
+    group with another segment calls the callables and tests every sample."""
+    if any(seg.delta is None for seg in segments):
+        pos = np.empty((len(segments), len(ts), len(segments[0].start)))
+        vel = np.empty_like(pos)
+        for j, seg in enumerate(segments):
+            pos[j], vel[j] = seg.sample(ts)
+        return pos, vel, pos.reshape(-1, pos.shape[2])
+    starts = np.array([seg.start for seg in segments])
+    deltas = np.array([seg.delta for seg in segments])
+    pos = (starts[:, :, None] + deltas[:, :, None] * ts).transpose(0, 2, 1).copy()
+    vel = np.repeat(deltas, len(ts), axis=0).reshape(pos.shape)
+    return pos, vel, pos[:, [0, -1]].reshape(-1, pos.shape[2])
 
 
 def _coefficients(coeffs, segments, ts, constant):
@@ -482,24 +488,32 @@ def _coefficients(coeffs, segments, ts, constant):
     ``constant`` ones (None if it has none), which give the kernel only
     their first point, from calls of at most MAX_BATCH_POINTS points in
     segment order; and the (g, m, n) positions, None with a constant
-    segment."""
-    pos, vel = _sample(segments, ts)
+    segment.  The chart is tested once, on the samples that stand for all
+    (see ``_sample``); if one is outside, every sample is tested, before
+    the kernel with a constant segment, else before each call, so that a
+    kernel error of an earlier call still comes first."""
+    pos, vel, probe = _sample(segments, ts)
     g, m, n = pos.shape
-    if constant.any():
-        # every sampled point is checked against the chart before the kernel
-        _require_on_chart(coeffs.chart, pos.reshape(-1, n))
-        rows = np.ones((g, m), dtype=bool)
-        rows[constant, 1:] = False
-        pos, vel = pos[rows], vel[rows]
     flat_pos, flat_vel = pos.reshape(-1, n), vel.reshape(-1, n)
-    chunks = [coeffs(flat_pos[a:a + MAX_BATCH_POINTS], flat_vel[a:a + MAX_BATCH_POINTS])
-              for a in range(0, len(flat_pos), MAX_BATCH_POINTS)]
+    inside = coeffs.chart.contains(probe).all()
+    if constant.any():
+        if not inside:
+            _require_on_chart(coeffs.chart, flat_pos)
+        flat_pos, flat_vel = (np.concatenate([x[:1] if c else x for x, c in zip(xs, constant)])
+                              for xs in (pos, vel))
+    chunks = []
+    for a in range(0, len(flat_pos), MAX_BATCH_POINTS):
+        if not inside:
+            _require_on_chart(coeffs.chart, flat_pos[a:a + MAX_BATCH_POINTS])
+        chunks.append(coeffs(flat_pos[a:a + MAX_BATCH_POINTS],
+                             flat_vel[a:a + MAX_BATCH_POINTS]))
     A = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     if not constant.any():
         return A.reshape((g, m) + A.shape[1:]), None, pos
     counts = np.where(constant, 1, m)
     first = np.cumsum(counts) - counts
-    return A[first[~constant, None] + np.arange(m)], A[first[constant]], None
+    varying = np.array([A[a:a + m] for a in first[~constant]]).reshape((-1, m) + A.shape[1:])
+    return varying, A[first[constant]], None
 
 
 def _advancing(live, level, start, held_cap):
@@ -981,6 +995,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         lam = np.exp(phi - base_phi)
         A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
         return A
+    coeffs.chart = N.chart
 
     [(fine, _, _)] = _transport_many(coeffs, d, [loop.segments], steps=steps,
                                      error_target=error_target, estimate=False)

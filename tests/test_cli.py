@@ -139,6 +139,29 @@ def test_steps_that_are_not_a_positive_integer_exit_2(tmp_path, capsys, kernel_c
     assert kernel_calls == []
 
 
+BOREL = {"catalog": "borel2d"}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("holonomy", [1, 2], "config must be a JSON object, got [1, 2]"),
+    ("holonomy", {"manifold": 5}, "manifold must be a JSON object, got 5"),
+    ("verify", {"manifold": 5}, "manifold must be a JSON object, got 5"),
+    ("holonomy", {"manifold": {"custom": 3}}, "manifold.custom must be a JSON object, got 3"),
+    ("verify", {"manifold": {"custom": 3}}, "manifold.custom must be a JSON object, got 3"),
+    ("holonomy", {"manifold": BOREL, "loops": 5}, "loops must be a list, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [5]}, "loop 0 must be a JSON object, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": [[0, 0], [1, 1]]}, {"family": 3}]},
+     "loop 1 family must be a JSON object, got 3"),
+    ("verify", {"samples": 5}, "samples must be a JSON object, got 5"),
+    ("algebra", {"manifold": BOREL, "algebra": [1]}, "algebra must be a JSON object, got [1]"),
+])
+def test_config_sections_that_are_not_objects_exit_2(tmp_path, capsys, kernel_calls,
+                                                     command, doc, message):
+    assert run([command, write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert kernel_calls == []
+
+
 def test_integral_float_steps_read_as_an_integer(tmp_path):
     results = []
     for steps in (20, 20.0):
@@ -608,6 +631,40 @@ def test_plot_csv_bytes(tmp_path, steps):
     assert path == str(tmp_path / "signed_loop0.csv")
     assert text == (tmp_path / "reference.csv").read_bytes()
     assert text.split(b"\r\n")[2].endswith(b",-0.0,1.0")
+
+
+def test_reports_and_plot_csvs_are_written_in_one_write(tmp_path, monkeypatch):
+    """Each report and each --plot CSV takes one write; a report's bytes are
+    json.dump's, numpy values, signed zeros and NaN included."""
+    writes = {}
+
+    def counting_open(path, mode="r", **options):
+        fh = open(path, mode, **options)
+        if "w" in mode:
+            write, name = fh.write, os.path.basename(path)
+            writes[name] = 0
+
+            def counted(text):
+                writes[name] += 1
+                return write(text)
+            fh.write = counted
+        return fh
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": BOREL, "loops": [{"rect": [[0, 0], [1, 1]]}, {"rect": [[0, 0], [1, 2]]}],
+        "include_log": True, "steps": 50, "output": str(tmp_path / "r.json")})
+    assert run(["holonomy", cfg, "--plot", str(tmp_path / "fr")]) == 0
+    assert writes == {"r.json": 1, "fr_loop0.csv": 1, "fr_loop1.csv": 1}
+    report = {"results": [{"matrix": np.array([[1.0, -0.0], [np.nan, 2.5e-300]]),
+                           "det": np.float64(1 / 3), "steps_used": np.int64(7)}],
+              "passed": True, "none": None, "empty": {}}
+    cli._write_report(report, {"output": str(tmp_path / "s.json")}, None)
+    with open(tmp_path / "reference.json", "w") as fh:
+        json.dump(report, fh, indent=2, default=cli._json_default)
+        fh.write("\n")
+    assert writes["s.json"] == 1
+    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
 
 def test_holonomy_plot_does_not_import_numpy_ma(tmp_path):

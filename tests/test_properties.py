@@ -5,17 +5,21 @@ along open paths, each within the reported error bars; a shrinking
 rectangle family has derivative 0 at s = 0; a linear change of chart
 conjugates the holonomy.  The geometry's one jet pass over metric entries
 and density that share subexpressions equals each entry's own pass, and
-the second-order program extends the first-order one."""
+the second-order program extends the first-order one.  Line samples are
+monotone in t, so their two end samples give the chart's verdict on all."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hololab import expr as ex
+from hololab import transport
 from hololab.errors import HololabError
 from hololab.expr import _CALL_TABLE
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
                               MetricField, WeightedManifold, weighted_metric_at)
-from hololab.transport import (Loop, family_derivative, holonomy, path_transport_matrix,
+from hololab.transport import (Line, Loop, family_derivative, holonomy, path_transport_matrix,
                                polyline_segments, rectangle_loop,
                                shrinking_rectangle_family)
 
@@ -275,3 +279,41 @@ def test_second_order_program_extends_the_first(tree):
             fd, fd2 = (up - down) / (2 * h), (up2 - down2) / (4 * h)
             assert np.all(np.abs(dxy - fd) <= 1e-6 * max(scale, float(np.abs(dx).max()))
                           + np.abs(fd2 - fd))
+
+
+# box edges and points near them, so that sampled segments end on an edge,
+# cross it or stay just inside
+EDGES = (-1.0, 0.5, 2.0)
+BOX = CoordinateChart(dim=3, coord_names=("x", "y", "z"),
+                      domain=((EDGES[0], EDGES[1]), (-math.inf, EDGES[2]), (EDGES[0], EDGES[2])))
+coordinates = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGES + (0.0, -0.0)),
+                        st.tuples(st.sampled_from(EDGES), st.sampled_from([-3.0, 3.0]))
+                        .map(lambda edge_side: float(np.nextafter(*edge_side))))
+# zero, tiny and signed deltas as well as any other
+deltas = st.one_of(st.just(0.0), st.sampled_from([5e-324, -5e-324, 1e-300, -2.2e-16]),
+                   st.floats(-6.0, 6.0))
+
+
+@st.composite
+def lines(draw):
+    start = np.array([draw(coordinates) for _ in range(3)])
+    end = np.where([draw(st.booleans()) for _ in range(3)],
+                   [draw(coordinates) for _ in range(3)],
+                   start + np.array([draw(deltas) for _ in range(3)]))
+    return Line(start, end)
+
+
+@settings(max_examples=300)
+@given(segments=st.lists(lines(), min_size=1, max_size=3), N=st.integers(1, 64),
+       first=st.booleans())
+def test_line_samples_are_monotone_and_their_ends_give_the_chart_verdict(segments, N, first):
+    """On the first grid of a level (``_fine_grid``) and on its odd-point
+    grid at later levels, every coordinate of each Line's samples is
+    monotone in t, and the chart test of the samples that stand for all
+    (each Line's first and last) gives the verdict of all samples."""
+    ts = transport._fine_grid(N) if first else np.arange(1, 4 * N, 2) / (4 * N)
+    pos, _, probe = transport._sample(segments, ts)
+    steps = np.diff(pos, axis=1)
+    assert ((steps >= 0).all(axis=1) | (steps <= 0).all(axis=1)).all()
+    assert len(probe) == 2 * len(segments)
+    assert BOX.contains(probe).all() == BOX.contains(pos.reshape(-1, 3)).all()

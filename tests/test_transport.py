@@ -868,6 +868,131 @@ def test_constant_segment_on_a_singular_metric_raises_the_kernel_error():
         _same_error(run, paths, SingularMetric)
 
 
+def _outside_error(point):
+    """The message and point of an OutOfDomain at ``point``."""
+    point = tuple(float(x) for x in point)
+    return f"point {point} outside chart domain: path exits the chart", point
+
+
+@pytest.mark.parametrize("steps", [None, 50])
+def test_last_sample_alone_outside_the_chart_raises_there(steps):
+    """The chart's box is open: a segment that ends on its edge leaves it
+    at its last sample only, on a varying and on a constant segment."""
+    M = _build_custom_manifold(BOUNDED_Y)
+    inside = [Line([0.0, 0.0], [0.5, 0.5])]
+    run = lambda paths: path_transport_many(M, W, paths, steps=steps)  # noqa: E731
+    for end in ([0.5, 1.0], [0.0, 1.0]):  # moving x and y, then y only
+        edge = [Line([0.0, 0.0], end)]
+        assert transport._constant_segments(edge, transport._kernel(M, W))[0] == (end[0] == 0)
+        error = _same_error(run, [inside, edge, inside], OutOfDomain)
+        assert (str(error), error.point) == _outside_error(end)
+
+
+def test_path_leaving_the_chart_mid_batch_raises_at_its_first_outside_sample(
+        monkeypatch, kernel_calls):
+    """Step-controlled, with a held cap that lets one segment advance at a
+    time: the leaving path starts rounds after the first, and its error is
+    the one it raises alone, at its first outside sample."""
+    M = _build_custom_manifold(BOUNDED_Y)
+    monkeypatch.setattr(transport, "MAX_HELD_POINTS", 40)
+    inside = [Line([0.0, 0.0], [0.5, 0.5]), Line([0.5, 0.5], [-0.5, 0.2])]
+    leaving = [Line([-0.5, 0.2], [0.0, 0.0]), Line([0.0, 0.0], [0.5, 1.5])]
+    run = lambda paths: path_transport_many(M, W, paths)  # noqa: E731
+    with pytest.raises(OutOfDomain) as alone:
+        run([leaving])
+    kernel_calls.clear()
+    error = _same_error(run, [inside, inside, leaving, inside], OutOfDomain)
+    assert kernel_calls  # the paths before it were integrated first
+    ts = transport._fine_grid(MIN_STEPS)
+    k = np.flatnonzero(1.5 * ts >= 1.0)[0]
+    point = [0.5 * ts[k], 1.5 * ts[k]]
+    assert (str(error), error.point) == (str(alone.value), alone.value.point)
+    assert (str(error), error.point) == _outside_error(point)
+
+
+@pytest.mark.parametrize("steps", [None, 50])
+def test_constant_segment_outside_the_chart_raises_at_its_first_sample(steps):
+    M = _build_custom_manifold(BOUNDED_Y)
+    outside = [Line([0.5, 0.5], [0.3, 0.5]), Line([0.3, 1.2], [0.3, 1.6])]
+    assert transport._constant_segments(outside[1:], transport._kernel(M, W)).all()
+    run = lambda paths: path_transport_many(M, W, paths, steps=steps)  # noqa: E731
+    error = _same_error(run, [[Line([0.0, 0.0], [0.5, 0.5])], outside], OutOfDomain)
+    assert (str(error), error.point) == _outside_error([0.3, 1.2])
+
+
+@pytest.mark.parametrize("steps", [None, 50])
+def test_curve_leaving_the_chart_between_its_ends_raises_at_its_first_outside_sample(steps):
+    """A Curve's samples need not be monotone in t: one whose ends are
+    inside the chart and whose middle is not, grouped with a Line."""
+    M = _build_custom_manifold(BOUNDED_Y)
+    arc = Curve(lambda t: np.stack([0.2 + 0 * t, 1.5 * np.sin(np.pi * t)], axis=-1),
+                lambda t: np.stack([0 * t, 1.5 * np.pi * np.cos(np.pi * t)], axis=-1))
+    pos = arc.position(transport._fine_grid(steps or MIN_STEPS))
+    assert M.chart.contains(pos[[0, -1]]).all()
+    with pytest.raises(OutOfDomain) as error:
+        path_transport_many(M, W, [[Line([0.0, 0.0], [0.2, 0.5])], [arc]], steps=steps)
+    assert (str(error.value), error.value.point) == _outside_error(
+        pos[np.flatnonzero(pos[:, 1] >= 1.0)[0]])
+
+
+def test_kernel_error_of_a_first_call_comes_before_a_chart_error_in_the_second():
+    """A segment of 1201 samples is cut into kernel calls of 1024 and 177
+    points: the metric is singular at x = 0, in the first call, and the
+    path leaves the chart (y < 1) in the second."""
+    from hololab.errors import SingularMetric
+    from hololab.manifold import (CoordinateChart, DensityField, MetricField,
+                                  WeightedManifold)
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"),
+                            domain=((-math.inf, math.inf), (-1.0, 1.0)))
+    M = WeightedManifold(chart=chart, density=DensityField.from_expression(chart, "x"),
+                         metric=MetricField.from_expressions(chart, ["1+x^2", "x^2"], (2, 0),
+                                                             validate=False))
+    segment = Line([-0.5, 0.0], [0.5, 1.1])
+    pos = segment.position(transport._fine_grid(300))
+    assert len(pos) > transport.MAX_BATCH_POINTS
+    assert pos[:transport.MAX_BATCH_POINTS, 1].max() < 1.0 <= pos[-1, 1]
+    run = lambda paths: path_transport_many(M, W, paths, steps=300)  # noqa: E731
+    error = _same_error(run, [[segment]], SingularMetric)
+    x = pos[:transport.MAX_BATCH_POINTS, 0]
+    k = int(np.abs((1 + x ** 2) * x ** 2).argmin())
+    assert error.point == tuple(pos[k])
+
+
+def test_a_group_tests_the_chart_once_on_its_segment_ends(sphere3, monkeypatch,
+                                                          kernel_calls):
+    """With every end inside, each group's one chart test takes 2 points per
+    Line, on the first grid and on the odd-point grids of later levels; a
+    constant segment still gives the kernel one row."""
+    from hololab.manifold import CoordinateChart
+    paths = _paths(sphere3, 3, seed=5)
+    base = sphere3.basepoint
+    moved = base + [0.2, 0.0, 0.0]
+    paths.append([Line(base, moved), Line(moved, moved + [0.0, 0.0, 0.3])])
+    assert transport._constant_segments(paths[-1], transport._kernel(sphere3.manifold, W)
+                                        ).tolist() == [False, True]
+    tested, groups = [], []
+    contains, coefficients = CoordinateChart.contains, transport._coefficients
+
+    def counting_contains(chart, pts):
+        tested.append(len(pts))
+        return contains(chart, pts)
+
+    def counting_coefficients(coeffs, segments, ts, constant):
+        groups.append(len(segments))
+        return coefficients(coeffs, segments, ts, constant)
+
+    monkeypatch.setattr(CoordinateChart, "contains", counting_contains)
+    monkeypatch.setattr(transport, "_coefficients", counting_coefficients)
+    for steps in (200, None):
+        tested.clear()
+        groups.clear()
+        path_transport_many(sphere3.manifold, W, paths, steps=steps)
+        assert groups and tested == [2 * g for g in groups]
+    kernel_calls.clear()
+    path_transport_many(sphere3.manifold, W, paths[-1:], steps=200)
+    assert kernel_calls == [801 + 1]
+
+
 @pytest.mark.parametrize("steps", [None, 20])
 def test_curve_of_a_lines_own_callables_equals_the_line(borel, steps):
     """A Line's callables give one (1, n) row for a float; Curve reads the
