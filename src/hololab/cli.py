@@ -56,12 +56,11 @@ def _fail_usage(msg):
 def _load_config(path):
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            return _object(json.load(fh), "config")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    return _object(config, "config")
 
 
 def _object(value, what):

@@ -73,7 +73,7 @@ pairwise tree of ``_ordered_product`` replayed on copies of that step in
 O(log N) matmuls, bit for bit.  Its samples are still tested, and
 ``_advancing`` still counts 4N + 1 held points, so errors and rounds do
 not move.  Segments that carry frames, and coefficient functions that
-declare nothing (block prediction), are sampled whole.
+declare no ``reads`` (block prediction), are sampled whole.
 
 ``path_transport_many`` and ``holonomy_many`` integrate many paths or
 loops as one batch (the paths and loops of all of a verify entry's checks
@@ -438,7 +438,7 @@ def _kernel(M, kind, covector=False):
 def _constant_segments(segments, coeffs):
     """Which ``segments`` are constant: straight, moving none of the axes
     that ``coeffs`` declares it ``reads``.  None is, for a coefficient
-    function that declares nothing."""
+    function that declares no ``reads``."""
     reads = getattr(coeffs, "reads", None)
     if reads is None or not segments:
         return np.zeros(len(segments), dtype=bool)

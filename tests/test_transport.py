@@ -968,8 +968,8 @@ def test_a_group_tests_the_chart_once_on_its_segment_ends(sphere3, monkeypatch,
     base = sphere3.basepoint
     moved = base + [0.2, 0.0, 0.0]
     paths.append([Line(base, moved), Line(moved, moved + [0.0, 0.0, 0.3])])
-    assert transport._constant_segments(paths[-1], transport._kernel(sphere3.manifold, W)
-                                        ).tolist() == [False, True]
+    kernel = transport._kernel(sphere3.manifold, W)
+    assert transport._constant_segments(paths[-1], kernel).tolist() == [False, True]
     tested, groups = [], []
     contains, coefficients = CoordinateChart.contains, transport._coefficients
 
@@ -978,7 +978,7 @@ def test_a_group_tests_the_chart_once_on_its_segment_ends(sphere3, monkeypatch,
         return contains(chart, pts)
 
     def counting_coefficients(coeffs, segments, ts, constant):
-        groups.append(len(segments))
+        groups.append((len(segments), len(ts)))
         return coefficients(coeffs, segments, ts, constant)
 
     monkeypatch.setattr(CoordinateChart, "contains", counting_contains)
@@ -987,7 +987,9 @@ def test_a_group_tests_the_chart_once_on_its_segment_ends(sphere3, monkeypatch,
         tested.clear()
         groups.clear()
         path_transport_many(sphere3.manifold, W, paths, steps=steps)
-        assert groups and tested == [2 * g for g in groups]
+        assert tested == [2 * g for g, _ in groups]
+        # odd-point grids (2N points) at later levels when step-controlled
+        assert any(m % 2 == 0 for _, m in groups) == (steps is None)
     kernel_calls.clear()
     path_transport_many(sphere3.manifold, W, paths[-1:], steps=200)
     assert kernel_calls == [801 + 1]
