@@ -494,13 +494,14 @@ def _coefficients(coeffs, segments, ts, constant):
     kernel error of an earlier call still comes first."""
     pos, vel, probe = _sample(segments, ts)
     g, m, n = pos.shape
-    flat_pos, flat_vel = pos.reshape(-1, n), vel.reshape(-1, n)
     inside = coeffs.chart.contains(probe).all()
     if constant.any():
         if not inside:
-            _require_on_chart(coeffs.chart, flat_pos)
-        flat_pos, flat_vel = (np.concatenate([x[:1] if c else x for x, c in zip(xs, constant)])
-                              for xs in (pos, vel))
+            _require_on_chart(coeffs.chart, pos.reshape(-1, n))
+        # rebound, so that the samples the kernel does not take are freed first
+        pos, vel = (np.concatenate([x[:1] if c else x for x, c in zip(xs, constant)])
+                    for xs in (pos, vel))
+    flat_pos, flat_vel = pos.reshape(-1, n), vel.reshape(-1, n)
     chunks = []
     for a in range(0, len(flat_pos), MAX_BATCH_POINTS):
         if not inside:
