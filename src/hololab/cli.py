@@ -63,11 +63,71 @@ def _load_config(path):
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
-def _object(value, what):
-    """``value`` if it is a JSON object, else ConfigError naming ``what``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+def _of_type(value, what, kind, name):
+    """``value`` if it is a ``kind``, else ConfigError naming ``what``: it
+    must be ``name``."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{what} must be {name}, got {value!r}")
     return value
+
+
+def _object(value, what):
+    return _of_type(value, what, dict, "a JSON object")
+
+
+def _list_of(value, what, count, ok, items):
+    """``value`` if it is a list of ``count`` entries (any number if None)
+    that each pass ``ok``, else ConfigError naming ``what``: it must be a
+    list of ``items``."""
+    if (not isinstance(value, list) or count is not None and len(value) != count
+            or not all(map(ok, value))):
+        some = "" if count is None else f"{count} "
+        raise ConfigError(f"{what} must be a list of {some}{items}, got {value!r}")
+    return value
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string(value):
+    return isinstance(value, str)
+
+
+def _strings(value, what, count=None):
+    return _list_of(value, what, count, _is_string, "strings")
+
+
+def _number(value, what):
+    """``value`` as a float if it is a number, else ConfigError naming ``what``."""
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _point(value, what, dim):
+    """``value``, a list of ``dim`` numbers, as a float array."""
+    return np.array(_list_of(value, what, dim, _is_number, "numbers"), dtype=float)
+
+
+def _points(value, what, dim, count=None):
+    """``value``, a list of points of ``dim`` numbers (``count`` of them,
+    if given), as a list of float arrays, else ConfigError naming ``what``
+    or the point."""
+    return [_point(p, f"{what} point {k}", dim)
+            for k, p in enumerate(_list_of(value, what, count, lambda p: True, "points"))]
+
+
+def _intervals(value, what, dim, open_ends=False):
+    """``value``, a list of ``dim`` [lo, hi] pairs of numbers (or null for
+    an unbounded end, if ``open_ends``), as (lo, hi) floats with null read
+    as -inf or inf."""
+    def end(x):
+        return _is_number(x) or open_ends and x is None
+    _list_of(value, what, dim, lambda p: isinstance(p, list) and len(p) == 2 and all(map(end, p)),
+             f"[lo, hi] pairs of numbers{' or null' if open_ends else ''}")
+    return [(-math.inf if lo is None else float(lo), math.inf if hi is None else float(hi))
+            for lo, hi in value]
 
 
 def _integer(value, what, least):
@@ -103,31 +163,34 @@ def _resolve_seed(config):
 def _build_custom_manifold(spec):
     _object(spec, "manifold.custom")
     try:
-        dim = int(spec["dim"])
-        coords = tuple(spec["coords"])
+        dim = _integer(spec["dim"], "manifold.custom.dim", 1)
+        coords = tuple(_strings(spec["coords"], "manifold.custom.coords", dim))
         phi_src = spec["phi"]
-        metric_spec = spec["metric"]
-    except (KeyError, TypeError) as exc:
+        metric_spec = _object(spec["metric"], "manifold.custom.metric")
+    except KeyError as exc:
         raise ConfigError(f"custom manifold missing field: {exc}")
-    if len(coords) != dim:
-        raise ConfigError("coords length must equal dim")
-    domain = []
-    for pair in spec.get("domain", [[None, None]] * dim):
-        lo = -math.inf if pair[0] is None else float(pair[0])
-        hi = math.inf if pair[1] is None else float(pair[1])
-        domain.append((lo, hi))
-    periodicity = tuple(None if p is None else float(p)
-                        for p in spec.get("periodicity", [None] * dim))
-    signature = tuple(spec.get("signature", (dim, 0)))
-    chart = CoordinateChart(dim=dim, coord_names=coords, periodicity=periodicity,
-                            domain=tuple(domain))
+    domain = _intervals(spec.get("domain", [[None, None]] * dim), "manifold.custom.domain",
+                        dim, open_ends=True)
+    periodicity = tuple(None if p is None else float(p) for p in _list_of(
+        spec.get("periodicity", [None] * dim), "manifold.custom.periodicity", dim,
+        lambda p: p is None or _is_number(p), "numbers or null"))
+    signature = tuple(_list_of(spec.get("signature", [dim, 0]), "manifold.custom.signature", 2,
+                               lambda x: isinstance(x, int) and not isinstance(x, bool),
+                               "integers"))
+    try:
+        chart = CoordinateChart(dim=dim, coord_names=coords, periodicity=periodicity,
+                                domain=tuple(domain))
+    except ValueError as exc:
+        raise ConfigError(f"manifold.custom: {exc}")
     try:
         if "diag" in metric_spec:
-            metric = MetricField.from_expressions(chart, list(metric_spec["diag"]),
-                                                  signature=signature)
+            diag = _strings(metric_spec["diag"], "manifold.custom.metric.diag", dim)
+            metric = MetricField.from_expressions(chart, diag, signature=signature)
         elif "full" in metric_spec:
-            metric = MetricField.from_expressions(chart, metric_spec["full"],
-                                                  signature=signature)
+            full = _list_of(metric_spec["full"], "manifold.custom.metric.full", dim,
+                            lambda row: isinstance(row, list) and len(row) == dim
+                            and all(map(_is_string, row)), f"lists of {dim} strings")
+            metric = MetricField.from_expressions(chart, full, signature=signature)
         else:
             raise ConfigError("metric needs a 'diag' or 'full' key")
         density = DensityField.from_expression(chart, phi_src)
@@ -145,7 +208,7 @@ def _entry_from_config(config):
     if mspec is None:
         raise ConfigError("config needs a 'manifold' section")
     if "catalog" in _object(mspec, "manifold"):
-        entry = cat.get_entry(mspec["catalog"])
+        entry = cat.get_entry(_of_type(mspec["catalog"], "manifold.catalog", str, "a string"))
         return entry, entry.manifold
     if "custom" in mspec:
         M = _build_custom_manifold(mspec["custom"])
@@ -153,10 +216,10 @@ def _entry_from_config(config):
     raise ConfigError("manifold must have a 'catalog' or 'custom' key")
 
 
-def _rect_from_config(i, corners, label):
+def _rect_from_config(i, corners, label, dim):
     """(corner, axis a, axis b, extent a, extent b) of a rectangle given by
-    opposite corners that differ in exactly 2 coordinates."""
-    c0, c1 = (np.asarray(p, dtype=float) for p in corners)
+    opposite corners of ``dim`` coordinates that differ in exactly 2."""
+    c0, c1 = _points(corners, f"loop {i} {label}", dim, count=2)
     moved = np.nonzero(np.abs(c1 - c0) > 0)[0]
     if len(moved) != 2:
         raise ConfigError(f"loop {i}: {label} corners must differ in exactly 2 coordinates")
@@ -164,25 +227,26 @@ def _rect_from_config(i, corners, label):
     return c0, a, b, c1[a] - c0[a], c1[b] - c0[b]
 
 
-def _loops_from_config(config):
+def _loops_from_config(config, dim):
+    """Loops and (loop family, s_step) pairs of a config whose points have
+    ``dim`` coordinates."""
     loops = []
     families = []
-    specs = config.get("loops", [])
-    if not isinstance(specs, list):
-        raise ConfigError(f"loops must be a list, got {specs!r}")
-    for i, spec in enumerate(specs):
+    for i, spec in enumerate(_of_type(config.get("loops", []), "loops", list, "a list")):
         if "polyline" in _object(spec, f"loop {i}"):
-            pts = [np.asarray(p, dtype=float) for p in spec["polyline"]]
+            pts = _points(spec["polyline"], f"loop {i} polyline", dim)
             if len(pts) < 2:
                 raise ConfigError(f"loop {i}: polyline needs at least 2 points")
             loops.append(Loop(segments=polyline_segments(pts), basepoint=pts[0]))
         elif "rect" in spec:
-            loops.append(rectangle_loop(*_rect_from_config(i, spec["rect"], "rect")))
+            loops.append(rectangle_loop(*_rect_from_config(i, spec["rect"], "rect", dim)))
         elif "family" in spec:
             fs = _object(spec["family"], f"loop {i} family")
-            rect = _rect_from_config(i, fs["rect"], "family rect")
-            family = shrinking_rectangle_family(*rect, s_max=float(fs.get("s_max", 1.0)))
-            families.append((family, float(fs.get("s_step", 1e-2))))
+            rect = _rect_from_config(i, fs.get("rect"), "family rect", dim)
+            family = shrinking_rectangle_family(
+                *rect, s_max=_number(fs.get("s_max", 1.0), f"loop {i} family s_max"))
+            families.append((family, _number(fs.get("s_step", 1e-2),
+                                             f"loop {i} family s_step")))
         else:
             raise ConfigError(f"loop {i}: need 'polyline', 'rect' or 'family'")
     return loops, families
@@ -195,7 +259,7 @@ def _transport_from_config(config):
     kind = _KINDS.get(config.get("connection", "weighted"))
     if kind is None:
         raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
-    return (entry, M, kind, _steps_from_config(config)) + _loops_from_config(config)
+    return (entry, M, kind, _steps_from_config(config)) + _loops_from_config(config, M.dim)
 
 
 def _json_default(obj):
@@ -280,7 +344,7 @@ def cmd_run_example(args):
 
 
 def _tasks_from_config(config, default):
-    tasks = config.get("tasks", default)
+    tasks = _strings(config.get("tasks", default), "tasks")
     if not tasks:
         raise ConfigError("tasks must be a nonempty list")
     separate = set(tasks) & {"algebra", "verify"}
@@ -406,7 +470,9 @@ def cmd_algebra(args):
             if entry is None:
                 raise ConfigError("custom manifolds need algebra.region for sampling")
             region = entry.sample_region
-        basepoint = (np.asarray(aspec["basepoint"], dtype=float)
+        else:
+            region = _intervals(region, "algebra.region", M.dim)
+        basepoint = (_point(aspec["basepoint"], "algebra.basepoint", M.dim)
                      if "basepoint" in aspec
                      else (entry.basepoint if entry is not None else None))
         loops += random_rectangle_loops(M, region, n_random, seed,
@@ -471,9 +537,7 @@ def cmd_verify(args):
     steps = _steps_from_config(config)
     wanted = config.get("checks")
     if wanted is not None:
-        if not isinstance(wanted, list):
-            raise ConfigError("checks must be a list of check names")
-        unknown = set(wanted) - set(verify.CHECK_NAMES)
+        unknown = set(_strings(wanted, "checks")) - set(verify.CHECK_NAMES)
         if unknown:
             raise ConfigError(f"unknown checks: {sorted(unknown)}; "
                               f"known: {list(verify.CHECK_NAMES)}")
@@ -481,13 +545,13 @@ def cmd_verify(args):
     if "custom" in mspec:
         M = _build_custom_manifold(mspec["custom"])
         region = config.get("region")
-        if region is None:
-            region = M.chart.sample_box()
+        region = (M.chart.sample_box() if region is None
+                  else _intervals(region, "region", M.dim))
         basepoint = np.array([(lo + hi) / 2 for lo, hi in region])
         entries = [cat.CatalogEntry(name=M.name, manifold=M, basepoint=basepoint,
                                     sample_region=tuple(tuple(r) for r in region))]
     elif "entries" in config:
-        entries = [cat.get_entry(name) for name in config["entries"]]
+        entries = [cat.get_entry(name) for name in _strings(config["entries"], "entries")]
     else:
         entries = cat.default_entries()
     reports = verify.default_suite(entries, seed=seed, n_paths=n_paths,

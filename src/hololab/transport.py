@@ -80,10 +80,11 @@ loops as one batch (the paths and loops of all of a verify entry's checks
 of one kind and direction, an algebra experiment's loops, the CLI's
 configured loops); ``path_transport_matrix``
 and ``holonomy`` are their one-path views.  Frame trajectories are
-assembled after the batch from piece products: when a segment that
-carries frames retires, its accepted per-step matrices are reduced to the
-products over its pieces, the pieces of each length stacked into one
-ordered product, and to the positions of the piece ends.
+assembled after the batch from piece products: the segments of a group
+that retire together are reduced to them by one ordered product per run
+length, and one chain of stacked matmuls takes the prefix products of all
+loops at once, each padded with identity matrices after its last piece,
+which no kept frame reads (a stacked matmul keeps each matrix's bits).
 
 ``est_error`` is the whole-path estimate |prod fine - prod coarse| / 15
 plus the roundoff floor steps_used * eps * max|P|, where ``steps_used`` is
@@ -549,11 +550,11 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf,
     is formed only if ``estimate``.
 
     Returns one (fine, coarse, fine_steps, piece_products, piece_ends) per
-    segment, coarse None if it was not formed.  With ``pieces`` > 0 a
-    retiring segment's accepted fine per-step matrices are reduced to at
-    most that many piece products (see ``_piece_products``) with the
-    positions of the piece ends, so no segment holds its per-step matrices
-    past its retirement; with ``pieces`` 0 the last two are None.
+    segment, coarse None if it was not formed.  With ``pieces`` > 0 the
+    retiring segments of a group have their accepted fine per-step matrices
+    reduced together to at most that many piece products each (see
+    ``_piece_products``) and their piece ends, so no segment holds its
+    per-step matrices past its retirement; with ``pieces`` 0 both are None.
     """
     keep = pieces > 0
     estimate = estimate or accept is not None
@@ -571,37 +572,42 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf,
             by_level.setdefault(2 * level[i] or start, []).append(i)
         for n, members in by_level.items():
             ts = _fine_grid(n) if n == start else np.arange(1, 4 * n, 2) / (4 * n)
-            fine, coarse, new = [], [], []
-            for group in _groups(members, constant, len(ts)):
-                f, c = _advance(coeffs, [segments[i] for i in group], ts, constant[group], n,
-                                None if n == start else [held.pop(i) for i in group],
-                                keep, accept is not None, estimate, new)
-                fine.append(f)
-                coarse.append(c)
+            new, groups = [], _groups(members, constant, len(ts))
+            fine, coarse, stacks = zip(*[
+                _advance(coeffs, [segments[i] for i in group], ts, constant[group], n,
+                         None if n == start else [held.pop(i) for i in group],
+                         keep, accept is not None, estimate, new)
+                for group in groups])
             fine = np.concatenate(fine)
             coarse = np.concatenate(coarse) if estimate else [None] * len(members)
             done = (np.ones(len(members), dtype=bool) if accept is None
                     else accept(members, fine, coarse, 2 * n))
-            for j, (i, (A, pos, step_mats)) in enumerate(zip(members, new)):
+            trail, retiring = {}, iter(done)
+            for group, (pos, step_mats) in zip(groups, stacks):
+                rows = np.flatnonzero([next(retiring) for _ in group]) if keep else ()
+                if len(rows):
+                    trail.update(zip([group[r] for r in rows],
+                                     _piece_products(step_mats, pos, rows, pieces)))
+            for j, (i, (A, pos)) in enumerate(zip(members, new)):
                 if done[j]:
-                    results[i] = (fine[j], coarse[j], 2 * n) + (
-                        _piece_products(step_mats, pos, pieces) if keep else (None, None))
+                    results[i] = (fine[j], coarse[j], 2 * n) + trail.get(i, (None, None))
                 else:
                     # copies, so that retired rows of a group are freed
                     level[i] = n
                     held[i] = A.copy(), None if pos is None else pos.copy(), fine[j]
             # only the copies in held outlive the level, not these views
-            del A, pos, step_mats
+            del A, pos, step_mats, stacks
         live = [i for i in live if results[i] is None]
     return results
 
 
 def _advance(coeffs, segments, ts, constant, n, old, keep, hold, estimate, new):
     """Level N = ``n`` of a group of ``segments``, sampled at the new
-    parameters ts: their stacked fine products and their coarse products,
-    None unless ``estimate``.  Appends to ``new``, per segment, what it
-    keeps if it does not retire (coefficients if ``hold``, positions and
-    per-step matrices if ``keep``).  ``old`` lists what they kept from
+    parameters ts: their stacked fine products, their coarse products,
+    None unless ``estimate``, and, if ``keep``, their stacked positions and
+    fine per-step matrices (else None twice).  Appends to ``new``, per
+    segment, what it keeps if it does not retire (coefficients if
+    ``hold``, positions if ``keep``).  ``old`` lists what they kept from
     their previous level, None at their first; their coarse products are
     then the fine ones kept.  Nothing else of the group outlives the
     call."""
@@ -624,9 +630,10 @@ def _advance(coeffs, segments, ts, constant, n, old, keep, hold, estimate, new):
         coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
                          coarse_const)
     step_mats = _rk4_steps(A, 1.0 / (2 * n))
-    new += [(row if hold else None, pos[j] if keep else None, step_mats[j] if keep else None)
+    new += [(row if hold else None, pos[j] if keep else None)
             for j, row in enumerate(_in_order(constant, A, A_const))]
-    return _merged(constant, _ordered_product(step_mats), fine_const), coarse
+    return (_merged(constant, _ordered_product(step_mats), fine_const), coarse,
+            (pos, step_mats) if keep else (None, None))
 
 
 def _in_order(constant, varying, uniform):
@@ -643,29 +650,32 @@ def _merged(constant, varying, uniform):
     return varying if uniform is None else np.stack(_in_order(constant, varying, uniform))
 
 
-def _piece_products(step_mats, pos, pieces):
-    """Products of a segment's fine per-step matrices ``step_mats`` over
-    ``pieces`` runs of whole steps (at most one per step), cut at
-    arange(pieces + 1) * n_fine // pieces, and the half-step sample
-    positions ``pos`` at the piece ends; both are new arrays.
+def _piece_products(step_mats, pos, rows, pieces):
+    """Products of the fine per-step matrices of the ``rows`` of a group,
+    ``step_mats`` (g, n_fine, d, d), over ``pieces`` runs of whole steps (at
+    most one per step), cut at arange(pieces + 1) * n_fine // pieces, with
+    the half-step positions ``pos`` (g, 4N + 1, n) at the piece ends: one
+    new (products, ends) pair per row.
 
-    The runs have at most two lengths.  The pieces of one length are
-    gathered into one (count, length, d, d) stack and reduced by one
+    The runs have at most two lengths.  The pieces of one length of all
+    the rows are gathered into one (rows, count, length, d, d) stack, no
+    more matrices than the group holds, and reduced by one
     ``_ordered_product``, whose pairwise tree is, row by row, the one of
     each piece alone, so every product has the same bits.  Padding the
     shorter runs with identity matrices would not: I @ x turns -0.0 into
     +0.0.
     """
-    n_fine = len(step_mats)
+    n_fine = step_mats.shape[1]
     pieces = min(pieces, n_fine)
     cuts = np.arange(pieces + 1) * n_fine // pieces
     lengths = np.diff(cuts)
-    products = np.empty((pieces,) + step_mats.shape[1:])
+    products = np.empty((len(rows), pieces) + step_mats.shape[2:])
     for length in {int(lengths.min()), int(lengths.max())}:
         which = np.flatnonzero(lengths == length)
         runs = cuts[which][:, None] + np.arange(length)
-        products[which] = _ordered_product(step_mats[runs])
-    return products, pos[2 * cuts[1:]]
+        products[:, which] = _ordered_product(step_mats[rows[:, None, None], runs])
+    ends = pos[rows[:, None], 2 * cuts[1:]]
+    return [(p.copy(), e.copy()) for p, e in zip(products, ends)]
 
 
 def _share_test(shares):
@@ -767,16 +777,22 @@ def transport_covector(M, kind, path, a0, steps=None, error_target=None):
     return P @ np.asarray(a0, dtype=float)
 
 
-def _frames(loop, trail, dim):
-    """Positions and transported frames along a loop from its segments'
-    piece products and piece ends (see ``holonomy_many``)."""
-    positions = [loop.basepoint[None]]
-    frames = [np.eye(dim)]
-    for _, products, ends in trail:
-        for piece in products:
-            frames.append(piece @ frames[-1])
-        positions.append(ends)
-    return {"positions": np.concatenate(positions), "frames": np.stack(frames)}
+def _frames(loops, trails, dim):
+    """Positions and frames along each loop from its segments' piece
+    products and ends: prefix products F[k + 1] = P[k] @ F[k] of all loops
+    at once over the (K, L, d, d) stack P of their piece products, padded
+    with identity matrices after each loop's last piece."""
+    counts = [sum(len(products) for _, products, _ in trail) for trail in trails]
+    P = np.tile(np.eye(dim), (max(counts, default=0), len(loops), 1, 1))
+    for j, trail in enumerate(trails):
+        P[:counts[j], j] = np.concatenate([products for _, products, _ in trail])
+    F = np.empty((len(P) + 1, len(loops), dim, dim))
+    F[0] = np.eye(dim)
+    for piece, frame, out in zip(P, F, F[1:]):
+        np.matmul(piece, frame, out=out)
+    return [{"positions": np.concatenate([loop.basepoint[None]] + [ends for _, _, ends in trail]),
+             "frames": F[:count + 1, j].copy()}
+            for j, (loop, trail, count) in enumerate(zip(loops, trails, counts))]
 
 
 def holonomy_many(M, kind, loops, steps=None, error_target=None,
@@ -793,18 +809,20 @@ def holonomy_many(M, kind, loops, steps=None, error_target=None,
     basepoint components to components at positions[t].  Each segment's
     accepted per-step matrices are split into that many pieces of whole
     steps (at most one piece per step) and the frames are prefix products
-    of the piece products, so the frame at each segment end is the
-    transport along the path so far and the last frame is the matrix.
+    of the piece products, of all loops in one chain of stacked matmuls
+    (see ``_frames``), so the frame at each segment end is the transport
+    along the path so far and the last frame is the matrix, to rounding.
     """
     for loop in loops:
         loop.validate(M.chart)
     results = _transport_many(_kernel(M, kind), M.dim, [loop.segments for loop in loops],
                               steps=steps, error_target=error_target,
                               pieces=frames_per_segment, estimate=estimate)
+    frames = (_frames(loops, [trail for _, _, trail in results], M.dim)
+              if frames_per_segment > 0 else [{}] * len(loops))
     return [HolonomyElement(matrix=P, loop=loop, est_error=est,
-                            steps_used=sum(n_fine for n_fine, _, _ in trail),
-                            **(_frames(loop, trail, M.dim) if frames_per_segment > 0 else {}))
-            for loop, (P, est, trail) in zip(loops, results)]
+                            steps_used=sum(n_fine for n_fine, _, _ in trail), **f)
+            for loop, (P, est, trail), f in zip(loops, results, frames)]
 
 
 def holonomy(M, kind, loop: Loop, steps=None, error_target=None,

@@ -162,6 +162,76 @@ def test_config_sections_that_are_not_objects_exit_2(tmp_path, capsys, kernel_ca
     assert kernel_calls == []
 
 
+PLANE = {"dim": 2, "coords": ["x", "y"], "metric": {"diag": ["1", "exp(2*x*y)"]}, "phi": "x*y"}
+SQUARE = [[0, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    # values of the wrong JSON type
+    ("holonomy", {"manifold": {"catalog": 5}}, "manifold.catalog must be a string, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": 5}]},
+     "loop 0 rect must be a list of 2 points, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"polyline": 5}]},
+     "loop 0 polyline must be a list of points, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"family": {"rect": 5}}]},
+     "loop 0 family rect must be a list of 2 points, got 5"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"family": {"rect": SQUARE, "s_step": "x"}}]},
+     "loop 0 family s_step must be a number, got 'x'"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, domain=5)}},
+     "manifold.custom.domain must be a list of 2 [lo, hi] pairs of numbers or null, got 5"),
+    ("verify", {"manifold": {"custom": PLANE}, "region": 5},
+     "region must be a list of 2 [lo, hi] pairs of numbers, got 5"),
+    ("algebra", {"manifold": BOREL, "algebra": {"region": 5}},
+     "algebra.region must be a list of 2 [lo, hi] pairs of numbers, got 5"),
+    ("holonomy", {"manifold": BOREL, "tasks": "holonomy"},
+     "tasks must be a list of strings, got 'holonomy'"),
+    ("verify", {"entries": "borel2d"}, "entries must be a list of strings, got 'borel2d'"),
+    ("verify", {"checks": "codazzi"}, "checks must be a list of strings, got 'codazzi'"),
+    # points of the wrong dimension
+    ("holonomy", {"manifold": BOREL, "loops": [{"polyline": [[0, 0], [1], [0, 0]]}]},
+     "loop 0 polyline point 1 must be a list of 2 numbers, got [1]"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"polyline": [[0, 0], [1]]}]},
+     "loop 0 polyline point 1 must be a list of 2 numbers, got [1]"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": [[0, 0, 0], [1, 1, 0]]}]},
+     "loop 0 rect point 0 must be a list of 2 numbers, got [0, 0, 0]"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": [[0, 0]]}]},
+     "loop 0 rect must be a list of 2 points, got [[0, 0]]"),
+    ("holonomy", {"manifold": BOREL, "loops": [{"family": {"rect": [[0, 0], [1]]}}]},
+     "loop 0 family rect point 1 must be a list of 2 numbers, got [1]"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, domain=[[-1, 1]])}},
+     "manifold.custom.domain must be a list of 2 [lo, hi] pairs of numbers or null, "
+     "got [[-1, 1]]"),
+    ("verify", {"manifold": {"custom": PLANE}, "region": [[-1, 1], [-1, 1], [0, 1]]},
+     "region must be a list of 2 [lo, hi] pairs of numbers, got [[-1, 1], [-1, 1], [0, 1]]"),
+    ("algebra", {"manifold": BOREL, "algebra": {"region": [[-1, 1]]}},
+     "algebra.region must be a list of 2 [lo, hi] pairs of numbers, got [[-1, 1]]"),
+    ("algebra", {"manifold": BOREL, "algebra": {"basepoint": [0]}},
+     "algebra.basepoint must be a list of 2 numbers, got [0]"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, domain=[[1, 1], [None, None]])}},
+     "manifold.custom: domain intervals must be nonempty"),
+    # the other fields of a custom manifold
+    ("holonomy", {"manifold": {"custom": dict(PLANE, dim="abc")}},
+     "manifold.custom.dim must be a positive integer, got 'abc'"),
+    ("verify", {"manifold": {"custom": dict(PLANE, coords="xy")}},
+     "manifold.custom.coords must be a list of 2 strings, got 'xy'"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, metric=5)}},
+     "manifold.custom.metric must be a JSON object, got 5"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, metric={"diag": [1, 1]})}},
+     "manifold.custom.metric.diag must be a list of 2 strings, got [1, 1]"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, metric={"full": [["1"], ["1"]]})}},
+     "manifold.custom.metric.full must be a list of 2 lists of 2 strings, got [['1'], ['1']]"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, periodicity=["a", None])}},
+     "manifold.custom.periodicity must be a list of 2 numbers or null, got ['a', None]"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, signature=5)}},
+     "manifold.custom.signature must be a list of 2 integers, got 5"),
+])
+def test_config_values_of_the_wrong_type_or_dimension_exit_2(tmp_path, capsys, kernel_calls,
+                                                             command, doc, message):
+    assert run([command, write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert kernel_calls == []
+
+
 def test_integral_float_steps_read_as_an_integer(tmp_path):
     results = []
     for steps in (20, 20.0):

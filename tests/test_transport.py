@@ -237,8 +237,8 @@ def test_holonomy_batch_equals_each_loop_alone(tri3, monkeypatch, steps):
         assert h.loop is h1.loop
         assert np.array_equal(h.matrix, h1.matrix)
         assert (h.est_error, h.steps_used) == (h1.est_error, h1.steps_used)
-        assert np.array_equal(h.frames, h1.frames)
-        assert np.array_equal(h.positions, h1.positions)
+        assert _same_bits(h.frames, h1.frames)
+        assert _same_bits(h.positions, h1.positions)
 
 
 def test_kernel_calls_hold_at_most_max_batch_points(sphere3, kernel_calls):
@@ -628,25 +628,20 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("steps", [7, None])
-@pytest.mark.parametrize("per_segment", [3, 5, 1024])
-@pytest.mark.parametrize("which", ["borel2d", "bench_full3"])
-def test_stacked_frame_pieces_equal_per_piece_products(borel, monkeypatch, which,
-                                                       per_segment, steps):
-    if which == "borel2d":
-        M, loop = borel.manifold, borel.loops["golden1"]
-    else:
-        M = _build_custom_manifold(BENCH_FULL3)
-        pts = [[-0.4, 0.1, 0.3], [0.5, -0.2, 0.1], [0.2, 0.5, -0.5], [-0.4, 0.1, 0.3]]
-        loop = Loop(segments=polyline_segments(pts), basepoint=pts[0])
-    trail, calls = [], []
+@pytest.fixture
+def piece_reductions(monkeypatch):
+    """Records each row that ``transport._piece_products`` reduces, as
+    (fine steps, positions, per-step matrices) copies, and per reduction
+    (fine steps, rows, ordered products taken)."""
+    trail, reductions, calls = [], [], []
     piece_products, ordered_product = transport._piece_products, transport._ordered_product
 
-    def recording(step_mats, pos, pieces):
-        trail.append((len(step_mats), pos.copy(), step_mats.copy()))
+    def recording(step_mats, pos, rows, pieces):
+        n_fine = step_mats.shape[1]
+        trail.extend((n_fine, pos[r].copy(), step_mats[r].copy()) for r in rows)
         before = len(calls)
-        out = piece_products(step_mats, pos, pieces)
-        assert len(calls) - before <= 2
+        out = piece_products(step_mats, pos, rows, pieces)
+        reductions.append((n_fine, len(rows), len(calls) - before))
         return out
 
     def counting(mats):
@@ -655,13 +650,47 @@ def test_stacked_frame_pieces_equal_per_piece_products(borel, monkeypatch, which
 
     monkeypatch.setattr(transport, "_piece_products", recording)
     monkeypatch.setattr(transport, "_ordered_product", counting)
+    return trail, reductions
+
+
+def _run_lengths(n_fine, per_segment):
+    """Distinct lengths of the runs a segment of ``n_fine`` steps is cut into."""
+    pieces = min(per_segment, n_fine)
+    return len(set(np.diff(np.arange(pieces + 1) * n_fine // pieces).tolist()))
+
+
+def _loop_trail(trail, loop):
+    """The recorded rows of ``loop``'s segments, in path order (segments
+    retire in level order): the row sampled from the segment's start to
+    its end."""
+    return [next(t for t in trail if np.array_equal(t[1][0], seg.start)
+                 and np.abs(t[1][-1] - seg.end).max() <= 1e-15)
+            for seg in loop.segments]
+
+
+@pytest.mark.parametrize("steps", [7, None])
+@pytest.mark.parametrize("per_segment", [3, 5, 1024])
+@pytest.mark.parametrize("which", ["borel2d", "bench_full3"])
+def test_stacked_frame_pieces_equal_per_piece_products(borel, piece_reductions, which,
+                                                       per_segment, steps):
+    if which == "borel2d":
+        M, loop = borel.manifold, borel.loops["golden1"]
+    else:
+        M = _build_custom_manifold(BENCH_FULL3)
+        pts = [[-0.4, 0.1, 0.3], [0.5, -0.2, 0.1], [0.2, 0.5, -0.5], [-0.4, 0.1, 0.3]]
+        loop = Loop(segments=polyline_segments(pts), basepoint=pts[0])
+    trail, reductions = piece_reductions
     h = holonomy(M, W, loop, steps=steps, frames_per_segment=per_segment)
-    # segments retire in level order; put their trails back in path order
-    trail = [next(t for t in trail if np.array_equal(t[1][0], seg.start))
-             for seg in loop.segments]
+    trail = _loop_trail(trail, loop)
     positions, frames = _per_piece_frames(loop.basepoint, trail, per_segment, M.dim)
     assert _same_bits(h.frames, frames)
     assert _same_bits(h.positions, positions)
+    # one ordered product per run length of each reduction, at most two
+    assert all(products == _run_lengths(n_fine, per_segment) <= 2
+               for n_fine, _, products in reductions)
+    if steps is not None:  # one group, which retires at once: one reduction
+        assert reductions == [(2 * steps, len(loop.segments),
+                               _run_lengths(2 * steps, per_segment))]
     n_fine = [n for n, _, _ in trail]
     if per_segment == 1024:  # one piece per step
         assert max(n_fine) <= per_segment
@@ -671,24 +700,88 @@ def test_stacked_frame_pieces_equal_per_piece_products(borel, monkeypatch, which
         assert (frames == 0).any()
 
 
+@pytest.mark.parametrize("per_segment", [5, 1024])
+@pytest.mark.parametrize("which", ["borel2d", "bench_full3"])
+def test_bulk_frames_of_loops_with_unequal_piece_counts(borel, piece_reductions, which,
+                                                        per_segment):
+    """Step-controlled loops of 3, 4 and 6 segments, whose frame counts
+    differ, get from one batch the frames of their pieces' products taken
+    one by one, signed zeros included: no kept frame reads another loop's
+    pieces or the identity padding after its own."""
+    if which == "borel2d":
+        M, base = borel.manifold, [0.1, 0.05]
+        rings = [[base, [0.7, 0.05], [0.4, 0.6], base],
+                 [base, [0.1, -0.8], [-0.5, -0.8], [-0.5, 0.05], base],
+                 [base, [0.1, 0.9], [-0.3, 0.9], [-0.3, 1.5], [-0.9, 1.5], [-0.9, 0.4], base]]
+    else:
+        M, base = _build_custom_manifold(BENCH_FULL3), [0.05, -0.1, 0.2]
+        rings = [[base, [0.5, -0.1, 0.2], [0.3, 0.4, -0.3], base],
+                 [base, [0.05, -0.6, 0.2], [-0.5, -0.6, 0.2], [-0.5, -0.1, 0.2], base],
+                 [base, [0.05, -0.1, 0.6], [-0.4, -0.1, 0.6], [-0.4, 0.3, 0.6],
+                  [-0.4, 0.3, -0.3], [0.05, 0.3, -0.3], base]]
+    loops = [Loop(segments=polyline_segments(ring), basepoint=ring[0]) for ring in rings]
+    trail, reductions = piece_reductions
+    batch = holonomy_many(M, W, loops, frames_per_segment=per_segment)
+    assert len({len(h.frames) for h in batch}) == 3
+    for h, loop in zip(batch, loops):
+        positions, frames = _per_piece_frames(loop.basepoint, _loop_trail(trail, loop),
+                                              per_segment, M.dim)
+        assert _same_bits(h.frames, frames)
+        assert _same_bits(h.positions, positions)
+        assert np.abs(h.frames[-1] - h.matrix).max() <= 1e-12
+    # segments that retire together share a reduction
+    assert len(reductions) < sum(len(loop.segments) for loop in loops)
+    if which == "borel2d":
+        assert any((h.frames == 0).any() for h in batch)
+
+
 @pytest.mark.parametrize("pieces", [5, 16, 40])
 def test_piece_products_keep_signed_zeros(pieces):
     # one-step pieces (16 and 40 pieces of 24 steps) are the step matrices
-    # themselves, -0.0 entries included
+    # themselves, -0.0 entries included; rows 0 and 2 of a group of three
     rng = np.random.default_rng(3)
-    step_mats = rng.normal(size=(24, 3, 3))
+    step_mats = rng.normal(size=(3, 24, 3, 3))
     step_mats[rng.random(step_mats.shape) < 0.3] = -0.0
-    pos = rng.normal(size=(49, 3))
-    products, ends = transport._piece_products(step_mats, pos, pieces)
+    pos = rng.normal(size=(3, 49, 3))
+    out = transport._piece_products(step_mats, pos, np.array([0, 2]), pieces)
     cuts = np.arange(min(pieces, 24) + 1) * 24 // min(pieces, 24)
-    assert _same_bits(products, np.stack([transport._ordered_product(step_mats[a:b])
-                                          for a, b in zip(cuts[:-1], cuts[1:])]))
-    assert _same_bits(ends, pos[2 * cuts[1:]])
-    if pieces > 12:
-        assert np.signbit(products[products == 0]).any()
+    assert len(out) == 2
+    for r, (products, ends) in zip([0, 2], out):
+        assert _same_bits(products, np.stack([transport._ordered_product(step_mats[r, a:b])
+                                              for a, b in zip(cuts[:-1], cuts[1:])]))
+        assert _same_bits(ends, pos[r, 2 * cuts[1:]])
+        if pieces > 12:
+            assert np.signbit(products[products == 0]).any()
 
 
-def test_retired_segments_hold_only_piece_products(sphere2):
+def test_frames_chain_equals_pieces_multiplied_one_by_one():
+    """Frames of loops of 1, 3 and 2 segments, with 7, 15 and 4 pieces,
+    from piece products with -0.0 entries: the stacked chain gives each
+    loop's frames the bits of its pieces multiplied one by one, and no
+    loops no frames."""
+    rng = np.random.default_rng(11)
+    loops, trails = [], []
+    for pieces in ([7], [5, 6, 4], [1, 3]):
+        trail = []
+        for count in pieces:
+            products = rng.normal(size=(count, 3, 3))
+            products[rng.random(products.shape) < 0.5] = -0.0
+            trail.append((count, products, rng.normal(size=(count, 3))))
+        loops.append(Loop(segments=[Line(np.zeros(3), np.zeros(3))], basepoint=rng.normal(size=3)))
+        trails.append(trail)
+    out = transport._frames(loops, trails, 3)
+    for loop, trail, got in zip(loops, trails, out):
+        frames = [np.eye(3)]
+        for _, products, _ in trail:
+            for piece in products:
+                frames.append(piece @ frames[-1])
+        assert _same_bits(got["frames"], np.stack(frames))
+        assert _same_bits(got["positions"], np.concatenate(
+            [loop.basepoint[None]] + [ends for _, _, ends in trail]))
+    assert transport._frames([], [], 3) == []
+
+
+def test_retired_segments_hold_only_piece_products(sphere2, piece_reductions):
     loop = rectangle_loop(sphere2.basepoint, 0, 1, 0.3, 0.4)
     results = transport._lockstep(list(loop.segments), transport._kernel(sphere2.manifold, W),
                                   start=30, pieces=7)
@@ -697,6 +790,8 @@ def test_retired_segments_hold_only_piece_products(sphere2):
         assert products.shape == (7, 2, 2) and ends.shape == (7, 2)
         # new arrays, not views that pin the group's per-step matrices
         assert products.base is None and ends.base is None
+    # the group's four segments in one reduction: runs of 8 and 9 steps
+    assert piece_reductions[1] == [(60, 4, 2)]
 
 
 # ---------------------------------------------------------------------------
