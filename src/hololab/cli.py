@@ -256,7 +256,8 @@ def _transport_from_config(config):
     """(catalog entry or None, manifold, connection kind, steps, loops,
     loop families) of a holonomy or algebra config."""
     entry, M = _entry_from_config(config)
-    kind = _KINDS.get(config.get("connection", "weighted"))
+    kind = _KINDS.get(_of_type(config.get("connection", "weighted"), "connection", str,
+                               "a string"))
     if kind is None:
         raise ConfigError(f"unknown connection kind {config.get('connection')!r}")
     return (entry, M, kind, _steps_from_config(config)) + _loops_from_config(config, M.dim)
@@ -271,7 +272,8 @@ def _json_default(obj):
 
 
 def _report_path(config, args):
-    return getattr(args, "output", None) or config.get("output")
+    path = getattr(args, "output", None) or config.get("output")
+    return path if path is None else _of_type(path, "output", str, "a string")
 
 
 def _check_writable(path, what):

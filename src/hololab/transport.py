@@ -582,12 +582,7 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf,
             coarse = np.concatenate(coarse) if estimate else [None] * len(members)
             done = (np.ones(len(members), dtype=bool) if accept is None
                     else accept(members, fine, coarse, 2 * n))
-            trail, retiring = {}, iter(done)
-            for group, (pos, step_mats) in zip(groups, stacks):
-                rows = np.flatnonzero([next(retiring) for _ in group]) if keep else ()
-                if len(rows):
-                    trail.update(zip([group[r] for r in rows],
-                                     _piece_products(step_mats, pos, rows, pieces)))
+            trail = _piece_products(groups, stacks, done, pieces) if keep else {}
             for j, (i, (A, pos)) in enumerate(zip(members, new)):
                 if done[j]:
                     results[i] = (fine[j], coarse[j], 2 * n) + trail.get(i, (None, None))
@@ -596,7 +591,7 @@ def _lockstep(segments, coeffs, start, accept=None, pieces=0, held_cap=math.inf,
                     level[i] = n
                     held[i] = A.copy(), None if pos is None else pos.copy(), fine[j]
             # only the copies in held outlive the level, not these views
-            del A, pos, step_mats, stacks
+            del A, pos, stacks
         live = [i for i in live if results[i] is None]
     return results
 
@@ -650,32 +645,39 @@ def _merged(constant, varying, uniform):
     return varying if uniform is None else np.stack(_in_order(constant, varying, uniform))
 
 
-def _piece_products(step_mats, pos, rows, pieces):
-    """Products of the fine per-step matrices of the ``rows`` of a group,
-    ``step_mats`` (g, n_fine, d, d), over ``pieces`` runs of whole steps (at
-    most one per step), cut at arange(pieces + 1) * n_fine // pieces, with
-    the half-step positions ``pos`` (g, 4N + 1, n) at the piece ends: one
-    new (products, ends) pair per row.
+def _piece_products(groups, stacks, done, pieces):
+    """Piece products and piece ends of the segments of one level's
+    ``groups`` that retire (``done``, in group order): {segment: (products,
+    ends)}, new arrays.  A group's ``stacks`` entry holds its (g, 4N + 1, n)
+    half-step positions and (g, n_fine, d, d) fine per-step matrices; each
+    segment's are cut into ``pieces`` runs of whole steps (at most one per
+    step) at arange(pieces + 1) * n_fine // pieces.
 
-    The runs have at most two lengths.  The pieces of one length of all
-    the rows are gathered into one (rows, count, length, d, d) stack, no
+    The segments of a level share n_fine and so the cuts, and the runs have
+    at most two lengths.  The pieces of one length of a group's retiring
+    segments are gathered into one (rows, count, length, d, d) stack, no
     more matrices than the group holds, and reduced by one
     ``_ordered_product``, whose pairwise tree is, row by row, the one of
     each piece alone, so every product has the same bits.  Padding the
     shorter runs with identity matrices would not: I @ x turns -0.0 into
     +0.0.
     """
-    n_fine = step_mats.shape[1]
+    n_fine = stacks[0][1].shape[1]
     pieces = min(pieces, n_fine)
     cuts = np.arange(pieces + 1) * n_fine // pieces
     lengths = np.diff(cuts)
-    products = np.empty((len(rows), pieces) + step_mats.shape[2:])
-    for length in {int(lengths.min()), int(lengths.max())}:
-        which = np.flatnonzero(lengths == length)
-        runs = cuts[which][:, None] + np.arange(length)
-        products[:, which] = _ordered_product(step_mats[rows[:, None, None], runs])
-    ends = pos[rows[:, None], 2 * cuts[1:]]
-    return [(p.copy(), e.copy()) for p, e in zip(products, ends)]
+    runs = [(which, cuts[which][:, None] + np.arange(lengths[which[0]]))
+            for which in (np.flatnonzero(lengths == n) for n in set(lengths.tolist()))]
+    out, retiring = {}, iter(done)
+    for group, (pos, step_mats) in zip(groups, stacks):
+        rows = np.flatnonzero([next(retiring) for _ in group])
+        if len(rows):
+            products = np.empty((len(rows), pieces) + step_mats.shape[2:])
+            for which, run in runs:
+                products[:, which] = _ordered_product(step_mats[rows[:, None, None], run])
+            ends = pos[rows[:, None], 2 * cuts[1:]]
+            out.update((group[r], (p.copy(), e.copy())) for r, p, e in zip(rows, products, ends))
+    return out
 
 
 def _share_test(shares):

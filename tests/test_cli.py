@@ -187,6 +187,9 @@ SQUARE = [[0, 0], [1, 1]]
      "tasks must be a list of strings, got 'holonomy'"),
     ("verify", {"entries": "borel2d"}, "entries must be a list of strings, got 'borel2d'"),
     ("verify", {"checks": "codazzi"}, "checks must be a list of strings, got 'codazzi'"),
+    ("holonomy", {"manifold": BOREL, "connection": ["weighted"]},
+     "connection must be a string, got ['weighted']"),
+    ("algebra", {"manifold": BOREL, "output": 5}, "output must be a string, got 5"),
     # points of the wrong dimension
     ("holonomy", {"manifold": BOREL, "loops": [{"polyline": [[0, 0], [1], [0, 0]]}]},
      "loop 0 polyline point 1 must be a list of 2 numbers, got [1]"),

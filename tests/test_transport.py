@@ -630,18 +630,23 @@ def _same_bits(a, b):
 
 @pytest.fixture
 def piece_reductions(monkeypatch):
-    """Records each row that ``transport._piece_products`` reduces, as
-    (fine steps, positions, per-step matrices) copies, and per reduction
-    (fine steps, rows, ordered products taken)."""
+    """Records each segment that ``transport._piece_products`` reduces, as
+    (fine steps, positions, per-step matrices) copies, and per call (fine
+    steps, retiring segments per group that has any, ordered products
+    taken)."""
     trail, reductions, calls = [], [], []
     piece_products, ordered_product = transport._piece_products, transport._ordered_product
 
-    def recording(step_mats, pos, rows, pieces):
-        n_fine = step_mats.shape[1]
-        trail.extend((n_fine, pos[r].copy(), step_mats[r].copy()) for r in rows)
+    def recording(groups, stacks, done, pieces):
+        retiring, first = [], 0
+        for group, (pos, step_mats) in zip(groups, stacks):
+            rows = np.flatnonzero(done[first:first + len(group)])
+            first += len(group)
+            trail.extend((step_mats.shape[1], pos[r].copy(), step_mats[r].copy()) for r in rows)
+            retiring += [len(rows)] if len(rows) else []
         before = len(calls)
-        out = piece_products(step_mats, pos, rows, pieces)
-        reductions.append((n_fine, len(rows), len(calls) - before))
+        out = piece_products(groups, stacks, done, pieces)
+        reductions.append((stacks[0][1].shape[1], retiring, len(calls) - before))
         return out
 
     def counting(mats):
@@ -685,11 +690,12 @@ def test_stacked_frame_pieces_equal_per_piece_products(borel, piece_reductions, 
     positions, frames = _per_piece_frames(loop.basepoint, trail, per_segment, M.dim)
     assert _same_bits(h.frames, frames)
     assert _same_bits(h.positions, positions)
-    # one ordered product per run length of each reduction, at most two
-    assert all(products == _run_lengths(n_fine, per_segment) <= 2
-               for n_fine, _, products in reductions)
+    # one ordered product per run length (at most two) and retiring group
+    assert all(products == _run_lengths(n_fine, per_segment) * len(retiring)
+               and _run_lengths(n_fine, per_segment) <= 2
+               for n_fine, retiring, products in reductions)
     if steps is not None:  # one group, which retires at once: one reduction
-        assert reductions == [(2 * steps, len(loop.segments),
+        assert reductions == [(2 * steps, [len(loop.segments)],
                                _run_lengths(2 * steps, per_segment))]
     n_fine = [n for n, _, _ in trail]
     if per_segment == 1024:  # one piece per step
@@ -730,7 +736,8 @@ def test_bulk_frames_of_loops_with_unequal_piece_counts(borel, piece_reductions,
         assert _same_bits(h.positions, positions)
         assert np.abs(h.frames[-1] - h.matrix).max() <= 1e-12
     # segments that retire together share a reduction
-    assert len(reductions) < sum(len(loop.segments) for loop in loops)
+    groups = sum(len(retiring) for _, retiring, _ in reductions)
+    assert groups < sum(len(loop.segments) for loop in loops)
     if which == "borel2d":
         assert any((h.frames == 0).any() for h in batch)
 
@@ -738,15 +745,19 @@ def test_bulk_frames_of_loops_with_unequal_piece_counts(borel, piece_reductions,
 @pytest.mark.parametrize("pieces", [5, 16, 40])
 def test_piece_products_keep_signed_zeros(pieces):
     # one-step pieces (16 and 40 pieces of 24 steps) are the step matrices
-    # themselves, -0.0 entries included; rows 0 and 2 of a group of three
+    # themselves, -0.0 entries included; segments 5 and 7 of a group of
+    # three and segment 9 of a second group of one retire
     rng = np.random.default_rng(3)
-    step_mats = rng.normal(size=(3, 24, 3, 3))
+    step_mats = rng.normal(size=(4, 24, 3, 3))
     step_mats[rng.random(step_mats.shape) < 0.3] = -0.0
-    pos = rng.normal(size=(3, 49, 3))
-    out = transport._piece_products(step_mats, pos, np.array([0, 2]), pieces)
+    pos = rng.normal(size=(4, 49, 3))
+    out = transport._piece_products([[5, 6, 7], [9]], [(pos[:3], step_mats[:3]),
+                                                       (pos[3:], step_mats[3:])],
+                                    np.array([True, False, True, True]), pieces)
     cuts = np.arange(min(pieces, 24) + 1) * 24 // min(pieces, 24)
-    assert len(out) == 2
-    for r, (products, ends) in zip([0, 2], out):
+    assert sorted(out) == [5, 7, 9]
+    for r, segment in [(0, 5), (2, 7), (3, 9)]:
+        products, ends = out[segment]
         assert _same_bits(products, np.stack([transport._ordered_product(step_mats[r, a:b])
                                               for a, b in zip(cuts[:-1], cuts[1:])]))
         assert _same_bits(ends, pos[r, 2 * cuts[1:]])
@@ -791,7 +802,7 @@ def test_retired_segments_hold_only_piece_products(sphere2, piece_reductions):
         # new arrays, not views that pin the group's per-step matrices
         assert products.base is None and ends.base is None
     # the group's four segments in one reduction: runs of 8 and 9 steps
-    assert piece_reductions[1] == [(60, 4, 2)]
+    assert piece_reductions[1] == [(60, [4], 2)]
 
 
 # ---------------------------------------------------------------------------
