@@ -646,17 +646,16 @@ def _merged(constant, varying, uniform):
 
 
 def _piece_products(groups, stacks, done, pieces):
-    """Piece products and piece ends of the segments of one level's
-    ``groups`` that retire (``done``, in group order): {segment: (products,
-    ends)}, new arrays.  A group's ``stacks`` entry holds its (g, 4N + 1, n)
-    half-step positions and (g, n_fine, d, d) fine per-step matrices; each
-    segment's are cut into ``pieces`` runs of whole steps (at most one per
-    step) at arange(pieces + 1) * n_fine // pieces.
+    """Piece products and ends of the segments of one level's ``groups``
+    that retire (``done``, in group order): {segment: (products, ends)},
+    new arrays.  A group's ``stacks`` entry holds its (g, 4N + 1, n)
+    half-step positions and (g, n_fine, d, d) fine per-step matrices, cut
+    into ``pieces`` runs of whole steps (at most one per step) at
+    arange(pieces + 1) * n_fine // pieces, the same cuts on the level.
 
-    The segments of a level share n_fine and so the cuts, and the runs have
-    at most two lengths.  The pieces of one length of a group's retiring
-    segments are gathered into one (rows, count, length, d, d) stack, no
-    more matrices than the group holds, and reduced by one
+    The runs have at most two lengths.  The pieces of one length of a
+    group's retiring segments are gathered into one (rows, count, length,
+    d, d) stack, no more matrices than the group holds, and reduced by one
     ``_ordered_product``, whose pairwise tree is, row by row, the one of
     each piece alone, so every product has the same bits.  Padding the
     shorter runs with identity matrices would not: I @ x turns -0.0 into
