@@ -393,7 +393,8 @@ def cmd_holonomy(args):
     _check_report_path(config, args)
     _check_writable(args.plot, "--plot")
     entry, M, kind, steps, loops, families = _transport_from_config(config)
-    include_log = bool(config.get("include_log", False))
+    include_log = _of_type(config.get("include_log", False), "include_log", bool,
+                           "a JSON boolean")
     tasks = _tasks_from_config(config, ["holonomy"])
     report = _base_report("holonomy", config, seed)
     results = []
@@ -401,9 +402,15 @@ def cmd_holonomy(args):
     if "curvature" in tasks:
         at = (entry.basepoint if entry is not None
               else np.array([(lo + hi) / 2 for lo, hi in M.chart.sample_box()]))
-        ric = ricci_at(M, kind, at)
-        report["curvature"] = {"point": at.tolist(), "ricci": ric.tolist()}
-        print(f"ricci at {np.round(at, 4).tolist()}: {np.round(ric, 8).tolist()}")
+        try:
+            ric = ricci_at(M, kind, at)
+        except HololabError as exc:
+            report["curvature"] = {"point": at.tolist(), "error": str(exc)}
+            print(f"ricci at {np.round(at, 4).tolist()}: ERROR {exc}")
+            exit_code = 1
+        else:
+            report["curvature"] = {"point": at.tolist(), "ricci": ric.tolist()}
+            print(f"ricci at {np.round(at, 4).tolist()}: {np.round(ric, 8).tolist()}")
     elements = _loop_elements(M, kind, loops, steps, PLOT_SAMPLES if args.plot else 0)
     for i, h in enumerate(elements):
         item = {"loop": i}
@@ -463,6 +470,8 @@ def cmd_algebra(args):
     seed = _resolve_seed(config)
     _check_report_path(config, args)
     aspec = _object(config.get("algebra", {}), "algebra")
+    include_families = _of_type(aspec.get("include_catalog_families", False),
+                                "algebra.include_catalog_families", bool, "a JSON boolean")
     entry, M, kind, steps, loops, families = _transport_from_config(config)
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
@@ -481,7 +490,7 @@ def cmd_algebra(args):
                                         basepoint=basepoint)
     extra = [family_derivative(M, kind, fam, s_step=s_step, steps=steps)
              for fam, s_step in families]
-    if entry is not None and aspec.get("include_catalog_families", False):
+    if entry is not None and include_families:
         extra += [family_derivative(M, kind, fam, steps=steps)
                   for fam in entry.families.values()]
     form = None

@@ -19,8 +19,7 @@ jet pass: ``expr.eval_dual`` runs one ``expr.Program`` of their
 expressions, which computes a subexpression that they share once and
 hands each field its own rows.  A metric's pass has its entries that are
 not the literal 0, and a manifold's has those entries and the density:
-the geometry's pass.  ``MetricField.jet`` (the dense (g, d g)),
-``MetricField.diagonal_jet`` (the diagonal entries alone) and
+the geometry's pass.  ``MetricField.jet`` (the dense (g, d g)) and
 ``DensityField.jet`` ((phi, d phi)) write such a pass into their arrays.
 
 ``christoffel_many`` is the one coefficient kernel.  Each call runs one
@@ -303,13 +302,6 @@ class MetricField:
         """The entries that are not the literal 0, in ``nonzero`` order."""
         return _Pass(self.chart, [self.entries[i][j] for i, j in self.nonzero])
 
-    def diagonal_jet(self, pts):
-        """(m, n) values g_aa and (m, n, n) partials D[a, l] = d_l g_aa from
-        one pass over the entries.  Both are views of arrays with the point
-        axis last in memory, so each slot is contiguous."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._unpack(len(pts), self._pass(pts), diagonal=True)
-
     def jet(self, pts):
         """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
         [l, i, j], from one pass over the entries that are not the literal
@@ -318,8 +310,11 @@ class MetricField:
         return self._unpack(len(pts), self._pass(pts), diagonal=False)
 
     def _unpack(self, m, outs, diagonal):
-        """``diagonal_jet`` or ``jet`` from the entries' (value, partials)
-        in a pass whose first outputs are the entries of ``_pass``."""
+        """``jet`` from the entries' (value, partials) in a pass whose first
+        outputs are the entries of ``_pass``, or if ``diagonal`` the
+        diagonal jet: (m, n) values g_aa and (m, n, n) partials D[a, l] =
+        d_l g_aa, views of arrays with the point axis last in memory, so
+        that each slot is contiguous."""
         n = self.chart.dim
         if diagonal:
             vals = np.zeros((n, m))
@@ -488,18 +483,6 @@ def weighted_metrics_at(M: WeightedManifold, pts) -> list:
     return [s * g for s, g in zip(scales, M.metric.matrices(pts))]
 
 
-def conformal_metric_at(M: WeightedManifold, x) -> np.ndarray:
-    """e^{-2 phi} g, the metric of the dual triple."""
-    M.chart.require_inside(x)
-    pts = _one_point(x)
-    return math.exp(-2.0 * M.density.values(pts)[0]) * M.metric.matrices(pts)[0]
-
-
-def dphi_at(M: WeightedManifold, x) -> np.ndarray:
-    M.chart.require_inside(x)
-    return M.density.gradients(_one_point(x))[0]
-
-
 def _require_nonsingular(pts, dets, finite):
     """SingularMetric at the first point where ``finite`` is false, else at
     the smallest |det g| if it is <= DET_FLOOR; nothing on no points."""
@@ -596,7 +579,7 @@ def _contracted(kind, g, ginv, dg, dphi, v):
     """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n).
 
     A diagonal metric's jet has the point axis last in memory (see
-    ``MetricField.diagonal_jet``); v and dphi are laid out the same way
+    ``MetricField._unpack``); v and dphi are laid out the same way
     for it, and so is B."""
     if kind == ConnectionKind.WEIGHTED:
         # summed before the layout changes: einsum's summation order

@@ -1,4 +1,4 @@
-"""Parallel transport along piecewise-C1 paths, holonomy, loop families.
+"""Parallel transport along polyline paths, holonomy, loop families.
 
 The transport equation for a vector field U along sigma is linear,
 
@@ -23,8 +23,8 @@ estimate is read: for an explicit error target, which the estimate must
 meet, and for callers that report ``est_error`` (``estimate=True``, the
 default of ``path_transport_many`` and ``holonomy_many``).  Callers that
 use matrices only (algebra experiments, verification checks, block
-predictions, a family's derivative, ``transport_vector``) skip it, and
-the fine products keep their bits.
+predictions, a family's derivative) skip it, and the fine products keep
+their bits.
 
 One engine, ``_lockstep``, integrates every transport.  It advances a
 batch of segments that share a coefficient function and a first level in
@@ -57,23 +57,23 @@ in level and segment order, so a path that leaves the chart in the first
 round is reported before an earlier path whose segment would run out of
 steps levels later.
 
-A group of straight segments (``Line`` stores its ``delta``) is sampled
-in one broadcast of start + t * delta in Line's own arithmetic, and each
-coordinate is monotone in t, so the chart's open box is tested once, at
-segment ends, before the kernel; if an end is outside, every sample is
+Every segment is a straight ``Line``, which stores its ``delta``.  A
+group of segments is sampled in one broadcast of start + t * delta, and
+each coordinate is monotone in t, so the chart's open box is tested once,
+at segment ends, before the kernel; if an end is outside, every sample is
 tested in segment order before each kernel call, so errors do not move.
-Other segments call their callables.  The transport kernel (``_kernel``)
-declares the coordinates its geometry reads.  A straight segment whose delta is 0 in
-all of them is *constant*: the coefficients at all its samples have the
-same bits (the kernel gives the same bits on one point as on many of a
-call), so it gives its group's kernel call one row (its first new
-sample, one point toward ``MAX_BATCH_POINTS``), takes one RK4 step on it,
-and gets its fine and coarse products from ``_uniform_product``, the
-pairwise tree of ``_ordered_product`` replayed on copies of that step in
-O(log N) matmuls, bit for bit.  Its samples are still tested, and
-``_advancing`` still counts 4N + 1 held points, so errors and rounds do
-not move.  Segments that carry frames, and coefficient functions that
-declare no ``reads`` (block prediction), are sampled whole.
+The transport kernel (``_kernel``) declares the coordinates its geometry
+reads.  A segment whose delta is 0 in all of them is *constant*: the
+coefficients at all its samples have the same bits (the kernel gives the
+same bits on one point as on many of a call), so it gives its group's
+kernel call one row (its first new sample, one point toward
+``MAX_BATCH_POINTS``), takes one RK4 step on it, and gets its fine and
+coarse products from ``_uniform_product``, the pairwise tree of
+``_ordered_product`` replayed on copies of that step in O(log N) matmuls,
+bit for bit.  Its samples are still tested, and ``_advancing`` still
+counts 4N + 1 held points, so errors and rounds do not move.  Segments
+that carry frames, and coefficient functions that declare no ``reads``
+(block prediction), are sampled whole.
 
 ``path_transport_many`` and ``holonomy_many`` integrate many paths or
 loops as one batch (the paths and loops of all of a verify entry's checks
@@ -105,7 +105,7 @@ integration that gives the holonomy matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -143,86 +143,19 @@ EXTENT_RANGE = (0.25, 0.95)  # random rectangle extents, fractions of the room
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PathSegment:
-    """One C1 piece, parametrized over t in [0, 1].
+class Line:
+    """One straight segment, start + t * delta over t in [0, 1].  Its
+    ``delta``, end - start, is computed once, so that the lockstep engine
+    samples every level from the same data."""
 
-    ``position`` and ``velocity`` map a 1-d array of m parameter values to
-    (m, n) arrays.  Line(start, end), Curve(position, velocity) and
-    Loop.reversed build segments of this form; Curve also accepts
-    callables of one float.  A Line also stores its ``delta``, end -
-    start, so that the lockstep engine samples it as data; it is None on
-    every other segment.
-    """
-
-    position: Callable
-    velocity: Callable
     start: np.ndarray
     end: np.ndarray
-    delta: np.ndarray = None
+    delta: np.ndarray = field(init=False)
 
-    def sample(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        return (np.asarray(self.position(ts), dtype=float),
-                np.asarray(self.velocity(ts), dtype=float))
-
-
-def Line(start, end) -> PathSegment:
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    delta = end - start
-
-    def position(ts):
-        ts = np.asarray(ts, dtype=float)
-        return start[None, :] + np.atleast_1d(ts)[:, None] * delta[None, :]
-
-    def velocity(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.broadcast_to(delta, (ts.shape[0], delta.shape[0])).copy()
-
-    return PathSegment(position=position, velocity=velocity, start=start, end=end,
-                       delta=delta)
-
-
-def Curve(position, velocity) -> PathSegment:
-    """General segment from position/velocity callables on [0, 1], each
-    taking a float, or a 1-d array of m parameter values for (m, n) points.
-
-    The velocity is spot-checked against a central difference of the
-    position at five interior parameters.  The dimension is read from the
-    flattened start point, so callables that return one (1, n) row for a
-    float, as Line's do, are taken too.
-    """
-    p0 = np.asarray(position(0.0), dtype=float).ravel()
-    p1 = np.asarray(position(1.0), dtype=float).ravel()
-    h = 1e-6
-    for t in (0.1, 0.3, 0.5, 0.7, 0.9):
-        fd = (np.asarray(position(t + h), dtype=float)
-              - np.asarray(position(t - h), dtype=float)) / (2 * h)
-        v = np.asarray(velocity(t), dtype=float)
-        scale = max(1.0, float(np.abs(v).max()))
-        if np.abs(fd - v).max() > 1e-6 * scale:
-            raise ValueError(f"velocity inconsistent with position at t={t}")
-    return PathSegment(position=_vectorized(position, p0.shape[0]),
-                       velocity=_vectorized(velocity, p0.shape[0]),
-                       start=p0, end=p1)
-
-
-def _vectorized(fn, n):
-    """``fn`` as a map from m parameters to (m, n) values, decided once: a
-    callable whose value at an array of n + 1 parameters is an (n + 1, n)
-    array takes arrays and is called once per sample grid; any other is
-    called once per parameter with a float.  (With n + 1 parameters a
-    callable of one float that returns its n components stacked over
-    an array, (n, n + 1), is never taken for an array callable.)"""
-    try:
-        takes_arrays = np.shape(fn(np.linspace(0.0, 1.0, n + 1))) == (n + 1, n)
-    except (TypeError, ValueError):  # a scalar-only callable given an array
-        takes_arrays = False
-    if takes_arrays:
-        return lambda ts: np.asarray(fn(np.atleast_1d(np.asarray(ts, dtype=float))),
-                                     dtype=float)
-    return lambda ts: np.stack([np.asarray(fn(t), dtype=float)
-                                for t in np.atleast_1d(np.asarray(ts, dtype=float))])
+    def __post_init__(self):
+        object.__setattr__(self, "start", np.asarray(self.start, dtype=float))
+        object.__setattr__(self, "end", np.asarray(self.end, dtype=float))
+        object.__setattr__(self, "delta", self.end - self.start)
 
 
 def polyline_segments(points) -> list:
@@ -267,16 +200,6 @@ class Loop:
         if gap > CLOSURE_TOL:
             raise NotClosed(f"loop endpoint misses basepoint by {gap:.3e}")
 
-    def reversed(self) -> "Loop":
-        segs = []
-        for seg in self.segments[::-1]:
-            pos, vel = seg.position, seg.velocity
-            segs.append(PathSegment(
-                position=(lambda ts, p=pos: p(1.0 - np.asarray(ts, dtype=float))),
-                velocity=(lambda ts, v=vel: -np.asarray(v(1.0 - np.asarray(ts, dtype=float)))),
-                start=seg.end, end=seg.start))
-        return Loop(segments=segs, basepoint=self.basepoint)
-
 
 @dataclass(frozen=True)
 class HolonomyElement:
@@ -286,7 +209,6 @@ class HolonomyElement:
     ``holonomy`` was asked for frames."""
 
     matrix: np.ndarray
-    loop: Loop
     steps_used: int
     est_error: float
     positions: np.ndarray = None
@@ -437,14 +359,13 @@ def _kernel(M, kind, covector=False):
 # ---------------------------------------------------------------------------
 
 def _constant_segments(segments, coeffs):
-    """Which ``segments`` are constant: straight, moving none of the axes
-    that ``coeffs`` declares it ``reads``.  None is, for a coefficient
+    """Which ``segments`` are constant: moving none of the axes that
+    ``coeffs`` declares it ``reads``.  None is, for a coefficient
     function that declares no ``reads``."""
     reads = getattr(coeffs, "reads", None)
     if reads is None or not segments:
         return np.zeros(len(segments), dtype=bool)
-    # a segment without a delta moves by NaN, which is not 0
-    deltas = np.array([np.nan * seg.start if seg.delta is None else seg.delta for seg in segments])
+    deltas = np.array([seg.delta for seg in segments])
     return ~deltas[:, reads].any(axis=1)
 
 
@@ -465,17 +386,10 @@ def _groups(members, constant, m):
 
 def _sample(segments, ts):
     """(g, m, n) positions and velocities of ``segments`` at the ascending
-    parameters ts, and the samples whose chart test stands for all.  Lines
+    parameters ts, and the samples whose chart test stands for all.  They
     are sampled coordinate by coordinate along the points (t * delta =
     delta * t) and copied once into place; every rounding is monotone, so
-    in an open box a Line's first and last samples bound the others.  A
-    group with another segment calls the callables and tests every sample."""
-    if any(seg.delta is None for seg in segments):
-        pos = np.empty((len(segments), len(ts), len(segments[0].start)))
-        vel = np.empty_like(pos)
-        for j, seg in enumerate(segments):
-            pos[j], vel[j] = seg.sample(ts)
-        return pos, vel, pos.reshape(-1, pos.shape[2])
+    in an open box a segment's first and last samples bound the others."""
     starts = np.array([seg.start for seg in segments])
     deltas = np.array([seg.delta for seg in segments])
     pos = (starts[:, :, None] + deltas[:, :, None] * ts).transpose(0, 2, 1).copy()
@@ -736,7 +650,7 @@ def _transport_many(coeffs, dim, paths, steps=None, error_target=None, pieces=0,
 
 def path_transport_many(M, kind, paths, steps=None, covector=False,
                         error_target=None, estimate=True):
-    """Transfer matrices of piecewise paths with their error estimates,
+    """Transfer matrices of polyline paths with their error estimates,
     the segments of all paths integrated as one lockstep batch.
 
     Returns one (matrix, est_error) per path, each as
@@ -757,25 +671,10 @@ def path_transport_many(M, kind, paths, steps=None, covector=False,
 
 def path_transport_matrix(M, kind, path, steps=None, covector=False,
                           error_target=None):
-    """Transfer matrix of one piecewise path with its error estimate: the
+    """Transfer matrix of one polyline path with its error estimate: the
     one-path view of ``path_transport_many``."""
     return path_transport_many(M, kind, [path], steps=steps, covector=covector,
                                error_target=error_target)[0]
-
-
-def transport_vector(M, kind, path, v0, steps=None, error_target=None):
-    """Parallel-transport the vector v0 along the path; returns endpoint
-    components in the coordinate basis."""
-    [(P, _)] = path_transport_many(M, kind, [path], steps=steps,
-                                   error_target=error_target, estimate=False)
-    return P @ np.asarray(v0, dtype=float)
-
-
-def transport_covector(M, kind, path, a0, steps=None, error_target=None):
-    """Parallel-transport the 1-form a0 (row of components) along the path."""
-    [(P, _)] = path_transport_many(M, kind, [path], steps=steps, covector=True,
-                                   error_target=error_target, estimate=False)
-    return P @ np.asarray(a0, dtype=float)
 
 
 def _frames(loops, trails, dim):
@@ -821,9 +720,9 @@ def holonomy_many(M, kind, loops, steps=None, error_target=None,
                               pieces=frames_per_segment, estimate=estimate)
     frames = (_frames(loops, [trail for _, _, trail in results], M.dim)
               if frames_per_segment > 0 else [{}] * len(loops))
-    return [HolonomyElement(matrix=P, loop=loop, est_error=est,
+    return [HolonomyElement(matrix=P, est_error=est,
                             steps_used=sum(n_fine for n_fine, _, _ in trail), **f)
-            for loop, (P, est, trail), f in zip(loops, results, frames)]
+            for (P, est, trail), f in zip(results, frames)]
 
 
 def holonomy(M, kind, loop: Loop, steps=None, error_target=None,
@@ -987,7 +886,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
 
     # sample geodesy along the loop: Gamma^k_ij = 0 for i,j tangent, k normal
     probe_ts = np.linspace(0.05, 0.95, 20)
-    probe_pts = np.concatenate([seg.sample(probe_ts)[0] for seg in loop.segments])
+    probe_pts = _sample(loop.segments, probe_ts)[0].reshape(-1, N.dim)
     gamma_probe = christoffel_many(N, ConnectionKind.LEVI_CIVITA, probe_pts)
     worst = max(np.abs(gamma_probe[:, k][:, free][:, :, free]).max() for k in normal)
     if worst > GEODESY_TOL:

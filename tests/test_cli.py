@@ -227,6 +227,13 @@ SQUARE = [[0, 0], [1, 1]]
      "manifold.custom.periodicity must be a list of 2 numbers or null, got ['a', None]"),
     ("holonomy", {"manifold": {"custom": dict(PLANE, signature=5)}},
      "manifold.custom.signature must be a list of 2 integers, got 5"),
+    # boolean keys, read before any integration: a configured family would
+    # integrate before the algebra key was read
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": SQUARE}], "include_log": "false"},
+     "include_log must be a JSON boolean, got 'false'"),
+    ("algebra", {"manifold": BOREL, "loops": [{"family": {"rect": SQUARE}}],
+                 "algebra": {"include_catalog_families": 1}},
+     "algebra.include_catalog_families must be a JSON boolean, got 1"),
 ])
 def test_config_values_of_the_wrong_type_or_dimension_exit_2(tmp_path, capsys, kernel_calls,
                                                              command, doc, message):
@@ -425,6 +432,23 @@ def test_curvature_task(tmp_path):
         "manifold": {"catalog": "so11_2d"}, "loops": [], "tasks": ["geodesics"],
     })
     assert run(["holonomy", bad_tasks]) == 2
+
+
+def test_failing_curvature_keeps_loop_results(tmp_path, capsys):
+    """The Ricci tensor at the domain center (0, 0) takes log 0: the
+    curvature object carries the error, the loop still integrates, the
+    report is written and the command exits 1."""
+    out = tmp_path / "r.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"custom": dict(PLANE, phi="log(x^2+y^2)", domain=[[-1, 1], [-1, 1]])},
+        "loops": [{"polyline": [[0.5, 0.5], [0.7, 0.5], [0.7, 0.7], [0.5, 0.7], [0.5, 0.5]]}],
+        "tasks": ["holonomy", "curvature"], "output": str(out)})
+    assert run(["holonomy", cfg]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["curvature"] == {"point": [0.0, 0.0], "error": "log of a nonpositive value"}
+    [item] = doc["results"]
+    assert item["loop"] == 0 and abs(item["det"] - 1) < 1e-8
+    assert "ricci at [0.0, 0.0]: ERROR log of a nonpositive value" in capsys.readouterr().out
 
 
 def test_plot_csv_output(tmp_path):

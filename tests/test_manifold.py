@@ -16,9 +16,9 @@ from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               WeightedManifold, WeightedMetricTensorField,
                               _inverse_metric, amari_chentsov,
                               christoffel_derivative_many, christoffel_many,
-                              conformal_metric_at, covariant_derivative_of_tensor,
-                              curvature_at, dphi_at, metric_at, ricci_at,
-                              weighted_metric_at, weighted_metrics_at)
+                              covariant_derivative_of_tensor, curvature_at,
+                              metric_at, ricci_at, weighted_metric_at,
+                              weighted_metrics_at)
 
 E = math.e
 LC = ConnectionKind.LEVI_CIVITA
@@ -74,6 +74,11 @@ def test_weighted_metrics_at_equal_one_point_evaluations():
 
 
 def test_conformal_metric_at(tri2):
+    # e^{-2 phi} g, the metric of the dual triple, is e^{-phi} h
+    def conformal_metric_at(M, x):
+        phi = M.density.values(np.array([x], dtype=float))[0]
+        return math.exp(-phi) * weighted_metric_at(M, x)
+
     M = tri2.manifold  # metric diag(e^x, e^{2x+y}), phi = x+y
     assert np.allclose(conformal_metric_at(M, [0.0, 0.0]), np.eye(2))
     got = conformal_metric_at(M, [1.0, 0.0])
@@ -84,6 +89,10 @@ def test_conformal_metric_at(tri2):
 
 
 def test_dphi_at(sphere2, tri2):
+    # d phi at one point, from the density's gradient pass
+    def dphi_at(M, x):
+        return M.density.gradients(np.array([x], dtype=float))[0]
+
     assert np.allclose(dphi_at(tri2.manifold, [0.3, -0.7]), [1.0, 1.0], rtol=1e-14)
     assert np.allclose(dphi_at(euclidean("5"), [0.1, 0.2]), [0.0, 0.0])
     got = dphi_at(sphere2.manifold, [math.pi / 2, 0.0])  # d cos r = -sin r

@@ -1,5 +1,6 @@
 """Parallel transport, holonomy, loop families, block predictions."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -12,13 +13,12 @@ from hololab.cli import _build_custom_manifold
 from hololab.errors import (EmptyRegion, FamilyNotTrivial, NotClosed,
                             NotTotallyGeodesic, OutOfDomain, StepUnderflow)
 from hololab.manifold import ConnectionKind, metric_at
-from hololab.transport import (MIN_STEPS, Curve, Line, Loop, LoopFamily, holonomy,
+from hololab.transport import (MIN_STEPS, Line, Loop, LoopFamily, holonomy,
                                holonomy_many, path_transport_many,
                                path_transport_matrix, polyline_segments,
                                predicted_block_transport, random_rectangle_loops,
                                rectangle_loop, shrinking_rectangle_family,
-                               family_derivative, transport_covector,
-                               transport_vector)
+                               family_derivative)
 
 E = math.e
 W = ConnectionKind.WEIGHTED
@@ -28,15 +28,14 @@ LC = ConnectionKind.LEVI_CIVITA
 
 def test_constant_path_is_identity(borel):
     seg = [Line([0.2, 0.3], [0.2, 0.3])]
-    v = transport_vector(borel.manifold, W, seg, [1.5, -0.5])
-    assert np.allclose(v, [1.5, -0.5], atol=1e-15)
+    P, _ = path_transport_matrix(borel.manifold, W, seg)
+    assert np.allclose(P @ [1.5, -0.5], [1.5, -0.5], atol=1e-15)
 
 
 def test_single_segment_golden(borel):
     # along (t, 0): the second frame vector tilts by half the parameter run
-    v = transport_vector(borel.manifold, W, [Line([0, 0], [1, 0])], [0.0, 1.0],
-                         steps=500)
-    assert np.abs(v - np.array([0.5, 1.0])).max() < 1e-10
+    P, _ = path_transport_matrix(borel.manifold, W, [Line([0, 0], [1, 0])], steps=500)
+    assert np.abs(P @ [0.0, 1.0] - np.array([0.5, 1.0])).max() < 1e-10
 
 
 def test_sphere_parallel_segment_matches_closed_form(sphere2):
@@ -56,8 +55,6 @@ def test_covector_transport_is_inverse_transpose(borel):
     Pv, _ = path_transport_matrix(borel.manifold, W, path, steps=400)
     Pc, _ = path_transport_matrix(borel.manifold, W, path, steps=400, covector=True)
     assert np.abs(Pc @ Pv.T - np.eye(2)).max() < 1e-6
-    a = transport_covector(borel.manifold, W, path, [0.3, 1.1], steps=400)
-    assert np.allclose(a, Pc @ np.array([0.3, 1.1]), atol=1e-14)
 
 
 def test_dual_pair_stays_paired_along_path(tri2):
@@ -111,9 +108,8 @@ def test_loop_closure_validation(borel, sphere2):
 
 def test_out_of_domain_path(sphere2):
     with pytest.raises(OutOfDomain) as info:
-        transport_vector(sphere2.manifold, W,
-                         [Line([math.pi / 2, 0.0], [math.pi + 1.0, 0.0])],
-                         [1.0, 0.0], steps=50)
+        path_transport_matrix(sphere2.manifold, W,
+                              [Line([math.pi / 2, 0.0], [math.pi + 1.0, 0.0])], steps=50)
     assert all(type(x) is float for x in info.value.point)
     assert "np.float64" not in str(info.value)
 
@@ -201,7 +197,7 @@ def test_batch_equals_each_path_alone(sphere2, sphere3, borel, monkeypatch,
     """A batch returns, bit for bit, what each path gives alone at the
     default caps, also when calls are cut at 64 points (inside segments and
     between them) and when segments wait for room to hold their samples, on
-    a curved segment as well."""
+    slanted segments as well."""
     for entry, kind in ((sphere3, W), (borel, DW), (sphere2, W)):
         M = entry.manifold
         paths = _paths(entry, 3, seed=5)
@@ -234,7 +230,6 @@ def test_holonomy_batch_equals_each_loop_alone(tri3, monkeypatch, steps):
     monkeypatch.setattr(transport, "MAX_BATCH_POINTS", 64)
     batch = holonomy_many(tri3.manifold, W, loops, steps=steps, frames_per_segment=3)
     for h, h1 in zip(batch, alone):
-        assert h.loop is h1.loop
         assert np.array_equal(h.matrix, h1.matrix)
         assert (h.est_error, h.steps_used) == (h1.est_error, h1.steps_used)
         assert _same_bits(h.frames, h1.frames)
@@ -307,21 +302,10 @@ def test_composition_and_inverse(borel):
                         basepoint=np.zeros(2))
         P = holonomy(M, W, cat_loop, steps=300).matrix
         assert np.abs(P - P2 @ P1).max() < 1e-8
-        Pinv = holonomy(M, W, loop1.reversed(), steps=300).matrix
+        back = Loop(segments=[Line(seg.end, seg.start) for seg in loop1.segments[::-1]],
+                    basepoint=loop1.basepoint)
+        Pinv = holonomy(M, W, back, steps=300).matrix
         assert np.abs(Pinv - np.linalg.inv(P1)).max() < 1e-6
-
-
-def test_curve_segment_and_consistency_check(sphere2):
-    # quarter-turn along the equator parametrized as a genuine curve
-    pos = lambda t: np.array([math.pi / 2, math.pi / 2 * t])
-    vel = lambda t: np.array([0.0, math.pi / 2])
-    seg = Curve(pos, vel)
-    P, _ = path_transport_matrix(sphere2.manifold, W, [seg], steps=200)
-    line = Line([math.pi / 2, 0.0], [math.pi / 2, math.pi / 2])
-    Q, _ = path_transport_matrix(sphere2.manifold, W, [line], steps=200)
-    assert np.abs(P - Q).max() < 1e-10
-    with pytest.raises(ValueError):
-        Curve(pos, lambda t: np.array([0.0, 1.0]))
 
 
 def test_family_derivatives_golden(sphere2):
@@ -523,60 +507,13 @@ def test_frame_trajectory_endpoint_matches_holonomy(borel):
     assert np.abs(frames[-1] - P).max() < 1e-9
 
 
-def test_curve_with_array_callables_samples_arrays(sphere2):
-    """A Curve whose callables take floats and arrays alike is sampled a
-    whole grid at a time: a step-controlled quarter of the equator makes no
-    scalar call."""
-    h = math.pi / 2
-    calls = {"scalar": 0, "array": 0}
-
-    def counted(fn):
-        def call(t):
-            calls["array" if np.ndim(t) else "scalar"] += 1
-            return fn(np.asarray(t, dtype=float))
-        return call
-
-    seg = Curve(counted(lambda t: np.stack([np.full_like(t, h), h * t], axis=-1)),
-                counted(lambda t: np.stack([np.zeros_like(t), np.full_like(t, h)],
-                                           axis=-1)))
-    calls.update(scalar=0, array=0)  # construction checks the velocity with floats
-    P, _ = path_transport_matrix(sphere2.manifold, W, [seg])
-    assert calls["scalar"] == 0 and calls["array"] > 0
-    Q, _ = path_transport_matrix(sphere2.manifold, W, [Line([h, 0.0], [h, h])])
-    assert np.array_equal(P, Q)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_curve_with_float_callables_is_sampled_per_float(n):
-    """A callable of one float that returns its components as an array
-    whatever its argument is called per float, also on 1-d and 2-d charts,
-    where stacking over an array of one or two parameters could pass for
-    an (m, n) array."""
-    scale = np.arange(1.0, n + 1.0)
-    calls = {"scalar": 0, "array": 0}
-
-    def counted(fn):
-        def call(t):
-            calls["array" if np.ndim(t) else "scalar"] += 1
-            return fn(t)
-        return call
-
-    seg = Curve(counted(lambda t: np.array([k * t for k in scale])),
-                counted(lambda t: np.array([k + 0.0 * t for k in scale])))
-    calls.update(scalar=0, array=0)
-    ts = np.array([0.0, 0.25, 1.0])
-    pos, vel = seg.sample(ts)
-    assert np.array_equal(pos, ts[:, None] * scale)
-    assert np.array_equal(vel, np.broadcast_to(scale, (3, n)))
-    assert calls == {"scalar": 6, "array": 0}
-
-
 def _curve_loop():
-    # out along the equator as a Curve with scalar-only callables, back by a Line
+    # out along a bulge off the equator as a polyline of four slanted
+    # chords, back along the equator by a Line
     h = math.pi / 2
-    out = Curve(lambda t: np.array([h + 0.2 * math.sin(math.pi * t), 1.0 + t]),
-                lambda t: np.array([0.2 * math.pi * math.cos(math.pi * t), 1.0]))
-    return Loop(segments=[out, Line(out.end, out.start)], basepoint=out.start)
+    ts = np.linspace(0.0, 1.0, 5)
+    out = np.stack([h + 0.2 * np.sin(np.pi * ts), 1.0 + ts], axis=-1)
+    return Loop(segments=polyline_segments(list(out) + [out[0]]), basepoint=out[0])
 
 
 @pytest.mark.parametrize("steps,per_segment", [(205, 10), (205, 7), (30, 100)])
@@ -806,17 +743,28 @@ def test_retired_segments_hold_only_piece_products(sphere2, piece_reductions):
 
 
 # ---------------------------------------------------------------------------
-# Constant segments: straight, along coordinates the geometry does not read
+# Constant segments: along coordinates the geometry does not read
 # ---------------------------------------------------------------------------
 
-def _curves(segments):
-    """The same segments as Curves of their own callables, which are
-    sampled through them and never taken for constant."""
-    return [Curve(seg.position, seg.velocity) for seg in segments]
+@contextlib.contextmanager
+def _sampled_whole():
+    """Inside the block every transport kernel declares no ``reads``, like
+    block prediction's coefficient function: no segment is constant, and
+    the lockstep engine samples each one whole, the reference for the
+    constant-segment shortcut."""
+    kernel = transport._kernel
 
+    def unread(*args):
+        coeffs = kernel(*args)
 
-def _curve_loop_of(loop):
-    return Loop(segments=_curves(loop.segments), basepoint=loop.basepoint)
+        def sampled(pos, vel):
+            return coeffs(pos, vel)
+        sampled.chart = coeffs.chart
+        return sampled
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(transport, "_kernel", unread)
+        yield
 
 
 def test_uniform_product_equals_the_ordered_product_of_copies():
@@ -874,37 +822,38 @@ def _loops_along_unread_axes(name):
 @pytest.mark.parametrize("steps", [None, 8, 200])
 @pytest.mark.parametrize("name", ["sphereN(4)", "so_pq(1,2)", "so11_2d"])
 def test_constant_segments_equal_their_sampled_transport(name, steps, kernel_calls):
-    """Lines and the same paths as Curves give bit-identical matrices,
-    estimates and steps, for every kind and both directions, and with
-    frames; the Lines give the kernel fewer points."""
+    """Constant segments give the matrices, estimates and steps of the same
+    paths sampled whole, bit for bit, for every kind and both directions,
+    and with frames; they give the kernel fewer points."""
     M, loops = _loops_along_unread_axes(name)
-    curve_loops = [_curve_loop_of(loop) for loop in loops]
     paths = [loop.segments for loop in loops] + [loop.segments[1:4] for loop in loops]
-    curve_paths = [_curves(path) for path in paths]
     constant = transport._constant_segments([s for p in paths for s in p],
                                             transport._kernel(M, W))
     assert constant.any() and not constant.all()
-    points = {"lines": 0, "curves": 0}
     for kind in (W, DW, LC):
-        for covector in (False, True):
-            kernel_calls.clear()
-            lines = path_transport_many(M, kind, paths, steps=steps, covector=covector)
-            points["lines"] += sum(kernel_calls)
-            kernel_calls.clear()
-            curves = path_transport_many(M, kind, curve_paths, steps=steps, covector=covector)
-            points["curves"] += sum(kernel_calls)
-            for (P, est), (Pc, estc) in zip(lines, curves):
-                assert _same_bits(P, Pc) and est == estc
         frames = 3 if kind == W else 0
-        for h, hc in zip(holonomy_many(M, kind, loops, steps=steps, frames_per_segment=frames),
-                         holonomy_many(M, kind, curve_loops, steps=steps,
-                                       frames_per_segment=frames)):
-            assert _same_bits(h.matrix, hc.matrix)
-            assert (h.est_error, h.steps_used) == (hc.est_error, hc.steps_used)
+
+        def run():
+            kernel_calls.clear()
+            transports = [path_transport_many(M, kind, paths, steps=steps, covector=covector)
+                          for covector in (False, True)]
+            points = sum(kernel_calls)
+            return transports, points, holonomy_many(M, kind, loops, steps=steps,
+                                                      frames_per_segment=frames)
+
+        transports, points, elements = run()
+        with _sampled_whole():
+            sampled, sampled_points, sampled_elements = run()
+        assert points < sampled_points
+        for lines, whole in zip(transports, sampled):
+            for (P, est), (Ps, ests) in zip(lines, whole):
+                assert _same_bits(P, Ps) and est == ests
+        for h, hs in zip(elements, sampled_elements):
+            assert _same_bits(h.matrix, hs.matrix)
+            assert (h.est_error, h.steps_used) == (hs.est_error, hs.steps_used)
             if frames:
-                assert _same_bits(h.frames, hc.frames)
-                assert _same_bits(h.positions, hc.positions)
-    assert points["lines"] < points["curves"]
+                assert _same_bits(h.frames, hs.frames)
+                assert _same_bits(h.positions, hs.positions)
 
 
 def test_constant_segments_keep_family_derivatives(sphere2, so11, kernel_calls):
@@ -915,13 +864,12 @@ def test_constant_segments_keep_family_derivatives(sphere2, so11, kernel_calls):
              (sphere2.manifold, sphere2.families["alpha"], 20),
              (so11.manifold, shrinking_rectangle_family([0.2, -0.3], 0, 1, 0.5, 0.4), None)]
     for M, fam, steps in cases:
-        as_curves = LoopFamily(family=lambda s, fam=fam: _curve_loop_of(fam.family(s)),
-                               s_max=fam.s_max)
         kernel_calls.clear()
         D = family_derivative(M, W, fam, steps=steps)
         points = sum(kernel_calls)
         kernel_calls.clear()
-        assert _same_bits(D, family_derivative(M, W, as_curves, steps=steps))
+        with _sampled_whole():
+            assert _same_bits(D, family_derivative(M, W, fam, steps=steps))
         assert points < sum(kernel_calls)
 
 
@@ -931,13 +879,13 @@ BOUNDED_Y = {"dim": 2, "coords": ["x", "y"], "metric": {"diag": ["1+x^2", "2+cos
 
 def _same_error(run, paths, error):
     """``run`` raises the same ``error``, message and point, on ``paths``
-    as on the same paths as Curves."""
+    as on the same paths sampled whole."""
     with pytest.raises(error) as lines:
         run(paths)
-    with pytest.raises(error) as curves:
-        run([_curves(path) for path in paths])
-    assert str(lines.value) == str(curves.value)
-    assert np.array_equal(lines.value.point, curves.value.point)
+    with _sampled_whole(), pytest.raises(error) as sampled:
+        run(paths)
+    assert str(lines.value) == str(sampled.value)
+    assert np.array_equal(lines.value.point, sampled.value.point)
     return lines.value
 
 
@@ -1026,21 +974,6 @@ def test_constant_segment_outside_the_chart_raises_at_its_first_sample(steps):
     assert (str(error), error.point) == _outside_error([0.3, 1.2])
 
 
-@pytest.mark.parametrize("steps", [None, 50])
-def test_curve_leaving_the_chart_between_its_ends_raises_at_its_first_outside_sample(steps):
-    """A Curve's samples need not be monotone in t: one whose ends are
-    inside the chart and whose middle is not, grouped with a Line."""
-    M = _build_custom_manifold(BOUNDED_Y)
-    arc = Curve(lambda t: np.stack([0.2 + 0 * t, 1.5 * np.sin(np.pi * t)], axis=-1),
-                lambda t: np.stack([0 * t, 1.5 * np.pi * np.cos(np.pi * t)], axis=-1))
-    pos = arc.position(transport._fine_grid(steps or MIN_STEPS))
-    assert M.chart.contains(pos[[0, -1]]).all()
-    with pytest.raises(OutOfDomain) as error:
-        path_transport_many(M, W, [[Line([0.0, 0.0], [0.2, 0.5])], [arc]], steps=steps)
-    assert (str(error.value), error.value.point) == _outside_error(
-        pos[np.flatnonzero(pos[:, 1] >= 1.0)[0]])
-
-
 def test_kernel_error_of_a_first_call_comes_before_a_chart_error_in_the_second():
     """A segment of 1201 samples is cut into kernel calls of 1024 and 177
     points: the metric is singular at x = 0, in the first call, and the
@@ -1054,7 +987,7 @@ def test_kernel_error_of_a_first_call_comes_before_a_chart_error_in_the_second()
                          metric=MetricField.from_expressions(chart, ["1+x^2", "x^2"], (2, 0),
                                                              validate=False))
     segment = Line([-0.5, 0.0], [0.5, 1.1])
-    pos = segment.position(transport._fine_grid(300))
+    pos = transport._sample([segment], transport._fine_grid(300))[0][0]
     assert len(pos) > transport.MAX_BATCH_POINTS
     assert pos[:transport.MAX_BATCH_POINTS, 1].max() < 1.0 <= pos[-1, 1]
     run = lambda paths: path_transport_many(M, W, paths, steps=300)  # noqa: E731
@@ -1101,19 +1034,22 @@ def test_a_group_tests_the_chart_once_on_its_segment_ends(sphere3, monkeypatch,
     assert kernel_calls == [801 + 1]
 
 
-@pytest.mark.parametrize("steps", [None, 20])
-def test_curve_of_a_lines_own_callables_equals_the_line(borel, steps):
-    """A Line's callables give one (1, n) row for a float; Curve reads the
-    dimension from the flattened start point, and the Curve's transport has
-    the Line's bits, on a varying and on a constant (sphereN(4)) path."""
-    M4, loops = _loops_along_unread_axes("sphereN(4)")
-    for M, loop in [(borel.manifold, borel.loops["golden1"]), (M4, loops[-1])]:
-        curves = _curves(loop.segments)
-        assert [c.start.shape for c in curves] == [(M.dim,)] * len(curves)
-        h = holonomy(M, W, loop, steps=steps)
-        hc = holonomy(M, W, Loop(segments=curves, basepoint=loop.basepoint), steps=steps)
-        assert _same_bits(h.matrix, hc.matrix)
-        assert (h.est_error, h.steps_used) == (hc.est_error, hc.steps_used)
+def test_sample_is_start_plus_t_delta():
+    """``_sample`` gives each Line's start + t * delta with the bits of that
+    expression, its delta, end - start as computed once, at every sample,
+    and its first and last samples as the ones the chart test reads, on a
+    level's whole grid and on its odd points."""
+    rng = np.random.default_rng(2)
+    segments = [Line(a, b) for a, b in rng.normal(size=(5, 2, 3))]
+    segments.append(Line([0.3, -0.0, 1.0], [0.3, 0.0, 1.0]))  # delta 0
+    for seg in segments:
+        assert _same_bits(seg.delta, seg.end - seg.start)
+    for ts in (transport._fine_grid(8), np.arange(1, 64, 2) / 64):
+        pos, vel, probe = transport._sample(segments, ts)
+        for seg, p, v in zip(segments, pos, vel):
+            assert _same_bits(p, seg.start + ts[:, None] * seg.delta)
+            assert _same_bits(v, np.tile(seg.delta, (len(ts), 1)))
+        assert _same_bits(probe, pos[:, [0, -1]].reshape(-1, 3))
 
 
 def test_pinned_grid_matrices_keep_their_bits_without_the_estimate(sphere2, tri3,
@@ -1124,7 +1060,6 @@ def test_pinned_grid_matrices_keep_their_bits_without_the_estimate(sphere2, tri3
     bits of a run in which every batch forms it."""
     M, loops = _loops_along_unread_axes("sphereN(4)")
     paths = [loop.segments for loop in loops] + [loop.segments[1:4] for loop in loops]
-    v0 = np.arange(1.0, M.dim + 1.0)
 
     def run():
         out = [h.matrix for h in holonomy_many(M, W, loops, steps=20, estimate=False)]
@@ -1135,8 +1070,9 @@ def test_pinned_grid_matrices_keep_their_bits_without_the_estimate(sphere2, tri3
                                      steps=20))
         out.append(predicted_block_transport(tri3.manifold, [0, 1], {2: 0.0},
                                              tri3.loops["square"], steps=20))
-        out.append(transport_vector(M, LC, paths[0], v0, steps=20))
-        out.append(transport_covector(M, LC, paths[0], v0, steps=20))
+        for covector in (False, True):
+            out += [P for P, _ in path_transport_many(M, LC, paths[:1], steps=20,
+                                                      covector=covector, estimate=False)]
         return out
 
     skipped = run()
