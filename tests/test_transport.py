@@ -1052,6 +1052,24 @@ def test_sample_is_start_plus_t_delta():
         assert _same_bits(probe, pos[:, [0, -1]].reshape(-1, 3))
 
 
+@pytest.mark.parametrize("steps", [None, 20])
+def test_curve_of_a_lines_own_callables_equals_the_line(borel, steps):
+    """A Line rebuilt from another Line's own start and end, given as plain
+    lists, reads its dimension from the start point, has the same delta bits,
+    and its loop's transport has the original's bits, on a varying and on a
+    constant (sphereN(4)) path."""
+    M4, loops = _loops_along_unread_axes("sphereN(4)")
+    for M, loop in [(borel.manifold, borel.loops["golden1"]), (M4, loops[-1])]:
+        lines = [Line(seg.start.tolist(), seg.end.tolist()) for seg in loop.segments]
+        assert [seg.start.shape for seg in lines] == [(M.dim,)] * len(lines)
+        for seg, own in zip(lines, loop.segments):
+            assert _same_bits(seg.delta, own.delta)
+        h = holonomy(M, W, loop, steps=steps)
+        hl = holonomy(M, W, Loop(segments=lines, basepoint=loop.basepoint), steps=steps)
+        assert _same_bits(h.matrix, hl.matrix)
+        assert (h.est_error, h.steps_used) == (hl.est_error, hl.steps_used)
+
+
 def test_pinned_grid_matrices_keep_their_bits_without_the_estimate(sphere2, tri3,
                                                                    coarse_batches,
                                                                    rk4_passes):
