@@ -473,6 +473,9 @@ def cmd_algebra(args):
     include_families = _of_type(aspec.get("include_catalog_families", False),
                                 "algebra.include_catalog_families", bool, "a JSON boolean")
     entry, M, kind, steps, loops, families = _transport_from_config(config)
+    if include_families and entry is None:
+        raise ConfigError("algebra.include_catalog_families must be false "
+                          "for a custom manifold, got true")
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
     if n_random:
@@ -490,7 +493,7 @@ def cmd_algebra(args):
                                         basepoint=basepoint)
     extra = [family_derivative(M, kind, fam, s_step=s_step, steps=steps)
              for fam, s_step in families]
-    if entry is not None and include_families:
+    if include_families:
         extra += [family_derivative(M, kind, fam, steps=steps)
                   for fam in entry.families.values()]
     form = None
@@ -506,6 +509,7 @@ def cmd_algebra(args):
         "generators_used": exp.used_count,
         "max_det_error": max((abs(d) for d in exp.det_errors), default=0.0),
         "svd_cut": dict(zip(("last_kept", "first_dropped"), exp.svd_cut)),
+        "closure_cut": dict(zip(("last_kept", "first_dropped"), exp.basis.cut)),
         "dimension_margin_digits": exp.dimension_margin_digits,
         "basis": [b.tolist() for b in exp.basis.basis],
     }

@@ -2,8 +2,9 @@
 
 Glue between transport and the Lie-algebra layer: integrate a batch of
 loops, take principal logs of the transports that are close enough to the
-identity, optionally add loop-family derivatives, close under brackets and
-classify.  Used by the CLI ``algebra`` command and the acceptance suite.
+identity, reduce them to their numerical span, optionally add loop-family
+derivatives, close under brackets and classify.  Used by the CLI
+``algebra`` command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from .transport import holonomy_many
 # transports farther than this from I are skipped (log accuracy degrades
 # and the group-level information is redundant once brackets run)
 LOG_WINDOW = 0.5
-# logs smaller than this are dominated by integrator noise once normalized;
-# see the rank_tol discussion in liealg.span_insert
+# logs and family derivatives smaller than this are dominated by integrator
+# noise once closure normalizes them
 MIN_LOG_NORM = 1e-4
-# singular values below this fraction of the largest are integrator noise
-SVD_FLOOR = 1e-6
 CLASSIFY_TOL = 1e-6  # liealg.classify tolerance on the closed basis
 
 
@@ -36,7 +35,7 @@ class AlgebraExperiment:
     loop_count: int = 0
     used_count: int = 0
     det_errors: list = field(default_factory=list)
-    svd_cut: tuple = (None, None)  # see condition_generators
+    svd_cut: tuple = (None, None)  # the loop logs' liealg.numerical_span cut
 
     @property
     def dim(self):
@@ -69,44 +68,19 @@ def generators_from_loops(M, kind, loops, steps=None):
     return gens, det_errors
 
 
-def condition_generators(gens, n):
-    """Rank-revealed orthogonal generating set via SVD.
-
-    Sequentially Gram-Schmidting raw loop logs is fragile: two nearly
-    parallel generators whose difference sits just above the span tolerance
-    produce a basis direction dominated by integrator noise, and the error
-    cascades through later projections.  Stacking the unit-normalized logs
-    and keeping the right-singular directions above SVD_FLOOR * sigma_1
-    averages the noise out instead.
-
-    Returns the kept directions and the normalized singular values
-    sigma_i / sigma_1 on either side of the cut, (last kept, first
-    dropped): first dropped is None when nothing was dropped, and both are
-    None without generators.
-    """
-    if not gens:
-        return [], (None, None)
-    flat = np.array([np.asarray(g, dtype=float).ravel()
-                     / np.linalg.norm(g, 'fro') for g in gens])
-    _, svals, vt = np.linalg.svd(flat, full_matrices=False)
-    keep = svals >= SVD_FLOOR * svals[0]
-    rel = svals / svals[0]
-    kept = int(keep.sum())  # svals descend, so the kept ones come first
-    cut = (float(rel[kept - 1]), float(rel[kept]) if kept < len(rel) else None)
-    return [vt[i].reshape(n, n) for i in range(kept)], cut
-
-
 def run_closure_experiment(M, kind, loops, extra_generators=(), form=None,
                            steps=None) -> AlgebraExperiment:
+    """Close the numerical span of the unit-normalized loop logs, plus the
+    family derivatives of at least MIN_LOG_NORM, under brackets and
+    classify the result."""
     gens, det_errors = generators_from_loops(M, kind, loops, steps=steps)
-    used = len(gens)
-    cleaned, svd_cut = condition_generators(gens, M.dim)
-    cleaned += [np.asarray(g, dtype=float) for g in extra_generators]
-    if not cleaned:
-        basis = liealg.LieAlgebraBasis(dim_ambient=M.dim)
-    else:
-        basis = liealg.closure(cleaned)
+    directions, svd_cut = liealg.numerical_span(
+        [L / np.linalg.norm(L, 'fro') for L in gens], M.dim)
+    directions += [D for D in map(np.asarray, extra_generators)
+                   if np.linalg.norm(D, 'fro') >= MIN_LOG_NORM]
+    basis = (liealg.closure(directions) if directions
+             else liealg.LieAlgebraBasis(dim_ambient=M.dim))
     tag = liealg.classify(basis, form=form, tol=CLASSIFY_TOL)
     return AlgebraExperiment(basis=basis, tag=tag,
-                             loop_count=len(loops), used_count=used,
+                             loop_count=len(loops), used_count=len(gens),
                              det_errors=det_errors, svd_cut=svd_cut)

@@ -1,4 +1,4 @@
-"""Matrix exp/log, brackets, span maintenance, closure and classification.
+"""Matrix exp/log, brackets, numerical span, closure and classification.
 
 The logarithm uses inverse scaling-and-squaring: repeated principal square
 roots (Denman-Beavers iteration) until ||P - I||_F < 0.5, then the
@@ -7,22 +7,23 @@ then scaled back by 2^k.  The exponential is plain scaling-and-squaring on
 a truncated Taylor series; nilpotent arguments short-circuit to the exact
 terminating sum so identities like exp(0) = I hold exactly.
 
-Holonomy-algebra candidates are collected into a Frobenius-orthonormal
-basis by modified Gram-Schmidt with a relative rank tolerance; closure
-repeatedly inserts pairwise brackets until the span stabilizes.  The
-Frobenius inner product <A, B> = sum_ij A_ij B_ij is ``np.vdot`` of the
-two matrices, one BLAS dot of their flattened entries.
+A span has one rank rule: stack the matrices as flattened rows, take an
+SVD and keep the right-singular directions with sigma_i >= SVD_FLOOR *
+sigma_1, a Frobenius-orthonormal basis.  Closure stacks that basis with
+its pairwise brackets and applies the same rule until the rank stops
+growing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LogUndefined, ShapeMismatch
 
-RANK_TOL = 1e-8
+# singular values below this fraction of the largest are integrator noise
+SVD_FLOOR = 1e-6
 SERIES_TOL = 1e-16
 ISS_THRESHOLD = 0.5
 
@@ -128,88 +129,68 @@ def mat_log(P):
 
 
 # ---------------------------------------------------------------------------
-# Span maintenance and closure
+# Numerical span and closure
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LieAlgebraBasis:
-    """Frobenius-orthonormal spanning set of n x n matrices."""
+    """Frobenius-orthonormal spanning set of n x n matrices; ``cut`` is the
+    (last kept, first dropped) pair of the numerical_span that chose it."""
 
     dim_ambient: int
     basis: tuple = ()
-    rank_tol: float = RANK_TOL
+    cut: tuple = (None, None)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def contains(self, A):
-        """Residual Frobenius norm of unit-normalized A outside the span."""
-        A = np.asarray(A, dtype=float)
-        norm = np.linalg.norm(A, 'fro')
-        if norm == 0:
-            return 0.0
-        r = A / norm
-        for b in self.basis:
-            r = r - np.vdot(r, b) * b
-        return float(np.linalg.norm(r, 'fro'))
 
+def numerical_span(mats, n):
+    """Orthonormal directions spanning the n x n matrices ``mats``: the
+    right-singular directions of their rows, stacked as given, with
+    sigma_i >= SVD_FLOOR * sigma_1.
 
-def span_insert(basis: LieAlgebraBasis, A):
-    """Insert A (unit-normalized) by modified Gram-Schmidt.
-
-    Returns (new_basis, inserted); the candidate is rejected when its
-    residual outside the current span is below rank_tol.  Candidates whose
-    Frobenius norm is itself below rank_tol are treated as numerically zero
-    (brackets of commuting unit-norm elements land here), otherwise
-    normalizing them would promote integrator noise to a new dimension.
+    Also returns the normalized singular values sigma_i / sigma_1 on either
+    side of the cut, (last kept, first dropped): first dropped is None when
+    nothing was dropped, and both are None without matrices.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (basis.dim_ambient, basis.dim_ambient):
-        raise ShapeMismatch(f"expected {(basis.dim_ambient,) * 2}, got {A.shape}")
-    norm = np.linalg.norm(A, 'fro')
-    if norm <= basis.rank_tol or len(basis.basis) >= basis.dim_ambient ** 2:
-        return basis, False
-    r = A / norm
-    for _ in range(2):  # second pass tightens orthogonality
-        for b in basis.basis:
-            r = r - np.vdot(r, b) * b
-    res = np.linalg.norm(r, 'fro')
-    if res <= basis.rank_tol:
-        return basis, False
-    new = replace(basis, basis=basis.basis + (r / res,))
-    return new, True
+    if not len(mats):
+        return [], (None, None)
+    flat = np.array([np.asarray(m, dtype=float).ravel() for m in mats])
+    _, svals, vt = np.linalg.svd(flat, full_matrices=False)
+    rel = svals / svals[0]
+    kept = int((svals >= SVD_FLOOR * svals[0]).sum())  # svals descend
+    cut = (float(rel[kept - 1]), float(rel[kept]) if kept < len(rel) else None)
+    return [vt[i].reshape(n, n) for i in range(kept)], cut
 
 
-def closure(generators, max_dim=None, rank_tol=RANK_TOL) -> LieAlgebraBasis:
+def closure(generators, max_dim=None) -> LieAlgebraBasis:
     """Smallest bracket-closed span containing the generators.
 
-    Deterministic: generators are inserted in order, then bracket sweeps run
-    in pair-lexicographic order until a full sweep inserts nothing or the
-    dimension cap is reached.
+    The numerical span of the unit-normalized nonzero generators is stacked
+    with all its pairwise brackets, unnormalized, and reduced by
+    numerical_span again, until the rank stops growing or reaches max_dim
+    (the leading directions are kept).  Deterministic.
     """
     gens = [np.asarray(g, dtype=float) for g in generators]
     if not gens:
         raise ValueError("closure needs at least one generator")
     n = gens[0].shape[0]
+    if any(g.shape != (n, n) for g in gens):
+        raise ShapeMismatch(f"expected {(n, n)}, got {[g.shape for g in gens]}")
     if max_dim is None:
         max_dim = n * n
-    basis = LieAlgebraBasis(dim_ambient=n, rank_tol=rank_tol)
-    for g in gens:
-        basis, _ = span_insert(basis, g)
-        if basis.dim >= max_dim:
-            return basis
-    while True:
-        grew = False
-        elements = basis.basis
-        for i in range(len(elements)):
-            for j in range(i + 1, len(elements)):
-                basis, inserted = span_insert(basis, bracket(elements[i], elements[j]))
-                grew = grew or inserted
-                if basis.dim >= max_dim:
-                    return basis
-        if not grew:
-            return basis
+    span, cut = numerical_span([g / np.linalg.norm(g, 'fro') for g in gens if g.any()], n)
+    while 0 < len(span) < max_dim:
+        B = np.array(span)
+        prods = B[:, None] @ B[None, :]
+        i, j = np.triu_indices(len(B), 1)
+        grown, cut = numerical_span([*B, *(prods[i, j] - prods[j, i])], n)
+        if len(grown) <= len(span):
+            break
+        span = grown
+    return LieAlgebraBasis(dim_ambient=n, basis=tuple(span[:max_dim]), cut=cut)
 
 
 # ---------------------------------------------------------------------------

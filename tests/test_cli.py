@@ -234,6 +234,9 @@ SQUARE = [[0, 0], [1, 1]]
     ("algebra", {"manifold": BOREL, "loops": [{"family": {"rect": SQUARE}}],
                  "algebra": {"include_catalog_families": 1}},
      "algebra.include_catalog_families must be a JSON boolean, got 1"),
+    ("algebra", {"manifold": {"custom": PLANE}, "loops": [{"family": {"rect": SQUARE}}],
+                 "algebra": {"include_catalog_families": True}},
+     "algebra.include_catalog_families must be false for a custom manifold, got true"),
 ])
 def test_config_values_of_the_wrong_type_or_dimension_exit_2(tmp_path, capsys, kernel_calls,
                                                              command, doc, message):
@@ -285,6 +288,8 @@ def test_algebra_command(tmp_path, capsys):
     assert cut["last_kept"] >= 1e-6 > cut["first_dropped"]
     assert doc["results"]["dimension_margin_digits"] == math.log10(
         cut["last_kept"] / cut["first_dropped"])
+    # one generator has no brackets to reduce: its span's cut is the closure's
+    assert doc["results"]["closure_cut"] == {"last_kept": 1.0, "first_dropped": None}
 
 
 def test_algebra_conjecture_mode(tmp_path):
@@ -608,6 +613,21 @@ def test_algebra_without_loops_does_not_pass(tmp_path, capsys):
     doc = json.loads(out.read_text())["results"]
     assert doc["loop_count"] == 1 and doc["dimension"] == 0
     assert "NO LOOPS" not in capsys.readouterr().out
+
+
+def test_algebra_drops_a_noise_family_derivative(tmp_path):
+    """borel2d's family through the basepoint has P'(0) = 0; its computed
+    derivative (norm about 8e-9) is noise below MIN_LOG_NORM, not a
+    generator."""
+    out = tmp_path / "a.json"
+    cfg = write_config(tmp_path, "c.json", {
+        "manifold": {"catalog": "borel2d"},
+        "loops": [{"family": {"rect": [[0, 0], [0.5, 0.5]], "s_max": 1.0}}],
+        "algebra": {"random_loops": 0}, "output": str(out)})
+    assert run(["algebra", cfg]) == 0
+    doc = json.loads(out.read_text())["results"]
+    assert doc["dimension"] == 0 and doc["tag"] == "Trivial"
+    assert doc["closure_cut"] == {"last_kept": None, "first_dropped": None}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

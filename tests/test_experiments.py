@@ -9,8 +9,8 @@ import pytest
 
 from hololab import catalog, transport
 from hololab.cli import main
-from hololab.experiments import (SVD_FLOOR, condition_generators,
-                                 generators_from_loops, run_closure_experiment)
+from hololab.experiments import generators_from_loops, run_closure_experiment
+from hololab.liealg import SVD_FLOOR, numerical_span
 from hololab.manifold import ConnectionKind, metric_at
 from hololab.transport import random_rectangle_loops
 
@@ -33,12 +33,42 @@ def test_dimension_margin_is_wide(name, count):
     assert exp.dimension_margin_digits >= 8
 
 
+SO_PQ = [(1, 1), (0, 2), (2, 1), (1, 2), (0, 3), (3, 1), (2, 2), (1, 3), (0, 4),
+         (1, 4), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_paper_families_read_their_holonomy_algebras(seed):
+    """so_pq(p,q) reads so(p,q) of dimension n(n-1)/2 against its companion
+    form, and sphereN(n) reads sl(n).  Left out: so_pq(4,1), whose loop logs
+    are ill-conditioned, and so_pq(0,5), which the absolute determinant
+    floor cannot build."""
+    def experiment(name):
+        entry = catalog.get_entry(name)
+        n = entry.manifold.dim
+        loops = random_rectangle_loops(entry.manifold, entry.sample_region,
+                                       30 if n <= 4 else 40, seed=seed,
+                                       basepoint=entry.basepoint)
+        form = metric_at(entry.companion, entry.basepoint) if entry.companion else None
+        return n, run_closure_experiment(entry.manifold, W, loops, form=form)
+
+    for p, q in SO_PQ:
+        n, exp = experiment(f"so_pq({p},{q})")
+        assert exp.dim == n * (n - 1) // 2, (p, q)
+        tag = "SOpq" if n > 2 else "SO2" if p == 0 else "SOplus11"
+        assert exp.tag.name == tag, (p, q)
+        assert set(exp.tag.signature) == {p, q}, (p, q)
+    for n in (2, 3, 4):
+        m, exp = experiment(f"sphereN({n})")
+        assert m == n and exp.dim == n * n - 1 and exp.tag.name == "SL"
+
+
 def test_svd_cut_without_a_dropped_value():
     gens = [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])]
-    kept, (last_kept, first_dropped) = condition_generators(gens, 2)
+    kept, (last_kept, first_dropped) = numerical_span(gens, 2)
     assert len(kept) == 2 and first_dropped is None
     assert 0 < last_kept <= 1
-    assert condition_generators([], 2) == ([], (None, None))
+    assert numerical_span([], 2) == ([], (None, None))
 
 
 def test_held_samples_stay_within_the_cap(monkeypatch, kernel_calls):
