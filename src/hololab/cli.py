@@ -28,7 +28,7 @@ import time
 import numpy as np
 
 from . import catalog as cat
-from . import liealg, verify
+from . import liealg
 from .errors import (ConfigError, ExprSyntaxError, HololabError, NotClosed,
                      UnboundVariable, UnknownExample, UnknownIdentifier)
 from .experiments import run_closure_experiment
@@ -165,10 +165,11 @@ def _build_custom_manifold(spec):
     try:
         dim = _integer(spec["dim"], "manifold.custom.dim", 1)
         coords = tuple(_strings(spec["coords"], "manifold.custom.coords", dim))
-        phi_src = spec["phi"]
+        phi_src = _of_type(spec["phi"], "manifold.custom.phi", str, "a string")
         metric_spec = _object(spec["metric"], "manifold.custom.metric")
     except KeyError as exc:
         raise ConfigError(f"custom manifold missing field: {exc}")
+    name = _of_type(spec.get("name", "custom"), "manifold.custom.name", str, "a string")
     domain = _intervals(spec.get("domain", [[None, None]] * dim), "manifold.custom.domain",
                         dim, open_ends=True)
     periodicity = tuple(None if p is None else float(p) for p in _list_of(
@@ -198,8 +199,7 @@ def _build_custom_manifold(spec):
         raise ConfigError(f"expression error at offset {exc.offset}: {exc}")
     except (UnknownIdentifier, UnboundVariable) as exc:
         raise ConfigError(str(exc))
-    return WeightedManifold(chart=chart, metric=metric, density=density,
-                            name=spec.get("name", "custom"))
+    return WeightedManifold(chart=chart, metric=metric, density=density, name=name)
 
 
 def _entry_from_config(config):
@@ -542,6 +542,8 @@ def cmd_algebra(args):
 
 
 def cmd_verify(args):
+    from . import verify  # the other commands do not compile it
+
     config = _load_config(args.config) if args.config else {}
     seed = _resolve_seed(config)
     _check_report_path(config, args)

@@ -1,11 +1,9 @@
-"""Matrix exp/log, brackets, numerical span, closure and classification.
+"""Matrix logarithm, brackets, numerical span, closure and classification.
 
 The logarithm uses inverse scaling-and-squaring: repeated principal square
 roots (Denman-Beavers iteration) until ||P - I||_F < 0.5, then the
 alternating series log(I + X) = X - X^2/2 + ... summed to a 1e-16 term,
-then scaled back by 2^k.  The exponential is plain scaling-and-squaring on
-a truncated Taylor series; nilpotent arguments short-circuit to the exact
-terminating sum so identities like exp(0) = I hold exactly.
+then scaled back by 2^k.
 
 A span has one rank rule: stack the matrices as flattened rows, take an
 SVD and keep the right-singular directions with sigma_i >= SVD_FLOOR *
@@ -35,48 +33,6 @@ def bracket(A, B):
     if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeMismatch(f"incompatible shapes {A.shape} and {B.shape}")
     return A @ B - B @ A
-
-
-def _nilpotency_index(A, n):
-    """Smallest m with A^m == 0 exactly, or None."""
-    P = A.copy()
-    for m in range(1, n + 1):
-        if not P.any():
-            return m
-        P = P @ A
-    return None
-
-
-def mat_exp(A):
-    """Matrix exponential by scaling-and-squaring of the Taylor series."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    nil = _nilpotency_index(A, n)
-    if nil is not None:
-        # terminating series, exact for nilpotent input (and exp(0) = I)
-        out = np.eye(n)
-        term = np.eye(n)
-        for k in range(1, nil):
-            term = term @ A / k
-            out = out + term
-        return out
-    norm = np.linalg.norm(A, 1)
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5)))) if norm > 0.5 else 0
-    B = A / (2.0 ** squarings)
-    out = np.eye(n)
-    term = np.eye(n)
-    k = 1
-    while True:
-        term = term @ B / k
-        out = out + term
-        if np.linalg.norm(term, 'fro') < SERIES_TOL * max(1.0, np.linalg.norm(out, 'fro')):
-            break
-        k += 1
-        if k > 200:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def _principal_sqrt(A, max_iter=100, tol=1e-15):

@@ -47,6 +47,14 @@ metric of dimension 2 or 3 is inverted from one cofactor factorization:
 the symmetric adjugate, det g expanded along its first row, g^-1 =
 adj / det.  Larger non-diagonal metrics use LAPACK.  Every path rejects
 a det g that is not finite or whose size is at most DET_FLOOR.
+
+Every tensor is batched over (m, n) points and reads one program, the
+geometry's (the metric's alone for Levi-Civita coefficients):
+``christoffel_derivative_many`` takes g, d g and d phi from its jet pass
+and the second derivatives from its n(n+1)/2 second-order passes
+(``expr.eval_dual2``).  ``curvature_many`` is the batched curvature and
+``ricci_at`` its trace at one point.  ``nabla_h_many`` (nabla h, h =
+e^{-phi} g) and ``amari_chentsov_many`` read one jet pass each.
 """
 
 from __future__ import annotations
@@ -334,26 +342,6 @@ class MetricField:
                 dg[:, l, j, i] = row
         return g, dg
 
-    def partials(self, pts):
-        """(m, n, n, n) array of d_l g_ij, index order [l, i, j]."""
-        return self.jet(pts)[1]
-
-    def second_partials(self, pts):
-        """(m, n, n, n, n) array of d_a d_b g_ij, index order [a, b, i, j]."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m, n = pts.shape[0], self.chart.dim
-        d2g = np.zeros((m, n, n, n, n))
-        env, names = self.chart.env(pts), self.chart.coord_names
-        for a in range(n):
-            for b in range(a, n):
-                outs = ex.eval_dual2(self._pass.program, env, names[a], names[b])
-                for (i, j), (*_, v) in zip(self.nonzero, outs):
-                    d2g[:, a, b, i, j] = v
-                    d2g[:, a, b, j, i] = v
-                    d2g[:, b, a, i, j] = v
-                    d2g[:, b, a, j, i] = v
-        return d2g
-
     # -- validation --------------------------------------------------------
 
     def validate(self, sample_grid=None):
@@ -404,21 +392,6 @@ class DensityField:
         phi, dphi = self.field._unpack(len(pts), out)
         _require_finite_density(pts, "phi or its gradient", phi, dphi)
         return phi, dphi
-
-    def gradients(self, pts):
-        """(m, n) rows of coordinate partials d_i phi."""
-        return self.jet(pts)[1]
-
-    def hessians(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n, env, names = self.chart.dim, self.chart.env(pts), self.chart.coord_names
-        out = np.empty((pts.shape[0], n, n))
-        for i in range(n):
-            for j in range(i, n):
-                (*_, v), = ex.eval_dual2(self.field._pass.program, env, names[i], names[j])
-                out[:, i, j] = v
-                out[:, j, i] = v
-        return _require_finite_density(pts, "its Hessian", out)
 
 
 def _require_finite_density(pts, what, *arrays):
@@ -619,19 +592,19 @@ def _require_finite(coeffs, g, pts):
     return coeffs
 
 
-def _jets(M, kind, pts):
+def _jets(M, pts, density):
     """g with its partials, in the layout of ``MetricField._unpack`` (the
-    diagonal one for a diagonal metric), g^-1, and the (m, n) density
-    gradient, None for the Levi-Civita connection, from one jet pass: the
-    metric's alone for the Levi-Civita connection, else the geometry's.
+    diagonal one for a diagonal metric), g^-1, and the density's (m,)
+    values and (m, n) gradient (both None unless ``density``), from one jet
+    pass: the geometry's, or without the density the metric's alone.
 
     Errors come as if the metric were evaluated and inverted before the
     density: a metric entry's DomainError, then SingularMetric, then the
     density's DomainError or DensityOverflow."""
     m, diagonal = len(pts), M.metric.diagonal
-    if kind == ConnectionKind.LEVI_CIVITA:
+    if not density:
         g, dg = M.metric._unpack(m, M.metric._pass(pts), diagonal)
-        return g, _inverse_metric(g, pts), dg, None
+        return g, _inverse_metric(g, pts), dg, None, None
     try:
         outs = M._pass(pts)
     except DomainError:
@@ -642,7 +615,30 @@ def _jets(M, kind, pts):
     g, dg = M.metric._unpack(m, outs, diagonal)
     del outs  # the entries' jets are unpacked: free them before the inverse
     ginv = _inverse_metric(g, pts)
-    return g, ginv, dg, M.density._unpack(pts, density)[1]
+    return (g, ginv, dg) + M.density._unpack(pts, density)
+
+
+def _dense(g, ginv, dg):
+    """g, g^-1 and d g of ``_jets`` as dense (m, n, n), (m, n, n) and
+    (m, n, n, n) arrays, the partials in index order [l, i, j]."""
+    if g.ndim == 3:
+        return g, ginv, dg
+    m, n = g.shape
+    d = np.arange(n)
+    G, Ginv, dG = np.zeros((m, n, n)), np.zeros((m, n, n)), np.zeros((m, n, n, n))
+    G[:, d, d], Ginv[:, d, d] = g, ginv
+    dG[:, :, d, d] = np.swapaxes(dg, 1, 2)  # D[a, l] = d_l g_aa
+    return G, Ginv, dG
+
+
+def _gamma(kind, g, ginv, dg, dphi, pts):
+    """The (m, n, n, n) Gamma[., k, i, j] from ``_jets``: Gamma^k_ij is
+    B^k_j for the velocity e_i."""
+    m, n = pts.shape
+    eye = np.eye(n)
+    return _require_finite(np.stack([_contracted(kind, g, ginv, dg, dphi,
+                                                 np.broadcast_to(eye[i], (m, n)))
+                                     for i in range(n)], axis=2), g, pts)
 
 
 def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
@@ -658,33 +654,40 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     metrics contract their dense jet.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, ginv, dg, dphi = _jets(M, kind, pts)
-    if velocity is not None:
-        v = np.asarray(velocity, dtype=float).reshape(pts.shape)
-        return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)
-    # Gamma^k_ij is B^k_j for the velocity e_i
-    m, n = pts.shape
-    eye = np.eye(n)
-    return _require_finite(np.stack([_contracted(kind, g, ginv, dg, dphi,
-                                                 np.broadcast_to(eye[i], (m, n)))
-                                     for i in range(n)], axis=2), g, pts)
+    g, ginv, dg, _, dphi = _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA)
+    if velocity is None:
+        return _gamma(kind, g, ginv, dg, dphi, pts)
+    v = np.asarray(velocity, dtype=float).reshape(pts.shape)
+    return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)
 
 
 def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
     """(m, n, n, n, n) array of d_l Gamma^k_ij, index order [l, k, i, j].
 
     Assembled from the exact first and second derivatives of the metric
-    and density expressions, with the chain rule through the inverse metric.
+    and density expressions, with the chain rule through the inverse
+    metric: one jet pass and n(n+1)/2 second-order passes of one program,
+    the geometry's, or the metric's alone for the Levi-Civita connection.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n = M.dim
-    g, dg = M.metric.jet(pts)            # dg: [l, i, j]
-    ginv = _inverse_metric(np.diagonal(g, axis1=1, axis2=2) if M.metric.diagonal else g,
-                           pts)
-    if ginv.ndim == 2:
-        diag, ginv = ginv, np.zeros(g.shape)
-        ginv[:, range(n), range(n)] = diag
-    d2g = M.metric.second_partials(pts)  # [a, b, i, j]
+    m, n = pts.shape
+    weighted = kind != ConnectionKind.LEVI_CIVITA
+    g, ginv, dg, _, dphi = _jets(M, pts, weighted)
+    g, ginv, dg = _dense(g, ginv, dg)  # dg: [l, i, j]
+    # d2g[a, b, i, j] = d_a d_b g_ij and, read only if weighted,
+    # hess[a, b] = d_a d_b phi, the geometry's last output
+    program = (M._pass if weighted else M.metric._pass).program
+    env, names = M.chart.env(pts), M.chart.coord_names
+    d2g, hess = np.zeros((m, n, n, n, n)), np.empty((m, n, n))
+    for a in range(n):
+        for b in range(a, n):
+            outs = ex.eval_dual2(program, env, names[a], names[b])
+            for (i, j), (*_, v) in zip(M.metric.nonzero, outs):
+                d2g[:, a, b, i, j] = v
+                d2g[:, a, b, j, i] = v
+                d2g[:, b, a, i, j] = v
+                d2g[:, b, a, j, i] = v
+            hess[:, a, b] = hess[:, b, a] = outs[-1][-1]
     # c_{aij} = d_i g_aj + d_j g_ai - d_a g_ij, and its l-derivative
     c = np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg
     dc = (np.einsum('mliaj->mlaij', d2g) + np.einsum('mljai->mlaij', d2g) - d2g)
@@ -693,16 +696,15 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
                     + np.einsum('mka,mlaij->mlkij', ginv, dc))
     if kind == ConnectionKind.LEVI_CIVITA:
         return _require_finite(dgamma, g, pts)
-    hess = M.density.hessians(pts)
+    _require_finite_density(pts, "its Hessian", hess)
     eye = np.eye(n)
     if kind == ConnectionKind.WEIGHTED:
         corr = (np.einsum('mli,kj->mlkij', hess, eye)
                 + np.einsum('mlj,ki->mlkij', hess, eye))
         return _require_finite(dgamma - corr, g, pts)
     if kind == ConnectionKind.DUAL_WEIGHTED:
-        grad_phi = M.density.jet(pts)[1]
-        grad_up = np.einsum('mka,ma->mk', ginv, grad_phi)
-        dgrad_up = (np.einsum('mlka,ma->mlk', dginv, grad_phi)
+        grad_up = np.einsum('mka,ma->mk', ginv, dphi)
+        dgrad_up = (np.einsum('mlka,ma->mlk', dginv, dphi)
                     + np.einsum('mka,mla->mlk', ginv, hess))
         extra = (np.einsum('mlij,mk->mlkij', dg, grad_up)
                  + np.einsum('mij,mlk->mlkij', g, dgrad_up))
@@ -710,68 +712,51 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     raise ValueError(f"unknown connection kind {kind!r}")
 
 
-def amari_chentsov(M: WeightedManifold, x) -> np.ndarray:
-    """Totally symmetric 3-tensor d phi (.) h(.,.) symmetrized, h = e^{-phi} g."""
-    M.chart.require_inside(x)
-    pts = _one_point(x)
-    h = math.exp(-M.density.values(pts)[0]) * M.metric.matrices(pts)[0]
-    dphi = M.density.gradients(pts)[0]
-    return (np.einsum('i,jk->ijk', dphi, h)
-            + np.einsum('j,ki->ijk', dphi, h)
-            + np.einsum('k,ij->ijk', dphi, h))
-
-
-class WeightedMetricTensorField:
-    """The bilinear field h = e^{-phi} g with exact partials; feeds the
-    covariant-derivative operation."""
-
-    def __init__(self, M: WeightedManifold):
-        self.M = M
-
-    def matrices(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        w = np.exp(-self.M.density.values(pts))
-        return w[:, None, None] * self.M.metric.matrices(pts)
-
-    def partials(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        phi, dphi = self.M.density.jet(pts)
-        g, dg = self.M.metric.jet(pts)
-        return np.exp(-phi)[:, None, None, None] * (dg - np.einsum('ml,mij->mlij', dphi, g))
-
-
-def covariant_derivative_of_tensor(M: WeightedManifold, kind: ConnectionKind, T, x) -> np.ndarray:
-    """(nabla_i T)_{jk} = d_i T_jk - Gamma^m_ij T_mk - Gamma^m_ik T_jm.
-
-    T is a tensor field exposing matrices(pts) and partials(pts), such as
-    ``WeightedMetricTensorField``.
-    """
-    M.chart.require_inside(x)
-    pts = _one_point(x)
-    gamma = christoffel_many(M, kind, pts)[0]
-    tval = T.matrices(pts)[0]
-    dt = T.partials(pts)[0]
-    return (dt - np.einsum('mij,mk->ijk', gamma, tval)
-            - np.einsum('mik,jm->ijk', gamma, tval))
-
-
-def curvature_at(M: WeightedManifold, kind: ConnectionKind, x) -> np.ndarray:
-    """R^l_{ijk} = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik."""
-    M.chart.require_inside(x)
-    pts = _one_point(x)
-    gamma = christoffel_many(M, kind, pts)[0]
-    dgamma = christoffel_derivative_many(M, kind, pts)[0]  # [l, k, i, j]
-    first = np.einsum('iljk->lijk', dgamma)
-    second = np.einsum('jlik->lijk', dgamma)
-    quad1 = np.einsum('lim,mjk->lijk', gamma, gamma)
-    quad2 = np.einsum('ljm,mik->lijk', gamma, gamma)
+def curvature_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
+    """(m, n, n, n, n) array of R^l_{ijk} = d_i G^l_jk - d_j G^l_ik +
+    G^l_ia G^a_jk - G^l_ja G^a_ik, index order [l, i, j, k], at each point
+    of an (m, n) array inside the chart."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    M.chart.require_inside(pts)
+    gamma = christoffel_many(M, kind, pts)
+    dgamma = christoffel_derivative_many(M, kind, pts)  # [l, k, i, j]
+    first = np.einsum('piljk->plijk', dgamma)
+    second = np.einsum('pjlik->plijk', dgamma)
+    quad1 = np.einsum('plia,pajk->plijk', gamma, gamma)
+    quad2 = np.einsum('plja,paik->plijk', gamma, gamma)
     return first - second + quad1 - quad2
 
 
 def ricci_at(M: WeightedManifold, kind: ConnectionKind, x) -> np.ndarray:
     """Ric(j, k) = R^i_{ijk}: trace of X -> R(X, Y) Z over the first slot."""
-    R = curvature_at(M, kind, x)
+    R = curvature_many(M, kind, _one_point(x))[0]
     return np.einsum('iijk->jk', R)
+
+
+def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
+    """(m, n, n, n) array of (nabla_i h)_jk = d_i h_jk - Gamma^a_ij h_ak -
+    Gamma^a_ik h_ja for h = e^{-phi} g, index order [i, j, k], at each
+    point of an (m, n) array, from one pass of the geometry's program."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    g, ginv, dg, phi, dphi = _jets(M, pts, True)
+    gamma = _gamma(kind, g, ginv, dg, dphi, pts)
+    g, _, dg = _dense(g, ginv, dg)
+    w = np.exp(-phi)
+    h = w[:, None, None] * g
+    dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
+    return (dh - np.einsum('maij,mak->mijk', gamma, h)
+            - np.einsum('maik,mja->mijk', gamma, h))
+
+
+def amari_chentsov_many(M: WeightedManifold, pts) -> np.ndarray:
+    """(m, n, n, n) array of the Amari-Chentsov tensor, d phi (x) h
+    totally symmetrized, h = e^{-phi} g, at each point of an (m, n) array,
+    from one pass of the geometry's program."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    g, ginv, dg, phi, dphi = _jets(M, pts, True)
+    h = np.exp(-phi)[:, None, None] * _dense(g, ginv, dg)[0]
+    return (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
+            + np.einsum('mk,mij->mijk', dphi, h))
 
 
 def restrict_manifold(M: WeightedManifold, free_indices: Sequence[int], fixed_values: dict) -> WeightedManifold:

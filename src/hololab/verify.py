@@ -27,8 +27,8 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .errors import HololabError
-from .manifold import (ConnectionKind, christoffel_many, weighted_metric_at,
-                       weighted_metrics_at)
+from .manifold import (ConnectionKind, amari_chentsov_many, christoffel_many,
+                       nabla_h_many, weighted_metric_at, weighted_metrics_at)
 from .transport import (path_transport_many, polyline_segments,
                         predicted_block_transport, random_rectangle_loops)
 
@@ -256,34 +256,19 @@ def check_dual_vector_fields(entry: CatalogEntry, n_paths=20, seed=2,
     return _judged(entry.manifold, steps, [plan])[0]
 
 
-def _covariant_derivative(gamma, h, dh):
-    """(nabla_i h)_jk = d_i h_jk - Gamma^a_ij h_ak - Gamma^a_ik h_ja at each
-    point, for gamma (m, n, n, n), h (m, n, n) and dh (m, n, n, n)."""
-    return (dh - np.einsum('maij,mak->mijk', gamma, h)
-            - np.einsum('maik,mja->mijk', gamma, h))
-
-
 def check_codazzi(entry: CatalogEntry, n_points=50, seed=3,
                   tol=CHECK_TOL) -> CheckReport:
     """nabla^w of e^{-phi} g is totally symmetric and equals the symmetric
     density 3-tensor; the dual derivative equals its negative.
 
-    Evaluated in batch over the sample points: h = e^{-phi} g and its
-    partials once, one coefficient call per connection."""
+    Evaluated in batch over the sample points, one pass of the geometry's
+    program per tensor."""
     M = entry.manifold
     pts = entry.random_points(n_points, seed)
     M.chart.require_inside(pts)
-    g, dg = M.metric.jet(pts)
-    phi, dphi = M.density.jet(pts)
-    w = np.exp(-phi)
-    h = w[:, None, None] * g
-    dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
-    # Amari-Chentsov tensor dphi (x) h, totally symmetrized
-    D = (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
-         + np.einsum('mk,mij->mijk', dphi, h))
-    Tw = _covariant_derivative(christoffel_many(M, ConnectionKind.WEIGHTED, pts), h, dh)
-    Td = _covariant_derivative(christoffel_many(M, ConnectionKind.DUAL_WEIGHTED, pts),
-                               h, dh)
+    D = amari_chentsov_many(M, pts)
+    Tw = nabla_h_many(M, ConnectionKind.WEIGHTED, pts)
+    Td = nabla_h_many(M, ConnectionKind.DUAL_WEIGHTED, pts)
     gaps = [np.abs(Tw - np.transpose(Tw, perm))
             for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]]
     gaps += [np.abs(Tw - D), np.abs(Td + D)]

@@ -101,6 +101,22 @@ def jet_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def program_passes(monkeypatch):
+    """(program, variant, compiled) of every expr.Program pass, wherever
+    it is made: ``compiled`` is whether the pass compiled its variant (its
+    kind of pass and seeds) first."""
+    passes = []
+    run = expr.Program._run
+
+    def counting(self, variant, env):
+        passes.append((self, variant, variant not in self._compiled))
+        return run(self, variant, env)
+
+    monkeypatch.setattr(expr.Program, "_run", counting)
+    return passes
+
+
 @pytest.fixture(scope="session")
 def sphere2():
     return catalog.sphere_with_density(2)

@@ -237,6 +237,13 @@ SQUARE = [[0, 0], [1, 1]]
     ("algebra", {"manifold": {"custom": PLANE}, "loops": [{"family": {"rect": SQUARE}}],
                  "algebra": {"include_catalog_families": True}},
      "algebra.include_catalog_families must be false for a custom manifold, got true"),
+    # a custom manifold's density and name, read before any evaluation
+    ("holonomy", {"manifold": {"custom": dict(PLANE, phi=0)}},
+     "manifold.custom.phi must be a string, got 0"),
+    ("algebra", {"manifold": {"custom": dict(PLANE, phi=["x"])}},
+     "manifold.custom.phi must be a string, got ['x']"),
+    ("verify", {"manifold": {"custom": dict(PLANE, name=5)}},
+     "manifold.custom.name must be a string, got 5"),
 ])
 def test_config_values_of_the_wrong_type_or_dimension_exit_2(tmp_path, capsys, kernel_calls,
                                                              command, doc, message):
@@ -575,6 +582,17 @@ def test_verify_with_an_empty_check_list_runs_nothing(tmp_path, monkeypatch, cap
     doc = json.loads(out.read_text())
     assert doc["results"] == [] and doc["passed"] is False
     assert "NO CHECKS RAN" in capsys.readouterr().out
+
+
+def test_importing_the_cli_does_not_import_verify():
+    """Only the verify command imports, and so compiles, hololab.verify."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, hololab.cli\nprint('hololab.verify' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_holonomy_failing_family_keeps_loop_results(tmp_path, capsys):

@@ -9,15 +9,15 @@ import pytest
 
 from hololab import catalog
 from hololab import expr as ex
+from hololab import manifold
 from hololab.errors import (BadSignature, DensityOverflow, DomainError, OutOfDomain,
                             SingularMetric)
 from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               DensityField, ExprScalarField, MetricField,
-                              WeightedManifold, WeightedMetricTensorField,
-                              _inverse_metric, amari_chentsov,
-                              christoffel_derivative_many, christoffel_many,
-                              covariant_derivative_of_tensor, curvature_at,
-                              metric_at, ricci_at, weighted_metric_at,
+                              WeightedManifold, _inverse_metric,
+                              amari_chentsov_many, christoffel_derivative_many,
+                              christoffel_many, curvature_many, metric_at,
+                              nabla_h_many, ricci_at, weighted_metric_at,
                               weighted_metrics_at)
 
 E = math.e
@@ -91,7 +91,7 @@ def test_conformal_metric_at(tri2):
 def test_dphi_at(sphere2, tri2):
     # d phi at one point, from the density's gradient pass
     def dphi_at(M, x):
-        return M.density.gradients(np.array([x], dtype=float))[0]
+        return M.density.jet(np.array([x], dtype=float))[1][0]
 
     assert np.allclose(dphi_at(tri2.manifold, [0.3, -0.7]), [1.0, 1.0], rtol=1e-14)
     assert np.allclose(dphi_at(euclidean("5"), [0.1, 0.2]), [0.0, 0.0])
@@ -125,72 +125,110 @@ def test_weighted_reduces_to_levi_civita_for_constant_phi():
 
 
 def test_coefficient_level_duality_identity(borel, so11):
-    # directional derivative of h(Y,Z) splits into the two dual connections
+    # X h(Y, Z) = h(nabla^w_X Y, Z) + h(Y, nabla^d_X Z) for coordinate
+    # fields: (nabla^w_i h)_jk = h_ja (Gamma^d - Gamma^w)^a_ik
     for entry in (borel, so11):
         M = entry.manifold
-        rng = np.random.default_rng(7)
         pts = entry.random_points(6, seed=8)
-        h_field = WeightedMetricTensorField(M)
-        for x in pts:
-            gw = christoffel_many(M, W, x[None])[0]
-            gd = christoffel_many(M, DW, x[None])[0]
-            h = h_field.matrices(x[None])[0]
-            dh = h_field.partials(x[None])[0]
-            X, Y, Z = rng.standard_normal((3, 2))
-            lhs = np.einsum('l,ljk,j,k->', X, dh, Y, Z)
-            dxY = np.einsum('kij,i,j->k', gw, X, Y)
-            dxZ = np.einsum('kij,i,j->k', gd, X, Z)
-            rhs = np.einsum('k,kj,j->', dxY, h, Z) + np.einsum('j,jk,k->', Y, h, dxZ)
-            assert abs(lhs - rhs) < 1e-6
+        h = np.array(weighted_metrics_at(M, pts))
+        gap = christoffel_many(M, DW, pts) - christoffel_many(M, W, pts)
+        T = nabla_h_many(M, W, pts)
+        assert np.abs(T - np.einsum('mja,maik->mijk', h, gap)).max() < 1e-12
 
 
 def test_amari_chentsov_values(tri2):
-    D = amari_chentsov(tri2.manifold, np.zeros(2))  # h = I, dphi = (1,1) there
+    D = amari_chentsov_many(tri2.manifold, np.zeros((1, 2)))[0]  # h = I, dphi = (1,1) there
     assert D[0, 0, 0] == pytest.approx(3.0, abs=1e-14)
     assert D[0, 0, 1] == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(D, np.transpose(D, (1, 0, 2)))
-    assert np.abs(amari_chentsov(euclidean("2"), [0.1, 0.1])).max() == 0.0
+    assert np.abs(amari_chentsov_many(euclidean("2"), [[0.1, 0.1]])).max() == 0.0
 
 
 def test_amari_chentsov_is_weighted_derivative_of_pairing(borel):
     M = borel.manifold
-    h = WeightedMetricTensorField(M)
-    for x in borel.random_points(20, seed=3):
-        D = amari_chentsov(M, x)
-        nabla_h = covariant_derivative_of_tensor(M, W, h, x)
-        assert np.abs(nabla_h - D).max() < 1e-6
+    pts = borel.random_points(20, seed=3)
+    assert np.abs(nabla_h_many(M, W, pts) - amari_chentsov_many(M, pts)).max() < 1e-6
 
 
 def test_covariant_derivative_metric_compatibility(sphere2):
+    # nabla^LC g = 0, so nabla^LC of h = e^{-phi} g is -dphi (x) h
     M = sphere2.manifold
-
-    class GField:
-        def matrices(self, pts):
-            return M.metric.matrices(pts)
-
-        def partials(self, pts):
-            return M.metric.partials(pts)
-
-    for x in sphere2.random_points(5, seed=1):
-        T = covariant_derivative_of_tensor(M, LC, GField(), x)
-        assert np.abs(T).max() < 1e-8
+    pts = sphere2.random_points(5, seed=1)
+    h = np.array(weighted_metrics_at(M, pts))
+    dphi = M.density.jet(pts)[1]
+    T = nabla_h_many(M, LC, pts)
+    assert np.abs(T + np.einsum('mi,mjk->mijk', dphi, h)).max() < 1e-8
 
 
 def test_dual_weighted_derivative_is_minus_density_tensor(borel, tri3):
     for entry in (borel, tri3):
         M = entry.manifold
-        h = WeightedMetricTensorField(M)
-        for x in entry.random_points(5, seed=9):
-            T = covariant_derivative_of_tensor(M, DW, h, x)
-            assert np.abs(T + amari_chentsov(M, x)).max() < 1e-6
+        pts = entry.random_points(5, seed=9)
+        T = nabla_h_many(M, DW, pts)
+        assert np.abs(T + amari_chentsov_many(M, pts)).max() < 1e-6
 
 
 def test_curvature_flat_and_golden(tri2, so11):
-    assert np.abs(curvature_at(euclidean(), W, [0.1, 0.2])).max() == 0.0
+    assert np.abs(curvature_many(euclidean(), W, [0.1, 0.2])[0]).max() == 0.0
     ric = ricci_at(tri2.manifold, W, np.zeros(2))
     assert np.abs(ric - np.diag([0.0, 1.0])).max() < 1e-6
     ric = ricci_at(so11.manifold, W, np.zeros(2))
     assert np.abs(ric - np.diag([1 / 8, -1 / 24])).max() < 1e-6
+
+
+def _ricci_identity_cases():
+    entries = catalog.default_entries() + [catalog.sphere_with_density(4)]
+    return [pytest.param(e, id=e.name) for e in entries] + [pytest.param(None, id="full3")]
+
+
+@pytest.mark.parametrize("entry", _ricci_identity_cases())
+def test_weighted_ricci_is_levi_civita_ricci_plus_hessian_terms(entry):
+    """Ric^{nabla^phi} = Ric^{LC} + (n-1)(nabla^2 phi + dphi (x) dphi),
+    nabla^2 phi the covariant Hessian (Wylie and Yeroshkin,
+    arXiv:1602.08000), with the partials of phi from the density's own
+    expression."""
+    entry = entry or full_metric_3d()
+    M, n = entry.manifold, entry.dim
+    pts = entry.random_points(5, seed=12)
+    env, names = M.chart.env(pts), M.chart.coord_names
+    d2phi = np.zeros((5, n, n))
+    for a in range(n):
+        for b in range(n):
+            d2phi[:, a, b] = ex.eval_dual2(M.density.field.expression, env,
+                                           names[a], names[b])[3]
+    dphi = M.density.jet(pts)[1]
+    hess = d2phi - np.einsum('mkab,mk->mab', christoffel_many(M, LC, pts), dphi)
+    ric_w, ric_lc = (np.einsum('miijk->mjk', curvature_many(M, kind, pts)) for kind in (W, LC))
+    expected = ric_lc + (n - 1) * (hess + np.einsum('ma,mb->mab', dphi, dphi))
+    assert np.abs(ric_w - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_curvature_many_rows_have_the_bits_of_one_point_calls():
+    for entry in (full_metric_3d(), catalog.sphere_with_density(4)):
+        M = entry.manifold
+        pts = entry.random_points(6, seed=2)
+        for kind in (LC, W, DW):
+            R = curvature_many(M, kind, pts)
+            assert R.shape == (6,) + (entry.dim,) * 4
+            for x, row in zip(pts, R):
+                assert row.tobytes() == curvature_many(M, kind, x).tobytes()
+                assert (ricci_at(M, kind, x).tobytes()
+                        == np.einsum('iijk->jk', row).tobytes())
+    with pytest.raises(OutOfDomain):
+        curvature_many(catalog.sphere_with_density(2).manifold, W, [[1.0, 0.5], [0.01, 0.0]])
+
+
+def test_cold_ricci_compiles_one_program(program_passes):
+    """A weighted ricci_at on a fresh non-diagonal 3-d manifold compiles
+    1 + n(n+1)/2 = 7 variants of the geometry's one program: its jet pass
+    and its second-order passes; the coefficients and their derivatives
+    each run one jet pass."""
+    M = full_metric_3d().manifold
+    program_passes.clear()  # the metric's validation evaluates its values
+    ricci_at(M, W, np.zeros(3))
+    compiled = [variant for program, variant, new in program_passes if new]
+    assert len(compiled) <= 7 and len(program_passes) <= 8
+    assert all(program is M._pass.program for program, _, _ in program_passes)
 
 
 def test_curvature_closed_form_off_origin(tri2):
@@ -239,12 +277,12 @@ def reference_christoffel(M, kind, pts):
         k = int(np.abs(dets).argmin())
         raise SingularMetric(tuple(pts[k]), dets[k])
     ginv = np.linalg.inv(g)
-    dg = M.metric.partials(pts)
+    dg = M.metric.jet(pts)[1]
     c = (np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg)
     gamma = 0.5 * np.einsum('mka,maij->mkij', ginv, c)
     if kind == LC:
         return gamma
-    grad_phi = M.density.gradients(pts)
+    grad_phi = M.density.jet(pts)[1]
     eye = np.eye(M.dim)
     if kind == W:
         return gamma - (np.einsum('mi,kj->mkij', grad_phi, eye)
@@ -372,15 +410,20 @@ def test_jet_equals_per_coordinate_duals_on_catalog(entry):
 
 
 def test_metric_and_density_jets_match_their_views():
+    """Each field's own jet has the bits of its values and of the
+    geometry's one jet pass, which the tensors read."""
     M = full_metric_3d().manifold
     pts = np.random.default_rng(2).uniform(-0.8, 0.8, (25, 3))
     g, dg = M.metric.jet(pts)
     assert np.array_equal(g, M.metric.matrices(pts))
-    assert np.array_equal(dg, M.metric.partials(pts))
     assert np.array_equal(dg, np.swapaxes(dg, 2, 3))
     phi, dphi = M.density.jet(pts)
     assert np.array_equal(phi, M.density.values(pts))
-    assert np.array_equal(dphi, M.density.gradients(pts))
+    outs = M._pass(pts)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (g, dg, phi, dphi),
+        M.metric._unpack(len(pts), outs[:-1], diagonal=False)
+        + M.density._unpack(pts, outs[-1])))
 
 
 def _random_metrics(rng, n, m, signs):
@@ -603,24 +646,29 @@ def test_christoffel_evaluates_each_varying_field_once(jet_passes, monkeypatch):
 
 def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
     """A diagonal metric is evaluated from its diagonal jet alone, for every
-    kind, with and without velocities; the second derivatives keep the
-    dense jet."""
+    kind, with and without velocities; the second derivatives densify that
+    jet, with the bits of the dense one."""
     entry = catalog.sphere_with_density(4)
     pts = entry.random_points(20, seed=3)
     vel = np.random.default_rng(4).standard_normal(pts.shape)
     expected = {kind: (christoffel_many(entry.manifold, kind, pts),
-                       christoffel_many(entry.manifold, kind, pts, vel))
+                       christoffel_many(entry.manifold, kind, pts, vel),
+                       christoffel_derivative_many(entry.manifold, kind, pts))
                 for kind in (LC, W, DW)}
+    g, dg = entry.manifold.metric.jet(pts)
 
     def dense_jet(self, pts):
         raise AssertionError("the dense metric jet was evaluated")
 
     monkeypatch.setattr(MetricField, "jet", dense_jet)
-    for kind, (full, contracted) in expected.items():
+    for kind, (full, contracted, derivative) in expected.items():
         assert np.array_equal(christoffel_many(entry.manifold, kind, pts), full)
         assert np.array_equal(christoffel_many(entry.manifold, kind, pts, vel), contracted)
-    with pytest.raises(AssertionError, match="dense metric jet"):
-        christoffel_derivative_many(entry.manifold, W, pts)
+        assert (christoffel_derivative_many(entry.manifold, kind, pts).tobytes()
+                == derivative.tobytes())
+    jet = manifold._jets(entry.manifold, pts, False)
+    dense = manifold._dense(*jet[:3])
+    assert dense[0].tobytes() == g.tobytes() and dense[2].tobytes() == dg.tobytes()
 
 
 def test_diagonal_kernel_memory_per_point():

@@ -9,9 +9,7 @@ import pytest
 from hololab import catalog, experiments, transport, verify
 from hololab.errors import OutOfDomain
 from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField,
-                              MetricField, WeightedManifold,
-                              WeightedMetricTensorField, amari_chentsov,
-                              covariant_derivative_of_tensor)
+                              MetricField, WeightedManifold, christoffel_many)
 
 STEPS = 300  # reduced step count keeps unit tests quick; tolerances still hold
 
@@ -49,19 +47,33 @@ def test_codazzi_on_catalog(sphere2, tri3):
     assert verify.check_codazzi(tri3, n_points=25, seed=4).passed
 
 
+def reference_codazzi_tensors(M, x):
+    """(nabla^w h, nabla^d h, D) at the point x, written out one point at a
+    time from the metric's and the density's own jets, with h = e^{-phi} g
+    and D the Amari-Chentsov tensor dphi (x) h, totally symmetrized."""
+    pts = np.array([x], dtype=float)
+    (g,), (dg,) = M.metric.jet(pts)
+    (phi,), (dphi,) = M.density.jet(pts)
+    h = math.exp(-phi) * g
+    dh = math.exp(-phi) * (dg - np.einsum('l,ij->lij', dphi, g))
+    D = (np.einsum('i,jk->ijk', dphi, h) + np.einsum('j,ki->ijk', dphi, h)
+         + np.einsum('k,ij->ijk', dphi, h))
+
+    def nabla(kind):
+        gamma = christoffel_many(M, kind, pts)[0]
+        return (dh - np.einsum('aij,ak->ijk', gamma, h)
+                - np.einsum('aik,ja->ijk', gamma, h))
+    return nabla(ConnectionKind.WEIGHTED), nabla(ConnectionKind.DUAL_WEIGHTED), D
+
+
 def test_codazzi_batch_matches_pointwise_reference(monkeypatch):
-    # the pointwise covariant derivative and Amari-Chentsov tensor stay the
-    # reference for the batched check; every point is kept as a detail
+    # every point is kept as a detail
     monkeypatch.setattr(verify, "MAX_DETAILS", 12)
     for entry in catalog.default_entries():
         M = entry.manifold
-        hfield = WeightedMetricTensorField(M)
         expected = {}
         for x in entry.random_points(12, seed=7):
-            D = amari_chentsov(M, x)
-            Tw = covariant_derivative_of_tensor(M, ConnectionKind.WEIGHTED, hfield, x)
-            Td = covariant_derivative_of_tensor(M, ConnectionKind.DUAL_WEIGHTED,
-                                                hfield, x)
+            Tw, Td, D = reference_codazzi_tensors(M, x)
             sym_gap = max(float(np.abs(Tw - np.transpose(Tw, perm)).max())
                           for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)])
             expected[f"point {np.round(x, 4).tolist()}"] = max(
@@ -70,6 +82,17 @@ def test_codazzi_batch_matches_pointwise_reference(monkeypatch):
         assert r.samples == 12 and len(r.details) == 12
         for d in r.details:
             assert abs(d["violation"] - expected[d["where"]]) <= 1e-14
+
+
+def test_codazzi_runs_only_the_geometrys_program(program_passes):
+    """check_codazzi evaluates its tensors from at most 4 passes, each of
+    the geometry's one program: never the metric's or the density's own."""
+    for entry in (catalog.borel_2d(), catalog.so_pq_example(1, 2)):
+        program_passes.clear()
+        assert verify.check_codazzi(entry, n_points=8, seed=1).passed
+        assert 0 < len(program_passes) <= 4
+        assert all(program is entry.manifold._pass.program
+                   for program, _, _ in program_passes)
 
 
 def test_report_without_samples_does_not_pass():
