@@ -48,6 +48,36 @@ _KINDS = {
 }
 
 
+# the keys that each command's config may hold, a section's keys dotted
+# after its name; any other is a config error
+_CUSTOM_KEYS = ("manifold.custom",) + tuple(
+    f"manifold.custom.{key}" for key in ("dim", "coords", "metric", "phi", "name", "domain",
+                                         "periodicity", "signature"))
+_TRANSPORT_KEYS = ("manifold", "manifold.catalog", "connection", "steps", "loops", "seed",
+                   "output") + _CUSTOM_KEYS
+_CONFIG_KEYS = {
+    "holonomy": _TRANSPORT_KEYS + ("tasks", "include_log"),
+    "algebra": _TRANSPORT_KEYS + ("algebra", "algebra.random_loops", "algebra.region",
+                                  "algebra.basepoint", "algebra.include_catalog_families"),
+    "verify": ("manifold", "samples", "samples.paths", "samples.loops", "samples.points",
+               "steps", "checks", "entries", "region", "seed", "output") + _CUSTOM_KEYS,
+}
+
+
+def _check_keys(obj, known, prefix=""):
+    """ConfigError at the first key of ``obj`` not in ``known`` (dotted after
+    ``prefix``), naming the nearest known key; an object it holds, in turn."""
+    for key, value in obj.items():
+        name = prefix + key
+        if name not in known:
+            import difflib  # only here, so that a valid config does not import it
+            near = difflib.get_close_matches(name, known, n=1)
+            raise ConfigError(f"unknown config key {name!r}"
+                              + (f"; did you mean {near[0]!r}?" if near else ""))
+        if isinstance(value, dict) and any(k.startswith(name + ".") for k in known):
+            _check_keys(value, known, name + ".")
+
+
 def _fail_usage(msg):
     print(f"error: {msg}", file=sys.stderr)
     return 2
@@ -396,6 +426,7 @@ def cmd_holonomy(args):
     include_log = _of_type(config.get("include_log", False), "include_log", bool,
                            "a JSON boolean")
     tasks = _tasks_from_config(config, ["holonomy"])
+    _check_keys(config, _CONFIG_KEYS["holonomy"])
     report = _base_report("holonomy", config, seed)
     results = []
     exit_code = 0
@@ -478,6 +509,7 @@ def cmd_algebra(args):
                           "for a custom manifold, got true")
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
+    _check_keys(config, _CONFIG_KEYS["algebra"])
     if n_random:
         region = aspec.get("region")
         if region is None:
@@ -571,6 +603,7 @@ def cmd_verify(args):
         entries = [cat.get_entry(name) for name in _strings(config["entries"], "entries")]
     else:
         entries = cat.default_entries()
+    _check_keys(config, _CONFIG_KEYS["verify"])
     reports = verify.default_suite(entries, seed=seed, n_paths=n_paths,
                                    n_loops=n_loops, n_points=n_points, steps=steps,
                                    checks=wanted)

@@ -449,8 +449,10 @@ class _Lowering:
         value = self.ipow(a[0], k, fn)
         if not a[1]:
             return value, {}
-        f = self.mul(k, self.ipow(a[0], self.op(_pred, k) if known is None
-                                  else self.const(_pred(known))))
+        # a known k multiplies as a float, as numpy would convert it
+        f = self.mul(k if known is None else self.const(float(known)),
+                     self.ipow(a[0], self.op(_pred, k) if known is None
+                               else self.const(_pred(known))))
         return value, {c: self.mul(f, e) for c, e in a[1].items()}
 
     def fpow(self, a, b):
@@ -566,7 +568,9 @@ def _compile(exprs, variant):
     dead = [()] * len(L.code)  # the registers whose last use each instruction is
     for r, k in {r: k for k, ins in enumerate(L.code) for r in _reads(ins)}.items():
         dead[k] += (r,) * (r not in kept)
-    return tuple(L.registers), tuple(ins + (d,) for ins, d in zip(L.code, dead)), outputs
+    writes = tuple((k, s, r) for k, out in enumerate(outputs) for s, r in enumerate(out)
+                   if r is not None)
+    return tuple(L.registers), tuple(ins + (d,) for ins, d in zip(L.code, dead)), outputs, writes
 
 
 def _exec(code, regs, env):
@@ -599,13 +603,19 @@ class Program:
         self.exprs = tuple(exprs)
         self._compiled = {}
 
-    def _run(self, variant, env):
-        """Each output's tuple of ``_compile`` from one pass over ``env``."""
+    def _run(self, variant, env, out=None):
+        """Each output's tuple of ``_compile`` from one pass over ``env``, or
+        given ``out``, that array with output k's tuple written into out[k]
+        (a constant broadcast), its rows that are None left as they are."""
         if variant not in self._compiled:
             self._compiled[variant] = _compile(self.exprs, variant)
-        registers, code, outputs = self._compiled[variant]
+        registers, code, outputs, writes = self._compiled[variant]
         regs = list(registers)
         _exec(code, regs, env)
+        if out is not None:
+            for k, s, r in writes:
+                out[k, s] = regs[r]
+            return out
         return [(regs[v], *(None if r is None else _full(regs[r], getattr(regs[v], "shape", ()))
                             for r in rows)) for v, *rows in outputs]
 
@@ -632,16 +642,21 @@ def eval_expr(e, env: dict):
     return values if isinstance(e, Program) else values[0]
 
 
-def eval_dual(e, env: dict, wrt):
+def eval_dual(e, env: dict, wrt, out=None):
     """Return (value, partials) by forward-mode evaluation.
 
     ``wrt`` is a variable name, giving d/d<wrt>, or a tuple of k names,
     giving the (k, ...) stack of partials, row r in wrt[r].  ``e`` is an
     expression, or a Program, for the list of (value, rows) of its outputs
     from one pass: the partials in the names of wrt that the output's
-    expression contains, in wrt order; the others are exactly 0.
+    expression contains, in wrt order; the others are exactly 0.  Given an
+    array ``out`` (a Program's pass), it returns ``out`` with output k's
+    value written into out[k, 0] and its row in wrt[r] into out[k, 1 + r],
+    the rows that are exactly 0 left as they are.
     """
     names = (wrt,) if isinstance(wrt, str) else tuple(wrt)
+    if out is not None:
+        return e._run((1, *names), env, out)
     results = []
     for val, *rows in _program(e)._run((1, *names), env):
         if isinstance(e, Program):

@@ -14,6 +14,7 @@ growing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,9 @@ def _principal_sqrt(A, max_iter=100, tol=1e-15):
             raise LogUndefined(f"square-root iteration became singular: {exc}") from exc
         Y_next = 0.5 * (Y + Zi)
         Z_next = 0.5 * (Z + Yi)
-        delta = np.linalg.norm(Y_next - Y, 'fro')
+        delta = _fro(Y_next - Y)
         Y, Z = Y_next, Z_next
-        if delta <= tol * max(1.0, np.linalg.norm(Y, 'fro')):
+        if delta <= tol * max(1.0, _fro(Y)):
             return Y
     raise LogUndefined("square-root iteration did not converge")
 
@@ -66,22 +67,29 @@ def mat_log(P):
         raise LogUndefined(f"eigenvalue on the closed negative real axis: {eigs}")
     k = 0
     R = P
-    while np.linalg.norm(R - np.eye(n), 'fro') >= ISS_THRESHOLD:
+    X = R - np.eye(n)
+    while _fro(X) >= ISS_THRESHOLD:
         R = _principal_sqrt(R)
         k += 1
         if k > 60:
             raise LogUndefined("inverse scaling-and-squaring did not contract")
-    X = R - np.eye(n)
-    term = X.copy()
-    out = X.copy()
+        X = R - np.eye(n)
+    # out + (-1)^(m+1) term / m in place, x - y being x + (-y); dot is @
+    term, out = X, X.copy()
     m = 1
-    while np.linalg.norm(term, 'fro') >= SERIES_TOL:
+    while _fro(term) >= SERIES_TOL:
         m += 1
-        term = term @ X
-        out = out + ((-1) ** (m + 1)) * term / m
+        term = term.dot(X)
+        (np.add if m % 2 else np.subtract)(out, term / m, out=out)
         if m > 400:
             break
     return out * (2.0 ** k)
+
+
+def _fro(x):
+    """np.linalg.norm(x, 'fro') of a real 2-d array, by its arithmetic."""
+    x = x.ravel(order='K')
+    return math.sqrt(x.dot(x))
 
 
 # ---------------------------------------------------------------------------

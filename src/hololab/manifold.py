@@ -16,18 +16,21 @@ all its coordinate partials.  An expression field records which
 coordinates its expression contains; its partials in the others are
 exactly 0 and are never computed.  Fields are evaluated together in one
 jet pass: ``expr.eval_dual`` runs one ``expr.Program`` of their
-expressions, which computes a subexpression that they share once and
-hands each field its own rows.  A metric's pass has its entries that are
-not the literal 0, and a manifold's has those entries and the density:
-the geometry's pass.  ``MetricField.jet`` (the dense (g, d g)) and
-``DensityField.jet`` ((phi, d phi)) write such a pass into their arrays.
+expressions, which computes a subexpression that they share once, and
+writes each field's value and rows straight into one (k, n + 1, m) array
+J, point axis last, whose other rows stay 0.  A metric's pass has its
+``slots``, the entries that are not the literal 0 (every diagonal entry
+of a diagonal metric), and a manifold's has those entries and the
+density: the geometry's pass.  ``MetricField.jet`` (the dense (g, d g))
+and ``DensityField.jet`` ((phi, d phi)) read such a pass.
 
 ``christoffel_many`` is the one coefficient kernel.  Each call runs one
 jet pass: the geometry's, or the metric's alone for the Levi-Civita
 connection.  Errors come as if the metric were evaluated and inverted
 before the density was evaluated: a metric entry's DomainError, then
-SingularMetric, then the density's DomainError or DensityOverflow.  Given
-a path velocity v it
+SingularMetric, then the density's DomainError or DensityOverflow; each
+test is one reduction over the call, and the failing point is looked
+for only when it fails.  Given a path velocity v it
 returns the contracted coefficients B^k_j = Gamma^k_ij v^i that parallel
 transport needs: c_aij = d_i g_aj + d_j g_ai - d_a g_ij is contracted with v before
 the index is raised, and the weighted and dual corrections enter in their
@@ -36,13 +39,14 @@ contracted forms -(v.dphi) delta^k_j - v^k d_j phi and
 Without a velocity it returns the full Gamma, assembled from the same
 contraction with each coordinate direction.  A metric records at
 construction whether every off-diagonal entry is the literal 0.  Such a
-diagonal metric takes only its diagonal jet, (m, n) values g_aa and
-(m, n, n) partials D[a, l] = d_l g_aa, so no (m, n, n, n) array is formed
-at all: c_aij v^i = delta_aj (D[a].v) + v_a D[a, j] - v_j D[j, a]
+diagonal metric takes only its diagonal jet, (n, m) values g_aa and
+(n, n, m) partials D[a, l] = d_l g_aa, views of J, so no (m, n, n, n)
+array is formed at all: c_aij v^i = delta_aj (D[a].v) + v_a D[a, j] - v_j D[j, a]
 (Kobayashi-Nomizu I, section III.7), rounded as the dense contraction
 rounds it, and g^-1 = 1/diag with det g = prod(diag).  Its arrays keep
-the point axis last in memory, so that elementwise work over the short
-index axes runs along the points.  Any other
+the point axis last, so that elementwise work over the short index axes
+runs along the points, and the n unit velocities of the full Gamma are
+contracted in one stack.  Any other
 metric of dimension 2 or 3 is inverted from one cofactor factorization:
 the symmetric adjugate, det g expanded along its first row, g^-1 =
 adj / det.  Larger non-diagonal metrics use LAPACK.  Every path rejects
@@ -51,10 +55,12 @@ a det g that is not finite or whose size is at most DET_FLOOR.
 Every tensor is batched over (m, n) points and reads one program, the
 geometry's (the metric's alone for Levi-Civita coefficients):
 ``christoffel_derivative_many`` takes g, d g and d phi from its jet pass
-and the second derivatives from its n(n+1)/2 second-order passes
-(``expr.eval_dual2``).  ``curvature_many`` is the batched curvature and
-``ricci_at`` its trace at one point.  ``nabla_h_many`` (nabla h, h =
-e^{-phi} g) and ``amari_chentsov_many`` read one jet pass each.
+and the second derivatives from a second-order pass (``expr.eval_dual2``)
+for each coordinate pair that some field contains both of; the others
+are 0.  ``curvature_many`` is the batched curvature, its Gamma and
+d Gamma read one jet pass, and ``ricci_at`` is its trace at one point.
+``nabla_h_many`` (nabla h, h = e^{-phi} g) and ``amari_chentsov_many``
+read one jet pass, which they may share (``jets``).
 """
 
 from __future__ import annotations
@@ -117,7 +123,7 @@ class CoordinateChart:
 
     @functools.cached_property
     def _bounds(self):
-        return np.array(self.domain).T
+        return tuple(np.array(self.domain).T)
 
     def contains(self, pts) -> np.ndarray:
         """Vectorized open-interval membership test for an (m, n) array; a
@@ -128,7 +134,7 @@ class CoordinateChart:
         # the points
         inside = np.greater(pts, lo, order="F")
         inside &= np.less(pts, hi, order="F")
-        return inside.all(axis=1)
+        return np.logical_and.reduce(inside, axis=1)
 
     def require_inside(self, pts):
         pts2 = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -212,35 +218,34 @@ class ExprScalarField:
 
     def jet(self, pts):
         """(m,) values and (m, n) gradient from one forward-mode pass."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._unpack(len(pts), self._pass(pts)[0])
-
-    def _unpack(self, m, out):
-        """``jet`` from this field's (value, rows) in a ``_Pass``."""
-        val, grad = np.empty(m), np.zeros((m, self.chart.dim))
-        val[...] = out[0]
-        for a, row in zip(self.axes, out[1] or ()):
-            grad[:, a] = row
-        return val, grad
+        J = self._pass(np.atleast_2d(np.asarray(pts, dtype=float)))
+        return J[0, 0], J[0, 1:].T
 
 
 class _Pass:
     """Scalar fields on one chart lowered into one ``expr.Program``, their
     expressions in order.  Called on (m, n) points it runs one forward-mode
-    pass and returns each field's value and its (m,) partials in its own
-    ``axes`` (None for a constant); it computes no other row."""
+    pass and returns the (k, n + 1, m) array J of the k fields' jets, point
+    axis last: J[f, 0] holds field f's values and J[f, 1 + a] its partials
+    in coordinate a, exactly 0 outside its ``axes``.  ``names`` are the
+    coordinates that some field contains, ``pairs`` the (a, b), a <= b,
+    that some field contains both of (the others' second partials are
+    0)."""
 
-    __slots__ = ("chart", "program", "names")
+    __slots__ = ("chart", "program", "names", "pairs")
 
     def __init__(self, chart, fields):
         self.chart = chart
         self.program = ex.Program([f.expression for f in fields])
         self.names = tuple(name for a, name in enumerate(chart.coord_names)
                            if any(a in f.axes for f in fields))
+        self.pairs = tuple((a, b) for a, b in itertools.combinations_with_replacement(
+            range(chart.dim), 2) if any(a in f.axes and b in f.axes for f in fields))
 
     def __call__(self, pts):
-        return [(val, rows or None)
-                for val, rows in ex.eval_dual(self.program, self.chart.env(pts), self.names)]
+        names = self.chart.coord_names
+        J = np.zeros((len(self.program.exprs), len(names) + 1, len(pts)))
+        return ex.eval_dual(self.program, dict(zip(names, pts.T)), names, J)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +258,9 @@ class MetricField:
     ``varying`` lists the upper-triangle entries (i, j) that are not
     variable-free, ``nonzero`` those that are not the literal 0;
     ``diagonal`` is true when every off-diagonal entry is the literal 0.
-    All are fixed at construction from the entries' ASTs.
+    ``slots`` are the entries that the metric's pass evaluates: every
+    (a, a) of a diagonal metric, else ``nonzero``.  All are fixed at
+    construction from the entries' ASTs.
     """
 
     def __init__(self, chart, entry_fields, signature, validate=True, sample_grid=None):
@@ -269,6 +276,7 @@ class MetricField:
         self.nonzero = tuple((i, j) for i in range(n) for j in range(i, n)
                              if entry_fields[i][j].expression != ex.Num(0.0))
         self.diagonal = all(i == j for i, j in self.nonzero)
+        self.slots = tuple((a, a) for a in range(n)) if self.diagonal else self.nonzero
         if validate:
             self.validate(sample_grid)
 
@@ -295,51 +303,39 @@ class MetricField:
     # -- evaluation --------------------------------------------------------
 
     def matrices(self, pts):
-        """(m, n, n) metric values from one plain pass over the entries that
-        are not the literal 0; symmetry is structural."""
+        """(m, n, n) metric values from one plain pass over its ``slots``;
+        symmetry is structural."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         m, n = pts.shape[0], self.chart.dim
         g = np.zeros((m, n, n))
-        for (i, j), v in zip(self.nonzero, ex.eval_expr(self._pass.program, self.chart.env(pts))):
+        for (i, j), v in zip(self.slots, ex.eval_expr(self._pass.program, self.chart.env(pts))):
             g[:, i, j] = v
             g[:, j, i] = v
         return g
 
     @functools.cached_property
     def _pass(self):
-        """The entries that are not the literal 0, in ``nonzero`` order."""
-        return _Pass(self.chart, [self.entries[i][j] for i, j in self.nonzero])
+        """The entries of ``slots``, in order."""
+        return _Pass(self.chart, [self.entries[i][j] for i, j in self.slots])
 
     def jet(self, pts):
         """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
-        [l, i, j], from one pass over the entries that are not the literal
-        0."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._unpack(len(pts), self._pass(pts), diagonal=False)
+        [l, i, j], from one pass over its ``slots``."""
+        return self._unpack(self._pass(np.atleast_2d(np.asarray(pts, dtype=float))), False)
 
-    def _unpack(self, m, outs, diagonal):
-        """``jet`` from the entries' (value, partials) in a pass whose first
-        outputs are the entries of ``_pass``, or if ``diagonal`` the
-        diagonal jet: (m, n) values g_aa and (m, n, n) partials D[a, l] =
-        d_l g_aa, views of arrays with the point axis last in memory, so
-        that each slot is contiguous."""
-        n = self.chart.dim
+    def _unpack(self, J, diagonal):
+        """(g, d g) from the jets J of a pass whose first outputs are the
+        entries of ``slots``: if ``diagonal``, (n, m) values g_aa and (n, n,
+        m) partials D[a, l] = d_l g_aa, views of J with the point axis last;
+        else the dense (m, n, n) values and (m, n, n, n) partials d_l g_ij,
+        index order [l, i, j]."""
+        n, m = self.chart.dim, J.shape[2]
         if diagonal:
-            vals = np.zeros((n, m))
-            grads = np.zeros((n, n, m))
-            for (a, _), (v, rows) in zip(self.nonzero, outs):
-                vals[a] = v
-                for l, row in zip(self.entries[a][a].axes, rows or ()):
-                    grads[a, l] = row
-            return vals.T, grads.transpose(2, 0, 1)
-        g = np.zeros((m, n, n))
-        dg = np.zeros((m, n, n, n))
-        for (i, j), (v, rows) in zip(self.nonzero, outs):
-            g[:, i, j] = v
-            g[:, j, i] = v
-            for l, row in zip(self.entries[i][j].axes, rows or ()):
-                dg[:, l, i, j] = row
-                dg[:, l, j, i] = row
+            return J[:n, 0], J[:n, 1:]
+        i, j = np.array(self.slots).T
+        g, dg = np.zeros((m, n, n)), np.zeros((m, n, n, n))
+        g[:, i, j] = g[:, j, i] = J[:len(i), 0].T
+        dg[:, :, i, j] = dg[:, :, j, i] = J[:len(i), 1:].transpose(2, 1, 0)
         return g, dg
 
     # -- validation --------------------------------------------------------
@@ -385,24 +381,16 @@ class DensityField:
         """(m,) values phi and (m, n) rows of coordinate partials d_i phi;
         DensityOverflow at the first point where any is not finite."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._unpack(pts, self.field._pass(pts)[0])
-
-    def _unpack(self, pts, out):
-        """``jet`` from phi's (value, partials) in a pass."""
-        phi, dphi = self.field._unpack(len(pts), out)
-        _require_finite_density(pts, "phi or its gradient", phi, dphi)
-        return phi, dphi
+        J = _require_finite_density(pts, "phi or its gradient", self.field._pass(pts)[0])
+        return J[0], J[1:].T
 
 
-def _require_finite_density(pts, what, *arrays):
-    """The last of ``arrays`` (each (m, ...)) unchanged, or DensityOverflow
-    at the first point where one of them is not finite."""
-    if all(np.isfinite(a).all() for a in arrays):
-        return arrays[-1]
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    finite = np.ones(pts.shape[0], dtype=bool)
-    for a in arrays:
-        finite &= np.isfinite(a.reshape(pts.shape[0], -1)).all(axis=1)
+def _require_finite_density(pts, what, a):
+    """``a`` unchanged, or DensityOverflow at the first point where it is
+    not finite; its point axis is its last."""
+    if np.isfinite(a).all():
+        return a
+    finite = np.isfinite(a.reshape(-1, len(pts))).all(axis=0)
     raise DensityOverflow(pts[int(finite.argmin())], f"{what} overflows")
 
 
@@ -421,7 +409,7 @@ class WeightedManifold:
     def _pass(self):
         """The metric's ``_pass`` followed by the density: the geometry's
         one jet pass, compiled on first use."""
-        return _Pass(self.chart, [self.metric.entries[i][j] for i, j in self.metric.nonzero]
+        return _Pass(self.chart, [self.metric.entries[i][j] for i, j in self.metric.slots]
                      + [self.density.field])
 
     @property
@@ -456,14 +444,19 @@ def weighted_metrics_at(M: WeightedManifold, pts) -> list:
     return [s * g for s, g in zip(scales, M.metric.matrices(pts))]
 
 
-def _require_nonsingular(pts, dets, finite):
-    """SingularMetric at the first point where ``finite`` is false, else at
-    the smallest |det g| if it is <= DET_FLOOR; nothing on no points."""
+def _require_nonsingular(pts, dets, finite=None):
+    """SingularMetric at the first point where ``finite`` (by default
+    whether det g is finite) is false, else at the smallest |det g| if it
+    is <= DET_FLOOR; nothing on no points."""
+    size = np.abs(dets)
+    if finite is None and (not len(dets) or DET_FLOOR < size.min() <= size.max() < math.inf):
+        return
+    finite = np.isfinite(dets) if finite is None else finite
     if not finite.all():
         k = int(finite.argmin())
         raise SingularMetric(pts[k], dets[k])
-    if len(dets) and np.abs(dets).min() <= DET_FLOOR:
-        k = int(np.abs(dets).argmin())
+    if len(dets) and size.min() <= DET_FLOOR:
+        k = int(size.argmin())
         raise SingularMetric(pts[k], dets[k])
 
 
@@ -485,157 +478,154 @@ def _adjugate(g):
 
 
 def _inverse_metric(g, pts):
-    """g^{-1} at each point: the (m, n) reciprocals of the (m, n) values
+    """g^{-1} at each point: the (n, m) reciprocals of the (n, m) values
     g_aa of a diagonal metric, (m, n, n) adj/det from one cofactor
     factorization of (m, n, n) matrices for n = 2 or 3, else (m, n, n) from
     LAPACK.  Raises SingularMetric at the first point where det g is not
     finite, else at the smallest |det g| if it is <= DET_FLOOR."""
-    n = g.shape[1]
     if g.ndim == 2:
-        dets = g.prod(axis=1)
-    elif n <= 3:
-        adj, dets = _adjugate(g)
-    else:
-        dets = np.linalg.det(g)
-    _require_nonsingular(pts, dets, np.isfinite(dets))
-    if g.ndim == 2:
+        _require_nonsingular(pts, g.prod(axis=0))
         return 1.0 / g
-    if n <= 3:
+    if g.shape[1] <= 3:
+        adj, dets = _adjugate(g)
+        _require_nonsingular(pts, dets)
         return adj / dets[:, None, None]
+    _require_nonsingular(pts, np.linalg.det(g))
     return np.linalg.inv(g)
 
 
-def _raise_index(ginv, x):
-    """Contract g^{ka} with the first index of x, shape (m, n, r)."""
-    return ginv[:, :, None] * x if ginv.ndim == 2 else ginv @ x
-
-
-def _lower_index(g, v):
-    """(g v)_j for velocities v (m, n); a diagonal g's -0 products read
-    +0, as the matrix product's sums give them."""
-    return g * v + 0.0 if g.ndim == 2 else (g @ v[:, :, None])[:, :, 0]
-
-
-def _diagonal(a):
-    """Writable (m, n) view of the diagonals of (m, n, n) ``a``, in any
-    memory layout."""
-    return np.einsum('mii->mi', a)
-
-
-def _point_last(a):
-    """``a`` with its first (point) axis fastest in memory, so elementwise
-    work over its short trailing axes runs along the points."""
-    return np.ascontiguousarray(a.T).T
-
-
-def _cv(g, dg, v):
-    """c_aij v^i, shape (m, n, n), for velocities v (m, n).
-
-    For (m, n) diagonal values g the partials are D[a, l] = d_l g_aa and
-    c_aij v^i = delta_aj (D[a] . v) + v_a D[a, j] - v_j D[j, a]; otherwise
-    they are the dense d_l g_ij, index order [l, i, j]."""
-    if g.ndim == 2:
-        p = v[:, :, None] * dg  # p[a, j] = v_a D[a, j]
-        p += 0.0  # a -0 product reads +0, as in the dense path's sums
-        cv = p - np.swapaxes(p, 1, 2)
-        # the diagonal in the dense path's order: (D[a].v + p_aa) - p_aa
-        p_aa = _diagonal(p)
-        _diagonal(cv)[...] = (sum(dg[:, :, l] * v[:, l, None] for l in range(g.shape[1]))
-                              + p_aa - p_aa)
-        return cv
-    # w[a, j] = v^i d_a g_ij = v^i d_j g_ai (dg is symmetric in its last pair)
-    w = np.einsum('maji,mi->maj', dg, v)
-    return np.einsum('mi,miaj->maj', v, dg) + np.swapaxes(w, 1, 2) - w
+def _contract_diagonal(kind, g, ginv, D, dphi, v, s, v_dphi):
+    """B[r, k, j] = Gamma^k_ij v_r^i, shape (r, n, n, m), for velocities v
+    (r, n, m) or (r, n, 1) on a diagonal metric: (n, m) g_aa and g^aa,
+    (n, n, m) D[a, l] = d_l g_aa and (n, m) d phi, point axis last; s[r, a]
+    = D[a] . v_r, a new array, and v_dphi[r] = v_r . d phi (weighted).
+    c_aij v^i = delta_aj (D[a] . v) + v_a D[a, j] - v_j D[j, a] is rounded
+    as the dense contraction rounds it; the diagonals of the C-contiguous
+    p and B are views."""
+    p = v[:, :, None] * D  # p[a, j] = v_a D[a, j]
+    p += 0.0  # a -0 product reads +0, as in the dense path's sums
+    B = np.subtract(p, p.swapaxes(1, 2), out=np.empty(p.shape))
+    # the diagonal in the dense path's order: (D[a].v + p_aa) - p_aa
+    r, n, _, m = p.shape
+    p_aa = p.reshape(r, n * n, m)[:, ::n + 1]
+    s += p_aa
+    np.subtract(s, p_aa, out=B.reshape(r, n * n, m)[:, ::n + 1])
+    B *= ginv[:, None]
+    B *= 0.5
+    if kind == ConnectionKind.WEIGHTED:
+        # B - ((v.dphi) delta^k_j + v^k d_j phi) with the same roundings,
+        # without a (v.dphi) delta array: its off-diagonal terms (v.dphi) 0
+        # only set the sign of a zero; it takes the place of p, whose
+        # diagonal view p_aa is now its diagonal
+        corr = p
+        np.copyto(corr, dphi)
+        corr *= v[:, :, None]
+        corr += (0.0 * v_dphi)[:, None, None]
+        p_aa += v_dphi[:, None]
+        B -= corr
+    elif kind == ConnectionKind.DUAL_WEIGHTED:
+        # a -0 product (g v)_j reads +0, as in the dense path's sums
+        B += np.multiply((ginv * dphi)[:, None], (g * v + 0.0)[:, None], out=p)
+    elif kind != ConnectionKind.LEVI_CIVITA:
+        raise ValueError(f"unknown connection kind {kind!r}")
+    return B
 
 
 def _contracted(kind, g, ginv, dg, dphi, v):
-    """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n).
-
-    A diagonal metric's jet has the point axis last in memory (see
-    ``MetricField._unpack``); v and dphi are laid out the same way
-    for it, and so is B."""
-    if kind == ConnectionKind.WEIGHTED:
-        # summed before the layout changes: einsum's summation order
-        # depends on its operands' layout
-        v_dphi = np.einsum('mi,mi->m', v, dphi)
+    """B^k_j = Gamma^k_ij v^i, shape (m, n, n), for velocities v (m, n),
+    from ``_jets``: by ``_contract_diagonal`` (point axis last in memory),
+    or from the dense d g, index order [l, i, j]."""
+    # summed on the layout of the caller's v and a C-contiguous d phi:
+    # einsum's summation order depends on its operands' layout
+    v_dphi = (np.einsum('mi,mi->m', v, dphi if g.ndim == 3 else dphi.T.copy())
+              if kind == ConnectionKind.WEIGHTED else None)
     if g.ndim == 2:
-        v = _point_last(v)
-        dphi = None if dphi is None else _point_last(dphi)
-    B = _raise_index(ginv, _cv(g, dg, v))
+        v = v.T.copy()[None]
+        return _contract_diagonal(kind, g, ginv, dg, dphi, v, (dg * v[:, None]).sum(axis=2),
+                                  None if v_dphi is None else v_dphi[None])[0].transpose(2, 0, 1)
+    # w[a, j] = v^i d_a g_ij = v^i d_j g_ai (dg is symmetric in its last pair),
+    # then c_aij v^i in its place
+    w = np.einsum('maji,mi->maj', dg, v)
+    w = np.einsum('mi,miaj->maj', v, dg) + np.swapaxes(w, 1, 2) - w
+    B = ginv @ w
     B *= 0.5
-    if kind == ConnectionKind.LEVI_CIVITA:
-        return B
-    if kind == ConnectionKind.WEIGHTED:
-        # B - ((v.dphi) delta^k_j + v^k d_j phi) with the same roundings,
-        # in place and without a (v.dphi) delta array: its off-diagonal
-        # terms (v.dphi) 0 only set the sign of a zero
-        corr = v[:, :, None] * dphi[:, None, :]
+    if kind == ConnectionKind.WEIGHTED:  # the corrections take the place of w
+        corr = np.multiply(v[:, :, None], dphi[:, None, :], out=w)
         corr += (0.0 * v_dphi)[:, None, None]
-        _diagonal(corr)[...] += v_dphi[:, None]
+        np.einsum('mii->mi', corr)[...] += v_dphi[:, None]  # a view of the diagonal
         B -= corr
-        return B
-    if kind == ConnectionKind.DUAL_WEIGHTED:
-        B += _raise_index(ginv, dphi[:, :, None]) * _lower_index(g, v)[:, None, :]
-        return B
-    raise ValueError(f"unknown connection kind {kind!r}")
+    elif kind == ConnectionKind.DUAL_WEIGHTED:
+        B += np.multiply(ginv @ dphi[:, :, None], (g @ v[:, :, None])[:, None, :, 0], out=w)
+    elif kind != ConnectionKind.LEVI_CIVITA:
+        raise ValueError(f"unknown connection kind {kind!r}")
+    return B
 
 
 def _require_finite(coeffs, g, pts):
     """``coeffs`` (m, ...) unchanged, or SingularMetric at the first point
     where they are not finite: g and det g are finite there (the inverse
-    passed), but a jet overflowed.  ``g`` holds (m, n) diagonal values or
+    passed), but a jet overflowed.  ``g`` holds (n, m) diagonal values or
     (m, n, n) matrices."""
     if not np.isfinite(coeffs).all():
         k = int(np.isfinite(coeffs.reshape(len(pts), -1)).all(axis=1).argmin())
-        det = g[k].prod() if g.ndim == 2 else np.linalg.det(g[k])
+        det = g[:, k].prod() if g.ndim == 2 else np.linalg.det(g[k])
         raise SingularMetric(pts[k], det, "connection coefficients not finite")
     return coeffs
 
 
 def _jets(M, pts, density):
-    """g with its partials, in the layout of ``MetricField._unpack`` (the
-    diagonal one for a diagonal metric), g^-1, and the density's (m,)
-    values and (m, n) gradient (both None unless ``density``), from one jet
-    pass: the geometry's, or without the density the metric's alone.
+    """g, g^-1 and d g in the layout of ``MetricField._unpack`` (the
+    diagonal one, (n, m) and (n, n, m) views of the pass, for a diagonal
+    metric) and the density's (m,) values and gradient, (n, m) for a
+    diagonal metric, else (m, n) (both None unless ``density``), from one
+    jet pass: the geometry's, or without the density the metric's alone.
 
     Errors come as if the metric were evaluated and inverted before the
     density: a metric entry's DomainError, then SingularMetric, then the
     density's DomainError or DensityOverflow."""
-    m, diagonal = len(pts), M.metric.diagonal
-    if not density:
-        g, dg = M.metric._unpack(m, M.metric._pass(pts), diagonal)
-        return g, _inverse_metric(g, pts), dg, None, None
+    metric = M.metric
     try:
-        outs = M._pass(pts)
+        J = (M if density else metric)._pass(pts)
     except DomainError:
-        # the metric's pass raises the error if it is a metric entry's
-        _inverse_metric(M.metric._unpack(m, M.metric._pass(pts), diagonal)[0], pts)
+        if density:  # the metric's pass raises the error if it is a metric entry's
+            _inverse_metric(metric._unpack(metric._pass(pts), metric.diagonal)[0], pts)
         raise
-    density = outs.pop()
-    g, dg = M.metric._unpack(m, outs, diagonal)
-    del outs  # the entries' jets are unpacked: free them before the inverse
+    g, dg = metric._unpack(J, metric.diagonal)
     ginv = _inverse_metric(g, pts)
-    return (g, ginv, dg) + M.density._unpack(pts, density)
+    if not density:
+        return g, ginv, dg, None, None
+    phi = _require_finite_density(pts, "phi or its gradient", J[-1])
+    # a dense metric's are copies, so that J is freed on return
+    return (g, ginv, dg) + ((phi[0], phi[1:]) if metric.diagonal
+                            else (phi[0].copy(), phi[1:].T.copy()))
 
 
-def _dense(g, ginv, dg):
-    """g, g^-1 and d g of ``_jets`` as dense (m, n, n), (m, n, n) and
-    (m, n, n, n) arrays, the partials in index order [l, i, j]."""
+def _dense(g, ginv, dg, dphi=None):
+    """g, g^-1, d g and d phi of ``_jets`` as dense (m, n, n), (m, n, n),
+    (m, n, n, n) and (m, n) arrays, the partials in index order [l, i, j]."""
     if g.ndim == 3:
-        return g, ginv, dg
-    m, n = g.shape
+        return g, ginv, dg, dphi
+    n, m = g.shape
     d = np.arange(n)
     G, Ginv, dG = np.zeros((m, n, n)), np.zeros((m, n, n)), np.zeros((m, n, n, n))
-    G[:, d, d], Ginv[:, d, d] = g, ginv
-    dG[:, :, d, d] = np.swapaxes(dg, 1, 2)  # D[a, l] = d_l g_aa
-    return G, Ginv, dG
+    G[:, d, d], Ginv[:, d, d] = g.T, ginv.T
+    dG[:, :, d, d] = dg.transpose(2, 1, 0)  # D[a, l] = d_l g_aa
+    return G, Ginv, dG, None if dphi is None else dphi.T.copy()
 
 
 def _gamma(kind, g, ginv, dg, dphi, pts):
     """The (m, n, n, n) Gamma[., k, i, j] from ``_jets``: Gamma^k_ij is
-    B^k_j for the velocity e_i."""
+    B^k_j for the velocity e_i.  A diagonal metric contracts all n at
+    once, with D[a] . e_i = D[a, i] + 0.0 and e_i . d phi = d_i phi + 0.0,
+    the sums of their terms from 0 (where some 0 * D[a, l] is not finite,
+    neither is Gamma)."""
     m, n = pts.shape
     eye = np.eye(n)
+    if g.ndim == 2:
+        B = _contract_diagonal(kind, g, ginv, dg, dphi, eye[:, :, None],
+                               dg.transpose(1, 0, 2) + 0.0,
+                               dphi + 0.0 if kind == ConnectionKind.WEIGHTED else None)
+        return _require_finite(np.ascontiguousarray(B.transpose(3, 1, 0, 2)), g, pts)
     return _require_finite(np.stack([_contracted(kind, g, ginv, dg, dphi,
                                                  np.broadcast_to(eye[i], (m, n)))
                                      for i in range(n)], axis=2), g, pts)
@@ -647,8 +637,8 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
 
     Returns the (m, n, n, n) array gamma[., k, i, j], or, given velocities
     (m, n), the contracted (m, n, n) array B[., k, j] = Gamma^k_ij v^i.
-    A diagonal metric is evaluated from its diagonal jet, (m, n) values
-    g_aa and (m, n, n) partials D[a, l] = d_l g_aa, and its Levi-Civita
+    A diagonal metric is evaluated from its diagonal jet, (n, m) values
+    g_aa and (n, n, m) partials D[a, l] = d_l g_aa, and its Levi-Civita
     part is B^a_j = 1/2 g^aa (v_a D[a, j] - v_j D[j, a]) +
     delta_aj 1/2 g^aa (D[a] . v); no (m, n, n, n) array is formed.  Other
     metrics contract their dense jet.
@@ -661,33 +651,36 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)
 
 
-def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
+def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts,
+                                jets=None) -> np.ndarray:
     """(m, n, n, n, n) array of d_l Gamma^k_ij, index order [l, k, i, j].
 
     Assembled from the exact first and second derivatives of the metric
     and density expressions, with the chain rule through the inverse
-    metric: one jet pass and n(n+1)/2 second-order passes of one program,
-    the geometry's, or the metric's alone for the Levi-Civita connection.
+    metric: one jet pass (``jets``, from ``_jets``, if given) and a
+    second-order pass for each of the geometry's ``pairs``, all of one
+    program, the geometry's, or the metric's alone for the Levi-Civita
+    connection.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     m, n = pts.shape
     weighted = kind != ConnectionKind.LEVI_CIVITA
-    g, ginv, dg, _, dphi = _jets(M, pts, weighted)
-    g, ginv, dg = _dense(g, ginv, dg)  # dg: [l, i, j]
+    jets = _jets(M, pts, weighted) if jets is None else jets
+    g, ginv, dg, dphi = _dense(*jets[:3], jets[4])  # dg: [l, i, j]
     # d2g[a, b, i, j] = d_a d_b g_ij and, read only if weighted,
-    # hess[a, b] = d_a d_b phi, the geometry's last output
-    program = (M._pass if weighted else M.metric._pass).program
+    # hess[a, b] = d_a d_b phi, the geometry's last output; both are 0
+    # in a pair that no field contains both of
+    geometry = M._pass if weighted else M.metric._pass
     env, names = M.chart.env(pts), M.chart.coord_names
-    d2g, hess = np.zeros((m, n, n, n, n)), np.empty((m, n, n))
-    for a in range(n):
-        for b in range(a, n):
-            outs = ex.eval_dual2(program, env, names[a], names[b])
-            for (i, j), (*_, v) in zip(M.metric.nonzero, outs):
-                d2g[:, a, b, i, j] = v
-                d2g[:, a, b, j, i] = v
-                d2g[:, b, a, i, j] = v
-                d2g[:, b, a, j, i] = v
-            hess[:, a, b] = hess[:, b, a] = outs[-1][-1]
+    d2g, hess = np.zeros((m, n, n, n, n)), np.zeros((m, n, n))
+    for a, b in geometry.pairs:
+        outs = ex.eval_dual2(geometry.program, env, names[a], names[b])
+        for (i, j), (*_, v) in zip(M.metric.slots, outs):
+            d2g[:, a, b, i, j] = v
+            d2g[:, a, b, j, i] = v
+            d2g[:, b, a, i, j] = v
+            d2g[:, b, a, j, i] = v
+        hess[:, a, b] = hess[:, b, a] = outs[-1][-1]
     # c_{aij} = d_i g_aj + d_j g_ai - d_a g_ij, and its l-derivative
     c = np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg
     dc = (np.einsum('mliaj->mlaij', d2g) + np.einsum('mljai->mlaij', d2g) - d2g)
@@ -696,7 +689,7 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
                     + np.einsum('mka,mlaij->mlkij', ginv, dc))
     if kind == ConnectionKind.LEVI_CIVITA:
         return _require_finite(dgamma, g, pts)
-    _require_finite_density(pts, "its Hessian", hess)
+    _require_finite_density(pts, "its Hessian", hess.T)
     eye = np.eye(n)
     if kind == ConnectionKind.WEIGHTED:
         corr = (np.einsum('mli,kj->mlkij', hess, eye)
@@ -715,11 +708,13 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
 def curvature_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
     """(m, n, n, n, n) array of R^l_{ijk} = d_i G^l_jk - d_j G^l_ik +
     G^l_ia G^a_jk - G^l_ja G^a_ik, index order [l, i, j, k], at each point
-    of an (m, n) array inside the chart."""
+    of an (m, n) array inside the chart; G and its derivatives read one
+    jet pass."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     M.chart.require_inside(pts)
-    gamma = christoffel_many(M, kind, pts)
-    dgamma = christoffel_derivative_many(M, kind, pts)  # [l, k, i, j]
+    jets = _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA)
+    gamma = _gamma(kind, *jets[:3], jets[4], pts)
+    dgamma = christoffel_derivative_many(M, kind, pts, jets)  # [l, k, i, j]
     first = np.einsum('piljk->plijk', dgamma)
     second = np.einsum('pjlik->plijk', dgamma)
     quad1 = np.einsum('plia,pajk->plijk', gamma, gamma)
@@ -733,14 +728,15 @@ def ricci_at(M: WeightedManifold, kind: ConnectionKind, x) -> np.ndarray:
     return np.einsum('iijk->jk', R)
 
 
-def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
+def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts, jets=None) -> np.ndarray:
     """(m, n, n, n) array of (nabla_i h)_jk = d_i h_jk - Gamma^a_ij h_ak -
     Gamma^a_ik h_ja for h = e^{-phi} g, index order [i, j, k], at each
-    point of an (m, n) array, from one pass of the geometry's program."""
+    point of an (m, n) array, from one pass of the geometry's program (the
+    weighted ``_jets``, if given)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, ginv, dg, phi, dphi = _jets(M, pts, True)
+    g, ginv, dg, phi, dphi = _jets(M, pts, True) if jets is None else jets
     gamma = _gamma(kind, g, ginv, dg, dphi, pts)
-    g, _, dg = _dense(g, ginv, dg)
+    g, _, dg, dphi = _dense(g, ginv, dg, dphi)
     w = np.exp(-phi)
     h = w[:, None, None] * g
     dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
@@ -748,13 +744,15 @@ def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
             - np.einsum('maik,mja->mijk', gamma, h))
 
 
-def amari_chentsov_many(M: WeightedManifold, pts) -> np.ndarray:
+def amari_chentsov_many(M: WeightedManifold, pts, jets=None) -> np.ndarray:
     """(m, n, n, n) array of the Amari-Chentsov tensor, d phi (x) h
     totally symmetrized, h = e^{-phi} g, at each point of an (m, n) array,
-    from one pass of the geometry's program."""
+    from one pass of the geometry's program (the weighted ``_jets``, if
+    given)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, ginv, dg, phi, dphi = _jets(M, pts, True)
-    h = np.exp(-phi)[:, None, None] * _dense(g, ginv, dg)[0]
+    g, ginv, dg, phi, dphi = _jets(M, pts, True) if jets is None else jets
+    g, _, _, dphi = _dense(g, ginv, dg, dphi)
+    h = np.exp(-phi)[:, None, None] * g
     return (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
             + np.einsum('mk,mij->mijk', dphi, h))
 

@@ -35,7 +35,8 @@ For each group it samples the new points, takes their coefficients from
 one ``coeffs`` call and splits the rows back per segment (the coefficient
 kernel gives the same bits on a concatenation of point arrays as on each
 part), and runs the RK4 steps and ordered products stacked over the
-group's segments.  Then an accept rule retires segments; the others keep a
+group's segments: a group's fixed cost is one kernel call and a few
+numpy calls.  Then an accept rule retires segments; the others keep a
 copy of their samples for their next level.  On a pinned grid every
 segment retires at its first level, all advance in one round and nothing
 is held.  There are two accept rules.  Path transport and block prediction
@@ -119,11 +120,11 @@ DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
 MAX_FINE_STEPS = 2 ** 16
 # kernel points per coefficient call of a lockstep round.  Larger calls
-# cost memory (by tracemalloc, about 0.7 kB of kernel temporaries per point
-# on the diagonal sphereN(4) metric, 1.2 kB on a dense 4-d jet) and show no
-# resolved gain: on the perfbench `algebra` batch (801-point segments,
-# fixed grid) 2 ** 11 moved the median time by -3.0% at seed 7 and +0.1%
-# at seed 101, faster in 20 and 15 of 30 alternated pairs (2-CPU host).
+# cost memory (by tracemalloc, about 0.66 kB of weighted kernel temporaries
+# per point on the diagonal sphereN(4) metric, 1.3 kB on a dense 4-d jet)
+# and time: on the perfbench `algebra` command (801-point segments, fixed
+# grid), 2 ** 11 made the in-process median 3.6% slower at seeds 7 and 101,
+# faster in 15 and 16 of 40 alternated runs (2-CPU host).
 MAX_BATCH_POINTS = 2 ** 10
 # sample points the live segments of a step-controlled batch may hold for
 # their next levels (2 MB of coefficients on a 4-d metric); a segment whose
@@ -385,8 +386,9 @@ def _groups(members, constant, m):
 
 
 def _sample(segments, ts):
-    """(g, m, n) positions and velocities of ``segments`` at the ascending
-    parameters ts, and the samples whose chart test stands for all.  They
+    """(g, m, n) positions and velocities of ``segments`` at the m >= 2
+    ascending parameters ts, and the samples whose chart test stands for
+    all, each segment's first and last.  They
     are sampled coordinate by coordinate along the points (t * delta =
     delta * t) and copied once into place; every rounding is monotone, so
     in an open box a segment's first and last samples bound the others."""
@@ -394,7 +396,7 @@ def _sample(segments, ts):
     deltas = np.array([seg.delta for seg in segments])
     pos = (starts[:, :, None] + deltas[:, :, None] * ts).transpose(0, 2, 1).copy()
     vel = np.repeat(deltas, len(ts), axis=0).reshape(pos.shape)
-    return pos, vel, pos[:, [0, -1]].reshape(-1, pos.shape[2])
+    return pos, vel, pos[:, ::len(ts) - 1].reshape(-1, pos.shape[2])
 
 
 def _coefficients(coeffs, segments, ts, constant):
@@ -410,7 +412,8 @@ def _coefficients(coeffs, segments, ts, constant):
     pos, vel, probe = _sample(segments, ts)
     g, m, n = pos.shape
     inside = coeffs.chart.contains(probe).all()
-    if constant.any():
+    varying = not constant.any()
+    if not varying:
         if not inside:
             _require_on_chart(coeffs.chart, pos.reshape(-1, n))
         # rebound, so that the samples the kernel does not take are freed first
@@ -424,7 +427,7 @@ def _coefficients(coeffs, segments, ts, constant):
         chunks.append(coeffs(flat_pos[a:a + MAX_BATCH_POINTS],
                              flat_vel[a:a + MAX_BATCH_POINTS]))
     A = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    if not constant.any():
+    if varying:
         return A.reshape((g, m) + A.shape[1:]), None, pos
     counts = np.where(constant, 1, m)
     first = np.cumsum(counts) - counts
@@ -539,8 +542,9 @@ def _advance(coeffs, segments, ts, constant, n, old, keep, hold, estimate, new):
         coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
                          coarse_const)
     step_mats = _rk4_steps(A, 1.0 / (2 * n))
-    new += [(row if hold else None, pos[j] if keep else None)
-            for j, row in enumerate(_in_order(constant, A, A_const))]
+    new += ([(row if hold else None, pos[j] if keep else None)
+             for j, row in enumerate(_in_order(constant, A, A_const))]
+            if hold or keep else [(None, None)] * len(constant))
     return (_merged(constant, _ordered_product(step_mats), fine_const), coarse,
             (pos, step_mats) if keep else (None, None))
 

@@ -252,6 +252,28 @@ def test_config_values_of_the_wrong_type_or_dimension_exit_2(tmp_path, capsys, k
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("holonomy", {"manifold": BOREL, "loops": [{"rect": [[0, 0], [1, 1]]}], "step": 50},
+     "unknown config key 'step'; did you mean 'steps'?"),
+    ("algebra", {"manifold": BOREL, "algebra": {"random_loop": 5}},
+     "unknown config key 'algebra.random_loop'; did you mean 'algebra.random_loops'?"),
+    ("verify", {"entries": ["borel2d"], "samples": {"path": 1}},
+     "unknown config key 'samples.path'; did you mean 'samples.paths'?"),
+    ("holonomy", {"manifold": {"custom": dict(PLANE, signatur=[2, 0])},
+                  "loops": [{"rect": [[0, 0], [1, 1]]}]},
+     "unknown config key 'manifold.custom.signatur'; did you mean 'manifold.custom.signature'?"),
+    ("verify", {"entries": ["borel2d"], "colour": "red"}, "unknown config key 'colour'"),
+    ("algebra", {"manifold": BOREL, "tasks": ["holonomy"]}, "unknown config key 'tasks'"),
+])
+def test_unknown_config_keys_exit_2_before_any_integration(tmp_path, capsys, kernel_calls,
+                                                           command, doc, message):
+    """A key that the command does not read, at the top, in a section or in
+    a custom manifold, is named with its nearest known key, if any."""
+    assert run([command, write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert kernel_calls == []
+
+
 def test_integral_float_steps_read_as_an_integer(tmp_path):
     results = []
     for steps in (20, 20.0):

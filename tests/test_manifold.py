@@ -219,16 +219,34 @@ def test_curvature_many_rows_have_the_bits_of_one_point_calls():
 
 
 def test_cold_ricci_compiles_one_program(program_passes):
-    """A weighted ricci_at on a fresh non-diagonal 3-d manifold compiles
-    1 + n(n+1)/2 = 7 variants of the geometry's one program: its jet pass
-    and its second-order passes; the coefficients and their derivatives
-    each run one jet pass."""
+    """A weighted ricci_at on a fresh non-diagonal 3-d manifold runs and
+    compiles 1 + n(n+1)/2 = 7 variants of the geometry's one program: its
+    jet pass, which the coefficients and their derivatives share, and its
+    second-order passes (the density contains every coordinate)."""
     M = full_metric_3d().manifold
     program_passes.clear()  # the metric's validation evaluates its values
     ricci_at(M, W, np.zeros(3))
     compiled = [variant for program, variant, new in program_passes if new]
-    assert len(compiled) <= 7 and len(program_passes) <= 8
+    assert len(compiled) == len(program_passes) == 7
     assert all(program is M._pass.program for program, _, _ in program_passes)
+
+
+@pytest.mark.parametrize("kind", [LC, W])
+def test_curvature_runs_one_jet_pass_and_the_pairs_its_fields_read(program_passes, kind):
+    """sphereN(4): curvature_many runs one jet pass and a second-order pass
+    for each of the 6 coordinate pairs that a metric entry or the density
+    contains both of, none with theta3, which no field reads: 7 passes,
+    where a jet pass for each of Gamma and d Gamma and a pass for every
+    one of the 10 pairs made 12."""
+    entry = catalog.sphere_with_density(4)
+    M = entry.manifold
+    program_passes.clear()
+    curvature_many(M, kind, entry.random_points(5, seed=1))
+    variants = [variant for _, variant, _ in program_passes]
+    assert variants[0] == (1, "r", "theta1", "theta2", "theta3")
+    assert variants[1:] == [(2, "r", "r"), (2, "r", "theta1"), (2, "r", "theta2"),
+                            (2, "theta1", "theta1"), (2, "theta1", "theta2"),
+                            (2, "theta2", "theta2")]
 
 
 def test_curvature_closed_form_off_origin(tri2):
@@ -354,6 +372,40 @@ def test_kernel_matches_reference_assembly(entry, M, kind):
     assert np.abs(got_b - ref_b).max() <= 1e-14 * np.abs(ref_b).max()
 
 
+@pytest.mark.parametrize("entry,M", _kernel_cases())
+@pytest.mark.parametrize("kind", [LC, W, DW], ids=lambda k: k.value)
+def test_kernel_gives_each_part_its_bits_on_a_concatenation(entry, M, kind):
+    """christoffel_many on a concatenation of point arrays gives, row for
+    row, the bits that it gives on each part alone, with and without
+    velocities (zero and -0 components among them): the lockstep engine
+    splits one call's rows per segment."""
+    if entry is None:
+        entry = full_metric_3d()
+        M = entry.manifold
+    pts = entry.random_points(17, seed=8)
+    vel = np.random.default_rng(9).standard_normal(pts.shape)
+    vel[::4] = 0.0
+    vel[1::5, 0] = -0.0
+    for v in (None, vel):
+        whole = christoffel_many(M, kind, pts, v)
+        for part in (slice(0, 1), slice(1, 7), slice(7, 17)):
+            alone = christoffel_many(M, kind, pts[part], None if v is None else v[part])
+            assert whole[part].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("name,zeros", [("borel2d", 52), ("triangular(3)", 282)])
+def test_golden_weighted_christoffel_tables_keep_their_signed_zeros(name, zeros):
+    """The computed side of the weighted_christoffels golden tables holds
+    the exact zeros that the kernel gave it when this test was written,
+    52 and 282 of them, each +0 (np.signbit false): a change of the
+    kernel's roundings that flips the sign of a zero shows here."""
+    entry = catalog.get_entry(name)
+    check, = [c for c in entry.goldens if c.name == "weighted_christoffels"]
+    computed = check.run(entry)[0]
+    zero = computed == 0
+    assert zero.sum() == zeros and not np.signbit(computed[zero]).any()
+
+
 def test_constant_entries_are_recorded(sphere2):
     metric = sphere2.manifold.metric  # diag(1, sin(r)^2)
     assert metric.diagonal and metric.varying == ((1, 1),)
@@ -419,11 +471,9 @@ def test_metric_and_density_jets_match_their_views():
     assert np.array_equal(dg, np.swapaxes(dg, 2, 3))
     phi, dphi = M.density.jet(pts)
     assert np.array_equal(phi, M.density.values(pts))
-    outs = M._pass(pts)
+    J = M._pass(pts)
     assert all(np.array_equal(a, b) for a, b in zip(
-        (g, dg, phi, dphi),
-        M.metric._unpack(len(pts), outs[:-1], diagonal=False)
-        + M.density._unpack(pts, outs[-1])))
+        (g, dg, phi, dphi), M.metric._unpack(J, False) + (J[-1, 0], J[-1, 1:].T)))
 
 
 def _random_metrics(rng, n, m, signs):
@@ -671,26 +721,32 @@ def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
     assert dense[0].tobytes() == g.tobytes() and dense[2].tobytes() == dg.tobytes()
 
 
+def _peak(call):
+    """What ``call()`` returns and the peak of the memory that it traced."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_diagonal_kernel_memory_per_point():
     """The contracted weighted kernel on sphereN(4) holds at most 0.7 kB of
-    temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB),
-    and its jet pass alone at most 113 B, about 98 B measured: the pass
-    drops each register after its last use and computes no row that is 0
-    by structure (with such rows it took about 252 B)."""
+    temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB;
+    about 0.66 kB measured, numpy's iteration buffers included), and its
+    jet pass at most 108 B beyond the (5, 5, m) jets it returns, about 98 B
+    measured: the pass drops each register after its last use and computes
+    no row that is 0 by structure (with such rows it took about 252 B)."""
     entry = catalog.sphere_with_density(4)
     M = entry.manifold
     pts = entry.random_points(1024, seed=1)
     vel = np.random.default_rng(2).standard_normal(pts.shape)
     christoffel_many(M, W, pts, vel)  # warm any first-call state
-    for call, bound in ((lambda: christoffel_many(M, W, pts, vel), 700),
-                        (lambda: M._pass(pts), 113)):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * len(pts)
+    _, peak = _peak(lambda: christoffel_many(M, W, pts, vel))
+    assert peak <= 700 * len(pts)
+    J, peak = _peak(lambda: M._pass(pts))
+    assert J.shape == (5, 5, len(pts)) and peak - J.nbytes <= 108 * len(pts)
 
 
 @pytest.mark.parametrize("kind", [LC, W, DW])

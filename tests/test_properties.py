@@ -193,15 +193,23 @@ def shared_geometries(draw):
                             density=DensityField.from_expression(CHART3, draw(shapes)))
 
 
-def _outcome(run):
-    """The (value, partials) bytes of each output of ``run()``, in order,
-    or the class and message of the error it raises."""
+def _outcome(run, m):
+    """The (value at each of m points, partials) bytes of each output of
+    ``run()``, in order, or the class and message of the error it raises."""
     try:
         outs = run()
     except HololabError as err:
         return type(err), str(err)
-    return [(np.asarray(val, dtype=float).tobytes(),
+    return [(np.broadcast_to(np.asarray(val, dtype=float), (m,)).tobytes(),
              None if d is None else np.asarray(d, dtype=float).tobytes()) for val, d in outs]
+
+
+def _geometry_pass(M, fields, pts):
+    """The geometry's one pass, as each field's value and its partials in
+    its own coordinates (None for a constant)."""
+    J = M._pass(pts)
+    return [(J[k, 0], J[k, [1 + a for a in f.axes]] if f.axes else None)
+            for k, f in enumerate(fields)]
 
 
 def _own_passes(fields, pts):
@@ -218,16 +226,17 @@ def _own_passes(fields, pts):
 @settings(max_examples=200)
 @given(M=shared_geometries())
 def test_geometry_pass_equals_each_entry_pass(M):
-    """The joint pass over the entries that are not the literal 0 and the
+    """The joint pass over the metric's slots (the entries that are not the
+    literal 0, or every diagonal entry of a diagonal metric) and the
     density gives, output by output, the bytes of each expression's own
     pass, the sign of every zero included, and raises the error that the
     first failing expression raises alone, at every point and on the
     whole batch."""
-    fields = [M.metric.entries[i][j] for i, j in M.metric.nonzero] + [M.density.field]
+    fields = [M.metric.entries[i][j] for i, j in M.metric.slots] + [M.density.field]
     with np.errstate(all="ignore"):
         for pts in [POINTS3] + [POINTS3[k:k + 1] for k in range(len(POINTS3))]:
-            assert (_outcome(lambda: M._pass(pts))
-                    == _outcome(lambda: _own_passes(fields, pts)))
+            assert (_outcome(lambda: _geometry_pass(M, fields, pts), len(pts))
+                    == _outcome(lambda: _own_passes(fields, pts), len(pts)))
 
 
 def _raised(run):
