@@ -50,9 +50,8 @@ _KINDS = {
 
 # the keys that each command's config may hold, a section's keys dotted
 # after its name; any other is a config error
-_CUSTOM_KEYS = ("manifold.custom",) + tuple(
-    f"manifold.custom.{key}" for key in ("dim", "coords", "metric", "phi", "name", "domain",
-                                         "periodicity", "signature"))
+_CUSTOM_KEYS = tuple("manifold.custom" + key for key in (
+    "", ".dim", ".coords", ".metric", ".phi", ".name", ".domain", ".periodicity", ".signature"))
 _TRANSPORT_KEYS = ("manifold", "manifold.catalog", "connection", "steps", "loops", "seed",
                    "output") + _CUSTOM_KEYS
 _CONFIG_KEYS = {

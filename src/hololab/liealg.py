@@ -60,14 +60,16 @@ def mat_log(P):
     """Principal matrix logarithm via inverse scaling-and-squaring."""
     P = np.asarray(P, dtype=float)
     n = P.shape[0]
-    eigs = np.linalg.eigvals(P)
-    scale = max(1.0, float(np.abs(eigs).max()))
-    on_negative_axis = (np.abs(eigs.imag) <= 1e-12 * scale) & (eigs.real <= 1e-12 * scale)
-    if on_negative_axis.any():
-        raise LogUndefined(f"eigenvalue on the closed negative real axis: {eigs}")
+    X = P - np.eye(n)
+    # |lambda - 1| <= ||P - I||_F: below the threshold no eigenvalue is near the axis
+    if not _fro(X) < ISS_THRESHOLD:
+        eigs = np.linalg.eigvals(P)
+        scale = max(1.0, float(np.abs(eigs).max()))
+        on_negative_axis = (np.abs(eigs.imag) <= 1e-12 * scale) & (eigs.real <= 1e-12 * scale)
+        if on_negative_axis.any():
+            raise LogUndefined(f"eigenvalue on the closed negative real axis: {eigs}")
     k = 0
     R = P
-    X = R - np.eye(n)
     while _fro(X) >= ISS_THRESHOLD:
         R = _principal_sqrt(R)
         k += 1

@@ -542,9 +542,8 @@ def _advance(coeffs, segments, ts, constant, n, old, keep, hold, estimate, new):
         coarse = _merged(constant, _ordered_product(_rk4_steps(A[:, ::2], 1.0 / n)),
                          coarse_const)
     step_mats = _rk4_steps(A, 1.0 / (2 * n))
-    new += ([(row if hold else None, pos[j] if keep else None)
-             for j, row in enumerate(_in_order(constant, A, A_const))]
-            if hold or keep else [(None, None)] * len(constant))
+    rows = _in_order(constant, A, A_const) if hold or keep else [None] * len(constant)
+    new += [(row if hold else None, pos[j] if keep else None) for j, row in enumerate(rows)]
     return (_merged(constant, _ordered_product(step_mats), fine_const), coarse,
             (pos, step_mats) if keep else (None, None))
 
