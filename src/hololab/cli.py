@@ -50,16 +50,16 @@ _KINDS = {
 
 # the keys that each command's config may hold, a section's keys dotted
 # after its name; any other is a config error
-_CUSTOM_KEYS = tuple("manifold.custom" + key for key in (
-    "", ".dim", ".coords", ".metric", ".phi", ".name", ".domain", ".periodicity", ".signature"))
-_TRANSPORT_KEYS = ("manifold", "manifold.catalog", "connection", "steps", "loops", "seed",
-                   "output") + _CUSTOM_KEYS
+_CUSTOM_KEYS = (" manifold.custom manifold.custom.dim manifold.custom.coords"
+                " manifold.custom.metric manifold.custom.phi manifold.custom.name"
+                " manifold.custom.domain manifold.custom.periodicity manifold.custom.signature")
+_TRANSPORT_KEYS = "manifold manifold.catalog connection steps loops seed output" + _CUSTOM_KEYS
 _CONFIG_KEYS = {
-    "holonomy": _TRANSPORT_KEYS + ("tasks", "include_log"),
-    "algebra": _TRANSPORT_KEYS + ("algebra", "algebra.random_loops", "algebra.region",
-                                  "algebra.basepoint", "algebra.include_catalog_families"),
-    "verify": ("manifold", "samples", "samples.paths", "samples.loops", "samples.points",
-               "steps", "checks", "entries", "region", "seed", "output") + _CUSTOM_KEYS,
+    "holonomy": _TRANSPORT_KEYS + " tasks include_log",
+    "algebra": _TRANSPORT_KEYS + (" algebra algebra.random_loops algebra.region"
+                                  " algebra.basepoint algebra.include_catalog_families"),
+    "verify": ("manifold samples samples.paths samples.loops samples.points steps checks"
+               " entries region seed output" + _CUSTOM_KEYS),
 }
 
 
@@ -425,7 +425,7 @@ def cmd_holonomy(args):
     include_log = _of_type(config.get("include_log", False), "include_log", bool,
                            "a JSON boolean")
     tasks = _tasks_from_config(config, ["holonomy"])
-    _check_keys(config, _CONFIG_KEYS["holonomy"])
+    _check_keys(config, _CONFIG_KEYS["holonomy"].split())
     report = _base_report("holonomy", config, seed)
     results = []
     exit_code = 0
@@ -508,7 +508,7 @@ def cmd_algebra(args):
                           "for a custom manifold, got true")
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
-    _check_keys(config, _CONFIG_KEYS["algebra"])
+    _check_keys(config, _CONFIG_KEYS["algebra"].split())
     if n_random:
         region = aspec.get("region")
         if region is None:
@@ -602,7 +602,7 @@ def cmd_verify(args):
         entries = [cat.get_entry(name) for name in _strings(config["entries"], "entries")]
     else:
         entries = cat.default_entries()
-    _check_keys(config, _CONFIG_KEYS["verify"])
+    _check_keys(config, _CONFIG_KEYS["verify"].split())
     reports = verify.default_suite(entries, seed=seed, n_paths=n_paths,
                                    n_loops=n_loops, n_points=n_points, steps=steps,
                                    checks=wanted)

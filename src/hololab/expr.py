@@ -8,19 +8,20 @@ the same accuracy as the built-in catalog.
 
 Expressions are evaluated by one evaluator: a ``Program`` lowers one or
 several expressions into a straight-line program over registers, a
-hash-consed DAG in which a subexpression that they share is computed once
-per pass.  ``eval_expr``, ``eval_dual`` and ``eval_dual2`` run programs;
-given an expression they compile it into a program of its own, given a
-Program they return one result per output.  A jet pass runs value and
-tangent instructions of one flat program: a tangent register holds the
-partial of a register in one seeded name that its subtree contains, and
-applies the forward-mode rule of the operation to that row in a fixed
-order, so a value does not depend on which expressions share the program,
-a row does not depend on which other names are seeded, and a pass raises
-the error that the first failing expression would raise alone.  Values are
-computed as plain evaluation computes them (``tan`` by ``np.tan``, powers
-by ``**``), so the value of a jet equals ``eval_expr``, and its first-order
-rows equal the single-name pass bit for bit.
+hash-consed DAG in which a subexpression that they share is computed
+once per pass.  ``eval_expr``, ``eval_dual`` and ``eval_dual2`` run
+programs; given an expression they compile it into a program of its own,
+given a Program one result per output (``eval_dual`` one flat list of
+rows).  A jet pass runs value and tangent instructions of one flat
+program: a tangent register holds the partial of a register in one
+seeded name that its subtree contains, and applies the forward-mode rule
+of the operation to that row in a fixed order, so a value does not
+depend on which expressions share the program, a row does not depend on
+which other names are seeded, and a pass raises the error that the first
+failing expression would raise alone.  Values are computed as plain
+evaluation computes them (``tan`` by ``np.tan``, powers by ``**``), so
+the value of a jet equals ``eval_expr``, and its first-order rows equal
+the single-name pass bit for bit.
 
 Grammar (see docs/grammar.md for the EBNF):
 
@@ -568,9 +569,7 @@ def _compile(exprs, variant):
     dead = [()] * len(L.code)  # the registers whose last use each instruction is
     for r, k in {r: k for k, ins in enumerate(L.code) for r in _reads(ins)}.items():
         dead[k] += (r,) * (r not in kept)
-    writes = tuple((k, s, r) for k, out in enumerate(outputs) for s, r in enumerate(out)
-                   if r is not None)
-    return tuple(L.registers), tuple(ins + (d,) for ins, d in zip(L.code, dead)), outputs, writes
+    return tuple(L.registers), tuple(ins + (d,) for ins, d in zip(L.code, dead)), outputs
 
 
 def _exec(code, regs, env):
@@ -603,25 +602,26 @@ class Program:
         self.exprs = tuple(exprs)
         self._compiled = {}
 
-    def _run(self, variant, env, out=None):
-        """Each output's tuple of ``_compile`` from one pass over ``env``, or
-        given ``out``, that array with output k's tuple written into out[k]
-        (a constant broadcast), its rows that are None left as they are."""
+    def _run(self, variant, env):
+        """The registers after one pass over ``env``, each dropped after its
+        last use unless it is an output's, and the variant's ``outputs``."""
         if variant not in self._compiled:
             self._compiled[variant] = _compile(self.exprs, variant)
-        registers, code, outputs, writes = self._compiled[variant]
+        registers, code, outputs = self._compiled[variant]
         regs = list(registers)
         _exec(code, regs, env)
-        if out is not None:
-            for k, s, r in writes:
-                out[k, s] = regs[r]
-            return out
-        return [(regs[v], *(None if r is None else _full(regs[r], getattr(regs[v], "shape", ()))
-                            for r in rows)) for v, *rows in outputs]
+        return regs, outputs
 
 
 def _program(e):
     return e if isinstance(e, Program) else Program((e,))
+
+
+def _results(e, variant, env):
+    """Each output's (value, row...) from one pass, a row ``_full``, or None."""
+    regs, outputs = _program(e)._run(variant, env)
+    return [(regs[v], *(None if r is None else _full(regs[r], getattr(regs[v], "shape", ()))
+                        for r in rows)) for v, *rows in outputs]
 
 
 def _full(x, shape):
@@ -638,36 +638,29 @@ def eval_expr(e, env: dict):
 
     ``e`` is an expression, or a Program, for the list of its outputs'
     values from one pass."""
-    values = [val for val, in _program(e)._run((0,), env)]
+    values = [val for val, in _results(e, (0,), env)]
     return values if isinstance(e, Program) else values[0]
 
 
-def eval_dual(e, env: dict, wrt, out=None):
+def eval_dual(e, env: dict, wrt):
     """Return (value, partials) by forward-mode evaluation.
 
     ``wrt`` is a variable name, giving d/d<wrt>, or a tuple of k names,
-    giving the (k, ...) stack of partials, row r in wrt[r].  ``e`` is an
-    expression, or a Program, for the list of (value, rows) of its outputs
-    from one pass: the partials in the names of wrt that the output's
-    expression contains, in wrt order; the others are exactly 0.  Given an
-    array ``out`` (a Program's pass), it returns ``out`` with output k's
-    value written into out[k, 0] and its row in wrt[r] into out[k, 1 + r],
-    the rows that are exactly 0 left as they are.
+    giving the (k, ...) stack of partials, row r in wrt[r].  Given a
+    Program ``e``, it returns one flat list from one pass: each output's
+    value, then its partials in the names of wrt that its expression
+    contains, in wrt order, a constant as a scalar; the other partials are
+    exactly 0 and not in the list.
     """
     names = (wrt,) if isinstance(wrt, str) else tuple(wrt)
-    if out is not None:
-        return e._run((1, *names), env, out)
-    results = []
-    for val, *rows in _program(e)._run((1, *names), env):
-        if isinstance(e, Program):
-            results.append((val, tuple(r for r in rows if r is not None)))
-        elif isinstance(wrt, str):
-            results.append((val, rows[0] if rows[0] is not None else np.zeros_like(env[wrt])
-                            if np.ndim(env.get(wrt, 0.0)) else 0.0))
-        else:
-            results.append((val, np.array([np.zeros(np.shape(val)) if r is None else r
-                                           for r in rows], float)))
-    return results if isinstance(e, Program) else results[0]
+    if isinstance(e, Program):
+        regs, outputs = e._run((1, *names), env)
+        return [regs[r] for out in outputs for r in out if r is not None]
+    val, *rows = _results(e, (1, *names), env)[0]
+    if isinstance(wrt, str):
+        return val, (rows[0] if rows[0] is not None else np.zeros_like(env[wrt])
+                     if np.ndim(env.get(wrt, 0.0)) else 0.0)
+    return val, np.array([np.zeros(np.shape(val)) if r is None else r for r in rows], float)
 
 
 def eval_dual2(e, env: dict, wrt1: str, wrt2: str):
@@ -676,7 +669,7 @@ def eval_dual2(e, env: dict, wrt1: str, wrt2: str):
     expression, or a Program, for the list of its outputs' tuples from one
     pass."""
     results = [(val, *(np.zeros(np.shape(val)) if r is None else r for r in parts))
-               for val, *parts in _program(e)._run((2, wrt1, wrt2), env)]
+               for val, *parts in _results(e, (2, wrt1, wrt2), env)]
     return results if isinstance(e, Program) else results[0]
 
 

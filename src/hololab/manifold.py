@@ -17,12 +17,10 @@ coordinates its expression contains; its partials in the others are
 exactly 0 and are never computed.  Fields are evaluated together in one
 jet pass: ``expr.eval_dual`` runs one ``expr.Program`` of their
 expressions, which computes a subexpression that they share once, and
-writes each field's value and rows straight into one (k, n + 1, m) array
-J, point axis last, whose other rows stay 0.  A metric's pass has its
-``slots``, the entries that are not the literal 0 (every diagonal entry
-of a diagonal metric), and a manifold's has those entries and the
-density: the geometry's pass.  ``MetricField.jet`` (the dense (g, d g))
-and ``DensityField.jet`` ((phi, d phi)) read such a pass.
+``_Pass.jets`` writes their rows into one (k, n + 1, m) array J, point
+axis last.  A metric's pass has its ``slots`` (every diagonal entry of a
+diagonal metric, else those that are not the literal 0), a manifold's
+those entries and the density: the geometry's pass.
 
 ``christoffel_many`` is the one coefficient kernel.  Each call runs one
 jet pass: the geometry's, or the metric's alone for the Levi-Civita
@@ -45,9 +43,8 @@ array is formed at all: c_aij v^i = delta_aj (D[a].v) + v_a D[a, j] - v_j D[j, a
 (Kobayashi-Nomizu I, section III.7), rounded as the dense contraction
 rounds it, and g^-1 = 1/diag with det g = prod(diag).  Its arrays keep
 the point axis last, so that elementwise work over the short index axes
-runs along the points, and the n unit velocities of the full Gamma are
-contracted in one stack.  Any other
-metric of dimension 2 or 3 is inverted from one cofactor factorization:
+runs along the points.  Any other metric of dimension 2 or 3 is inverted
+from one cofactor factorization:
 the symmetric adjugate, det g expanded along its first row, g^-1 =
 adj / det.  Larger non-diagonal metrics use LAPACK.  Every path rejects
 a det g that is not finite or whose size is at most DET_FLOOR.
@@ -60,7 +57,7 @@ for each coordinate pair that some field contains both of; the others
 are 0.  ``curvature_many`` is the batched curvature, its Gamma and
 d Gamma read one jet pass, and ``ricci_at`` is its trace at one point.
 ``nabla_h_many`` (nabla h, h = e^{-phi} g) and ``amari_chentsov_many``
-read one jet pass, which they may share (``jets``).
+read one jet pass, and ``codazzi_tensors_many`` one for both.
 """
 
 from __future__ import annotations
@@ -218,21 +215,21 @@ class ExprScalarField:
 
     def jet(self, pts):
         """(m,) values and (m, n) gradient from one forward-mode pass."""
-        J = self._pass(np.atleast_2d(np.asarray(pts, dtype=float)))
+        J = self._pass.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
         return J[0, 0], J[0, 1:].T
 
 
 class _Pass:
     """Scalar fields on one chart lowered into one ``expr.Program``, their
     expressions in order.  Called on (m, n) points it runs one forward-mode
-    pass and returns the (k, n + 1, m) array J of the k fields' jets, point
-    axis last: J[f, 0] holds field f's values and J[f, 1 + a] its partials
-    in coordinate a, exactly 0 outside its ``axes``.  ``names`` are the
-    coordinates that some field contains, ``pairs`` the (a, b), a <= b,
-    that some field contains both of (the others' second partials are
-    0)."""
+    pass and returns the fields' jet rows as one flat list, in the order
+    of ``rows``: field f's values (f, 0), then its partials in its own
+    ``axes`` (f, 1 + a), a constant as a scalar.  ``jets`` lays them out
+    in a (k, n + 1, m) array J, its other rows 0.  Some field contains
+    each of ``names`` and both of each of ``pairs``, the (a, b), a <= b
+    (the others' second partials are 0)."""
 
-    __slots__ = ("chart", "program", "names", "pairs")
+    __slots__ = ("chart", "program", "names", "pairs", "rows")
 
     def __init__(self, chart, fields):
         self.chart = chart
@@ -241,11 +238,18 @@ class _Pass:
                            if any(a in f.axes for f in fields))
         self.pairs = tuple((a, b) for a, b in itertools.combinations_with_replacement(
             range(chart.dim), 2) if any(a in f.axes and b in f.axes for f in fields))
+        self.rows = tuple((f, s) for f, field in enumerate(fields)
+                          for s in (0, *(1 + a for a in field.axes)))
 
     def __call__(self, pts):
         names = self.chart.coord_names
-        J = np.zeros((len(self.program.exprs), len(names) + 1, len(pts)))
-        return ex.eval_dual(self.program, dict(zip(names, pts.T)), names, J)
+        return ex.eval_dual(self.program, dict(zip(names, pts.T)), names)
+
+    def jets(self, pts):
+        J = np.zeros((len(self.program.exprs), self.chart.dim + 1, len(pts)))
+        for (f, s), row in zip(self.rows, self(pts)):
+            J[f, s] = row
+        return J
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +325,12 @@ class MetricField:
     def jet(self, pts):
         """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
         [l, i, j], from one pass over its ``slots``."""
-        return self._unpack(self._pass(np.atleast_2d(np.asarray(pts, dtype=float))), False)
+        return self._unpack(self._pass.jets(np.atleast_2d(np.asarray(pts, dtype=float))), False)
 
     def _unpack(self, J, diagonal):
-        """(g, d g) from the jets J of a pass whose first outputs are the
-        entries of ``slots``: if ``diagonal``, (n, m) values g_aa and (n, n,
-        m) partials D[a, l] = d_l g_aa, views of J with the point axis last;
+        """(g, d g) from the ``_Pass.jets`` J of a pass whose first outputs
+        are the entries of ``slots``: if ``diagonal``, (n, m) values g_aa and
+        (n, n, m) partials D[a, l] = d_l g_aa, views of J, point axis last;
         else the dense (m, n, n) values and (m, n, n, n) partials d_l g_ij,
         index order [l, i, j]."""
         n, m = self.chart.dim, J.shape[2]
@@ -381,7 +385,7 @@ class DensityField:
         """(m,) values phi and (m, n) rows of coordinate partials d_i phi;
         DensityOverflow at the first point where any is not finite."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        J = _require_finite_density(pts, "phi or its gradient", self.field._pass(pts)[0])
+        J = _require_finite_density(pts, "phi or its gradient", self.field._pass.jets(pts)[0])
         return J[0], J[1:].T
 
 
@@ -494,22 +498,22 @@ def _inverse_metric(g, pts):
     return np.linalg.inv(g)
 
 
-def _contract_diagonal(kind, g, ginv, D, dphi, v, s, v_dphi):
-    """B[r, k, j] = Gamma^k_ij v_r^i, shape (r, n, n, m), for velocities v
-    (r, n, m) or (r, n, 1) on a diagonal metric: (n, m) g_aa and g^aa,
-    (n, n, m) D[a, l] = d_l g_aa and (n, m) d phi, point axis last; s[r, a]
-    = D[a] . v_r, a new array, and v_dphi[r] = v_r . d phi (weighted).
+def _contract_diagonal(kind, g, ginv, D, dphi, v, v_dphi):
+    """B[k, j] = Gamma^k_ij v^i, shape (n, n, m), for velocities v (n, m)
+    on a diagonal metric: (n, m) g_aa and g^aa, (n, n, m) D[a, l] = d_l g_aa
+    and (n, m) d phi, point axis last, and v_dphi = v . d phi (weighted).
     c_aij v^i = delta_aj (D[a] . v) + v_a D[a, j] - v_j D[j, a] is rounded
     as the dense contraction rounds it; the diagonals of the C-contiguous
     p and B are views."""
-    p = v[:, :, None] * D  # p[a, j] = v_a D[a, j]
+    s = (D * v).sum(axis=1)  # s[a] = D[a] . v
+    p = v[:, None] * D  # p[a, j] = v_a D[a, j]
     p += 0.0  # a -0 product reads +0, as in the dense path's sums
-    B = np.subtract(p, p.swapaxes(1, 2), out=np.empty(p.shape))
+    B = np.subtract(p, p.swapaxes(0, 1), out=np.empty(p.shape))
     # the diagonal in the dense path's order: (D[a].v + p_aa) - p_aa
-    r, n, _, m = p.shape
-    p_aa = p.reshape(r, n * n, m)[:, ::n + 1]
+    n, _, m = p.shape
+    p_aa = p.reshape(n * n, m)[::n + 1]
     s += p_aa
-    np.subtract(s, p_aa, out=B.reshape(r, n * n, m)[:, ::n + 1])
+    np.subtract(s, p_aa, out=B.reshape(n * n, m)[::n + 1])
     B *= ginv[:, None]
     B *= 0.5
     if kind == ConnectionKind.WEIGHTED:
@@ -519,13 +523,13 @@ def _contract_diagonal(kind, g, ginv, D, dphi, v, s, v_dphi):
         # diagonal view p_aa is now its diagonal
         corr = p
         np.copyto(corr, dphi)
-        corr *= v[:, :, None]
-        corr += (0.0 * v_dphi)[:, None, None]
-        p_aa += v_dphi[:, None]
+        corr *= v[:, None]
+        corr += 0.0 * v_dphi
+        p_aa += v_dphi
         B -= corr
     elif kind == ConnectionKind.DUAL_WEIGHTED:
         # a -0 product (g v)_j reads +0, as in the dense path's sums
-        B += np.multiply((ginv * dphi)[:, None], (g * v + 0.0)[:, None], out=p)
+        B += np.multiply((ginv * dphi)[:, None], g * v + 0.0, out=p)
     elif kind != ConnectionKind.LEVI_CIVITA:
         raise ValueError(f"unknown connection kind {kind!r}")
     return B
@@ -540,9 +544,8 @@ def _contracted(kind, g, ginv, dg, dphi, v):
     v_dphi = (np.einsum('mi,mi->m', v, dphi if g.ndim == 3 else dphi.T.copy())
               if kind == ConnectionKind.WEIGHTED else None)
     if g.ndim == 2:
-        v = v.T.copy()[None]
-        return _contract_diagonal(kind, g, ginv, dg, dphi, v, (dg * v[:, None]).sum(axis=2),
-                                  None if v_dphi is None else v_dphi[None])[0].transpose(2, 0, 1)
+        return _contract_diagonal(kind, g, ginv, dg, dphi, v.T.copy(),
+                                  v_dphi).transpose(2, 0, 1)
     # w[a, j] = v^i d_a g_ij = v^i d_j g_ai (dg is symmetric in its last pair),
     # then c_aij v^i in its place
     w = np.einsum('maji,mi->maj', dg, v)
@@ -585,10 +588,10 @@ def _jets(M, pts, density):
     density's DomainError or DensityOverflow."""
     metric = M.metric
     try:
-        J = (M if density else metric)._pass(pts)
+        J = (M if density else metric)._pass.jets(pts)
     except DomainError:
         if density:  # the metric's pass raises the error if it is a metric entry's
-            _inverse_metric(metric._unpack(metric._pass(pts), metric.diagonal)[0], pts)
+            _inverse_metric(metric._unpack(metric._pass.jets(pts), metric.diagonal)[0], pts)
         raise
     g, dg = metric._unpack(J, metric.diagonal)
     ginv = _inverse_metric(g, pts)
@@ -615,17 +618,9 @@ def _dense(g, ginv, dg, dphi=None):
 
 def _gamma(kind, g, ginv, dg, dphi, pts):
     """The (m, n, n, n) Gamma[., k, i, j] from ``_jets``: Gamma^k_ij is
-    B^k_j for the velocity e_i.  A diagonal metric contracts all n at
-    once, with D[a] . e_i = D[a, i] + 0.0 and e_i . d phi = d_i phi + 0.0,
-    the sums of their terms from 0 (where some 0 * D[a, l] is not finite,
-    neither is Gamma)."""
+    B^k_j for the velocity e_i."""
     m, n = pts.shape
     eye = np.eye(n)
-    if g.ndim == 2:
-        B = _contract_diagonal(kind, g, ginv, dg, dphi, eye[:, :, None],
-                               dg.transpose(1, 0, 2) + 0.0,
-                               dphi + 0.0 if kind == ConnectionKind.WEIGHTED else None)
-        return _require_finite(np.ascontiguousarray(B.transpose(3, 1, 0, 2)), g, pts)
     return _require_finite(np.stack([_contracted(kind, g, ginv, dg, dphi,
                                                  np.broadcast_to(eye[i], (m, n)))
                                      for i in range(n)], axis=2), g, pts)
@@ -651,21 +646,23 @@ def christoffel_many(M: WeightedManifold, kind: ConnectionKind, pts,
     return _require_finite(_contracted(kind, g, ginv, dg, dphi, v), g, pts)
 
 
-def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts,
-                                jets=None) -> np.ndarray:
+def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
     """(m, n, n, n, n) array of d_l Gamma^k_ij, index order [l, k, i, j].
 
     Assembled from the exact first and second derivatives of the metric
     and density expressions, with the chain rule through the inverse
-    metric: one jet pass (``jets``, from ``_jets``, if given) and a
-    second-order pass for each of the geometry's ``pairs``, all of one
-    program, the geometry's, or the metric's alone for the Levi-Civita
-    connection.
+    metric: one jet pass and a second-order pass for each of the
+    geometry's ``pairs``, all of one program, the geometry's, or the
+    metric's alone for the Levi-Civita connection.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return _christoffel_derivative(M, kind, pts, _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA))
+
+
+def _christoffel_derivative(M, kind, pts, jets):
+    """``christoffel_derivative_many`` from the ``_jets`` of its points."""
     m, n = pts.shape
     weighted = kind != ConnectionKind.LEVI_CIVITA
-    jets = _jets(M, pts, weighted) if jets is None else jets
     g, ginv, dg, dphi = _dense(*jets[:3], jets[4])  # dg: [l, i, j]
     # d2g[a, b, i, j] = d_a d_b g_ij and, read only if weighted,
     # hess[a, b] = d_a d_b phi, the geometry's last output; both are 0
@@ -714,7 +711,7 @@ def curvature_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray
     M.chart.require_inside(pts)
     jets = _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA)
     gamma = _gamma(kind, *jets[:3], jets[4], pts)
-    dgamma = christoffel_derivative_many(M, kind, pts, jets)  # [l, k, i, j]
+    dgamma = _christoffel_derivative(M, kind, pts, jets)  # [l, k, i, j]
     first = np.einsum('piljk->plijk', dgamma)
     second = np.einsum('pjlik->plijk', dgamma)
     quad1 = np.einsum('plia,pajk->plijk', gamma, gamma)
@@ -728,33 +725,47 @@ def ricci_at(M: WeightedManifold, kind: ConnectionKind, x) -> np.ndarray:
     return np.einsum('iijk->jk', R)
 
 
-def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts, jets=None) -> np.ndarray:
+def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
     """(m, n, n, n) array of (nabla_i h)_jk = d_i h_jk - Gamma^a_ij h_ak -
     Gamma^a_ik h_ja for h = e^{-phi} g, index order [i, j, k], at each
-    point of an (m, n) array, from one pass of the geometry's program (the
-    weighted ``_jets``, if given)."""
+    point of an (m, n) array, from one pass of the geometry's program."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, ginv, dg, phi, dphi = _jets(M, pts, True) if jets is None else jets
-    gamma = _gamma(kind, g, ginv, dg, dphi, pts)
-    g, _, dg, dphi = _dense(g, ginv, dg, dphi)
-    w = np.exp(-phi)
+    return _nabla_h(kind, pts, _jets(M, pts, True))
+
+
+def _nabla_h(kind, pts, jets):
+    """``nabla_h_many`` from the weighted ``_jets`` of its points."""
+    gamma = _gamma(kind, *jets[:3], jets[4], pts)
+    g, _, dg, dphi = _dense(*jets[:3], jets[4])
+    w = np.exp(-jets[3])
     h = w[:, None, None] * g
     dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
     return (dh - np.einsum('maij,mak->mijk', gamma, h)
             - np.einsum('maik,mja->mijk', gamma, h))
 
 
-def amari_chentsov_many(M: WeightedManifold, pts, jets=None) -> np.ndarray:
+def amari_chentsov_many(M: WeightedManifold, pts) -> np.ndarray:
     """(m, n, n, n) array of the Amari-Chentsov tensor, d phi (x) h
     totally symmetrized, h = e^{-phi} g, at each point of an (m, n) array,
-    from one pass of the geometry's program (the weighted ``_jets``, if
-    given)."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g, ginv, dg, phi, dphi = _jets(M, pts, True) if jets is None else jets
-    g, _, _, dphi = _dense(g, ginv, dg, dphi)
-    h = np.exp(-phi)[:, None, None] * g
+    from one pass of the geometry's program."""
+    return _amari_chentsov(_jets(M, np.atleast_2d(np.asarray(pts, dtype=float)), True))
+
+
+def _amari_chentsov(jets):
+    g, _, _, dphi = _dense(*jets[:3], jets[4])
+    h = np.exp(-jets[3])[:, None, None] * g
     return (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
             + np.einsum('mk,mij->mijk', dphi, h))
+
+
+def codazzi_tensors_many(M: WeightedManifold, pts):
+    """``amari_chentsov_many`` and ``nabla_h_many`` of the weighted and the
+    dual weighted connection at each point of an (m, n) array, from one
+    pass of the geometry's program."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    jets = _jets(M, pts, True)
+    return (_amari_chentsov(jets), _nabla_h(ConnectionKind.WEIGHTED, pts, jets),
+            _nabla_h(ConnectionKind.DUAL_WEIGHTED, pts, jets))
 
 
 def restrict_manifold(M: WeightedManifold, free_indices: Sequence[int], fixed_values: dict) -> WeightedManifold:

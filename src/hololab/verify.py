@@ -27,8 +27,8 @@ import numpy as np
 
 from .catalog import CatalogEntry
 from .errors import HololabError
-from .manifold import (ConnectionKind, _jets, amari_chentsov_many, christoffel_many,
-                       nabla_h_many, weighted_metric_at, weighted_metrics_at)
+from .manifold import (ConnectionKind, christoffel_many, codazzi_tensors_many,
+                       weighted_metric_at, weighted_metrics_at)
 from .transport import (path_transport_many, polyline_segments,
                         predicted_block_transport, random_rectangle_loops)
 
@@ -266,10 +266,7 @@ def check_codazzi(entry: CatalogEntry, n_points=50, seed=3,
     M = entry.manifold
     pts = entry.random_points(n_points, seed)
     M.chart.require_inside(pts)
-    jets = _jets(M, pts, True)
-    D = amari_chentsov_many(M, pts, jets)
-    Tw = nabla_h_many(M, ConnectionKind.WEIGHTED, pts, jets)
-    Td = nabla_h_many(M, ConnectionKind.DUAL_WEIGHTED, pts, jets)
+    D, Tw, Td = codazzi_tensors_many(M, pts)
     gaps = [np.abs(Tw - np.transpose(Tw, perm))
             for perm in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]]
     gaps += [np.abs(Tw - D), np.abs(Td + D)]

@@ -471,7 +471,7 @@ def test_metric_and_density_jets_match_their_views():
     assert np.array_equal(dg, np.swapaxes(dg, 2, 3))
     phi, dphi = M.density.jet(pts)
     assert np.array_equal(phi, M.density.values(pts))
-    J = M._pass(pts)
+    J = M._pass.jets(pts)
     assert all(np.array_equal(a, b) for a, b in zip(
         (g, dg, phi, dphi), M.metric._unpack(J, False) + (J[-1, 0], J[-1, 1:].T)))
 
@@ -721,32 +721,27 @@ def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
     assert dense[0].tobytes() == g.tobytes() and dense[2].tobytes() == dg.tobytes()
 
 
-def _peak(call):
-    """What ``call()`` returns and the peak of the memory that it traced."""
-    tracemalloc.start()
-    try:
-        out = call()
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_diagonal_kernel_memory_per_point():
     """The contracted weighted kernel on sphereN(4) holds at most 0.7 kB of
     temporaries per point (the dense (m, n, n, n) jet held about 1.5 kB;
-    about 0.66 kB measured, numpy's iteration buffers included), and its
-    jet pass at most 108 B beyond the (5, 5, m) jets it returns, about 98 B
-    measured: the pass drops each register after its last use and computes
-    no row that is 0 by structure (with such rows it took about 252 B)."""
+    about 0.66 kB measured), and its jet pass alone, outputs included, at
+    most 108 B, about 98 B measured: the pass drops each register after its
+    last use and computes no row that is 0 by structure (with such rows it
+    took about 252 B)."""
     entry = catalog.sphere_with_density(4)
     M = entry.manifold
     pts = entry.random_points(1024, seed=1)
     vel = np.random.default_rng(2).standard_normal(pts.shape)
     christoffel_many(M, W, pts, vel)  # warm any first-call state
-    _, peak = _peak(lambda: christoffel_many(M, W, pts, vel))
-    assert peak <= 700 * len(pts)
-    J, peak = _peak(lambda: M._pass(pts))
-    assert J.shape == (5, 5, len(pts)) and peak - J.nbytes <= 108 * len(pts)
+    for call, bound in ((lambda: christoffel_many(M, W, pts, vel), 700),
+                        (lambda: M._pass(pts), 108)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(pts)
 
 
 @pytest.mark.parametrize("kind", [LC, W, DW])

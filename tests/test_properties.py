@@ -207,7 +207,7 @@ def _outcome(run, m):
 def _geometry_pass(M, fields, pts):
     """The geometry's one pass, as each field's value and its partials in
     its own coordinates (None for a constant)."""
-    J = M._pass(pts)
+    J = M._pass.jets(pts)
     return [(J[k, 0], J[k, [1 + a for a in f.axes]] if f.axes else None)
             for k, f in enumerate(fields)]
 
