@@ -449,9 +449,8 @@ def weighted_metrics_at(M: WeightedManifold, pts) -> list:
 
 
 def _require_nonsingular(pts, dets, finite=None):
-    """SingularMetric at the first point where ``finite`` (by default
-    whether det g is finite) is false, else at the smallest |det g| if it
-    is <= DET_FLOOR; nothing on no points."""
+    """SingularMetric at the first point where ``finite`` (by default det g
+    finite) is false, else at the smallest |det g| if it is <= DET_FLOOR."""
     size = np.abs(dets)
     if finite is None and (not len(dets) or DET_FLOOR < size.min() <= size.max() < math.inf):
         return
@@ -603,9 +602,9 @@ def _jets(M, pts, density):
                             else (phi[0].copy(), phi[1:].T.copy()))
 
 
-def _dense(g, ginv, dg, dphi=None):
+def _dense(g, ginv, dg, phi=None, dphi=None):
     """g, g^-1, d g and d phi of ``_jets`` as dense (m, n, n), (m, n, n),
-    (m, n, n, n) and (m, n) arrays, the partials in index order [l, i, j]."""
+    (m, n, n, n) and (m, n) arrays, d g [l, i, j], none a view of the pass."""
     if g.ndim == 3:
         return g, ginv, dg, dphi
     n, m = g.shape
@@ -656,14 +655,14 @@ def christoffel_derivative_many(M: WeightedManifold, kind: ConnectionKind, pts) 
     metric's alone for the Levi-Civita connection.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _christoffel_derivative(M, kind, pts, _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA))
+    jets = _dense(*_jets(M, pts, kind != ConnectionKind.LEVI_CIVITA))
+    return _christoffel_derivative(M, kind, pts, *jets)
 
 
-def _christoffel_derivative(M, kind, pts, jets):
-    """``christoffel_derivative_many`` from the ``_jets`` of its points."""
+def _christoffel_derivative(M, kind, pts, g, ginv, dg, dphi):
+    """``christoffel_derivative_many`` from the ``_dense`` jets of pts."""
     m, n = pts.shape
     weighted = kind != ConnectionKind.LEVI_CIVITA
-    g, ginv, dg, dphi = _dense(*jets[:3], jets[4])  # dg: [l, i, j]
     # d2g[a, b, i, j] = d_a d_b g_ij and, read only if weighted,
     # hess[a, b] = d_a d_b phi, the geometry's last output; both are 0
     # in a pair that no field contains both of
@@ -711,7 +710,8 @@ def curvature_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray
     M.chart.require_inside(pts)
     jets = _jets(M, pts, kind != ConnectionKind.LEVI_CIVITA)
     gamma = _gamma(kind, *jets[:3], jets[4], pts)
-    dgamma = _christoffel_derivative(M, kind, pts, jets)  # [l, k, i, j]
+    jets = _dense(*jets)  # rebound, so that the pass is freed
+    dgamma = _christoffel_derivative(M, kind, pts, *jets)  # [l, k, i, j]
     first = np.einsum('piljk->plijk', dgamma)
     second = np.einsum('pjlik->plijk', dgamma)
     quad1 = np.einsum('plia,pajk->plijk', gamma, gamma)
@@ -736,7 +736,7 @@ def nabla_h_many(M: WeightedManifold, kind: ConnectionKind, pts) -> np.ndarray:
 def _nabla_h(kind, pts, jets):
     """``nabla_h_many`` from the weighted ``_jets`` of its points."""
     gamma = _gamma(kind, *jets[:3], jets[4], pts)
-    g, _, dg, dphi = _dense(*jets[:3], jets[4])
+    g, _, dg, dphi = _dense(*jets)
     w = np.exp(-jets[3])
     h = w[:, None, None] * g
     dh = w[:, None, None, None] * (dg - dphi[:, :, None, None] * g[:, None])
@@ -752,7 +752,7 @@ def amari_chentsov_many(M: WeightedManifold, pts) -> np.ndarray:
 
 
 def _amari_chentsov(jets):
-    g, _, _, dphi = _dense(*jets[:3], jets[4])
+    g, _, _, dphi = _dense(*jets)
     h = np.exp(-jets[3])[:, None, None] * g
     return (np.einsum('mi,mjk->mijk', dphi, h) + np.einsum('mj,mki->mijk', dphi, h)
             + np.einsum('mk,mij->mijk', dphi, h))
