@@ -516,10 +516,9 @@ def _contract_diagonal(kind, g, ginv, D, dphi, v, v_dphi):
     B *= ginv[:, None]
     B *= 0.5
     if kind == ConnectionKind.WEIGHTED:
-        # B - ((v.dphi) delta^k_j + v^k d_j phi) with the same roundings,
-        # without a (v.dphi) delta array: its off-diagonal terms (v.dphi) 0
-        # only set the sign of a zero; it takes the place of p, whose
-        # diagonal view p_aa is now its diagonal
+        # B - ((v.dphi) delta^k_j + v^k d_j phi), same roundings, in p's place
+        # (p_aa is its diagonal) and with no (v.dphi) delta array: that
+        # array's off-diagonal terms (v.dphi) 0 only set the sign of a zero
         corr = p
         np.copyto(corr, dphi)
         corr *= v[:, None]
@@ -576,11 +575,10 @@ def _require_finite(coeffs, g, pts):
 
 
 def _jets(M, pts, density):
-    """g, g^-1 and d g in the layout of ``MetricField._unpack`` (the
-    diagonal one, (n, m) and (n, n, m) views of the pass, for a diagonal
-    metric) and the density's (m,) values and gradient, (n, m) for a
-    diagonal metric, else (m, n) (both None unless ``density``), from one
-    jet pass: the geometry's, or without the density the metric's alone.
+    """g, g^-1, d g, phi and d phi (both None unless ``density``) from one
+    jet pass, the geometry's or the metric's alone: for a diagonal metric
+    (n, m), (n, m), (n, n, m), (m,) and (n, m) arrays, all but g^-1 views
+    of the pass (``MetricField._unpack``), else the dense arrays of ``_dense``.
 
     Errors come as if the metric were evaluated and inverted before the
     density: a metric entry's DomainError, then SingularMetric, then the
@@ -593,11 +591,13 @@ def _jets(M, pts, density):
             _inverse_metric(metric._unpack(metric._pass.jets(pts), metric.diagonal)[0], pts)
         raise
     g, dg = metric._unpack(J, metric.diagonal)
+    # a dense metric's jets are copies: its J is freed before the inverse
+    phi = J[-1] if metric.diagonal else J[-1].copy() if density else None
+    del J
     ginv = _inverse_metric(g, pts)
     if not density:
         return g, ginv, dg, None, None
-    phi = _require_finite_density(pts, "phi or its gradient", J[-1])
-    # a dense metric's are copies, so that J is freed on return
+    phi = _require_finite_density(pts, "phi or its gradient", phi)
     return (g, ginv, dg) + ((phi[0], phi[1:]) if metric.diagonal
                             else (phi[0].copy(), phi[1:].T.copy()))
 
