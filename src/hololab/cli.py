@@ -28,10 +28,8 @@ import time
 import numpy as np
 
 from . import catalog as cat
-from . import liealg
 from .errors import (ConfigError, ExprSyntaxError, HololabError, NotClosed,
                      UnboundVariable, UnknownExample, UnknownIdentifier)
-from .experiments import run_closure_experiment
 from .manifold import (ConnectionKind, CoordinateChart, DensityField, MetricField,
                        WeightedManifold, metric_at, ricci_at)
 from .transport import (Loop, family_derivative, holonomy, holonomy_many,
@@ -452,7 +450,8 @@ def cmd_holonomy(args):
                             det=float(np.linalg.det(h.matrix)),
                             est_error=h.est_error, steps_used=h.steps_used)
                 if include_log:
-                    item["log"] = liealg.mat_log(h.matrix).tolist()
+                    from .liealg import mat_log  # only here, as the other commands do not need it
+                    item["log"] = mat_log(h.matrix).tolist()
                 if args.plot:
                     item["plot_csv"] = _write_plot_csv(args.plot, i, M, h)
             except HololabError as exc:
@@ -496,6 +495,7 @@ def _write_plot_csv(prefix, index, M, h):
 
 
 def cmd_algebra(args):
+    from .experiments import run_closure_experiment  # imports liealg; no other command does
     config = _load_config(args.config)
     seed = _resolve_seed(config)
     _check_report_path(config, args)

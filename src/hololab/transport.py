@@ -269,14 +269,14 @@ def _rk4_steps(A_half, h):
     A2 = A_half[..., 1::2, :, :]
     A3 = A_half[..., 2::2, :, :]
     eye = np.eye(A_half.shape[-1])
-    # K1 + 2 K2 + 2 K3 + K4 summed in that order, in place, so that at most
-    # two stage-sized arrays are held besides the sum
+    # K1 + 2 K2 + 2 K3 + K4 summed in that order, in place, and a later stage's
+    # I + c K formed in K (c K + I rounds alike): two stage arrays at most besides the sum
     K = A2 @ (eye + (h / 2) * A1)
     out = 2 * K
     out += A1
-    K = A2 @ (eye + (h / 2) * K)
+    K = A2 @ np.add(np.multiply(K, h / 2, out=K), eye, out=K)
     out += 2 * K
-    out += A3 @ (eye + h * K)
+    out += A3 @ np.add(np.multiply(K, h, out=K), eye, out=K)
     out *= h / 6
     out += eye
     return out
