@@ -450,7 +450,7 @@ def cmd_holonomy(args):
                             det=float(np.linalg.det(h.matrix)),
                             est_error=h.est_error, steps_used=h.steps_used)
                 if include_log:
-                    from .liealg import mat_log  # only here, as the other commands do not need it
+                    from .liealg import mat_log  # only the commands that take logs compile liealg
                     item["log"] = mat_log(h.matrix).tolist()
                 if args.plot:
                     item["plot_csv"] = _write_plot_csv(args.plot, i, M, h)
@@ -495,7 +495,7 @@ def _write_plot_csv(prefix, index, M, h):
 
 
 def cmd_algebra(args):
-    from .experiments import run_closure_experiment  # imports liealg; no other command does
+    from .experiments import run_closure_experiment  # the other commands do not compile it
     config = _load_config(args.config)
     seed = _resolve_seed(config)
     _check_report_path(config, args)
