@@ -387,6 +387,14 @@ def _paren(s):
     return f"({s})"
 
 
+def _values(sources, chart, pts):
+    """(k, m) values of k expression strings at the (m, n) points, from one
+    pass of one program."""
+    program = ex.Program([ex.parse(s) for s in sources])
+    return np.stack([np.broadcast_to(v, len(pts))
+                     for v in ex.eval_expr(program, chart.env(pts))])
+
+
 def levi_civita_pair(phis, As, domain, coord_names=None, name="lc_pair",
                      periodicity=None) -> CatalogEntry:
     """Entry built from eigenfunctions phi_i(x_i) and weights A_i(x_i).
@@ -411,17 +419,12 @@ def levi_civita_pair(phis, As, domain, coord_names=None, name="lc_pair",
 
     box = chart.sample_box()
     grid = grid_points(box, per_axis=5)
-    env = chart.env(grid)
-    phi_vals = np.stack([np.broadcast_to(np.asarray(
-        ex.eval_expr(ex.parse(s), env), dtype=float), (grid.shape[0],))
-        for s in phi_src])
+    phi_vals = _values(phi_src, chart, grid)
     for i in range(n - 1):
         if not (phi_vals[i] < phi_vals[i + 1]).all():
             raise OrderingViolated(
                 f"phi_{i + 1} < phi_{i + 2} fails on the sample grid")
-    a_vals = np.stack([np.broadcast_to(np.asarray(
-        ex.eval_expr(ex.parse(s), env), dtype=float), (grid.shape[0],))
-        for s in a_src])
+    a_vals = _values(a_src, chart, grid)
     if np.abs(a_vals).min() <= 1e-12:
         raise OrderingViolated("some A_i vanishes on the sample grid")
 
@@ -433,21 +436,16 @@ def levi_civita_pair(phis, As, domain, coord_names=None, name="lc_pair",
     g_diag = [f"{_paren(pi_i(i))}*{_paren(a_src[i])}" for i in range(n)]
     prod_phi = "*".join(_paren(s) for s in phi_src)
     center = np.array([(lo + hi) / 2 for lo, hi in box])
-    cenv = chart.env(center[None, :])
-    prod_sign = 1.0 if float(np.asarray(
-        ex.eval_expr(ex.parse(prod_phi), cenv), dtype=float).ravel()[0]) > 0 else -1.0
-    sgn = "" if prod_sign > 0 else "-"
-    phi_total = f"(1/2)*log({sgn}({prod_phi}))"
-
     gt_diag_raw = [f"{g_diag[i]}/({_paren(prod_phi)}*{_paren(phi_src[i])})"
                    for i in range(n)]
-    lead = float(np.asarray(ex.eval_expr(ex.parse(gt_diag_raw[0]), cenv),
-                            dtype=float).ravel()[0])
-    overall = 1.0 if lead > 0 else -1.0
+    # prod phi and the companion's raw diagonal at the center; an entry's
+    # sign flips with the overall one, exactly
+    prod_val, *gt_raw = _values([prod_phi] + gt_diag_raw, chart, center[None, :])[:, 0]
+    sgn = "" if prod_val > 0 else "-"
+    phi_total = f"(1/2)*log({sgn}({prod_phi}))"
+    overall = 1.0 if gt_raw[0] > 0 else -1.0
     gt_diag = [f"{'-' if overall < 0 else ''}({s})" for s in gt_diag_raw]
-    gt_vals = np.stack([np.broadcast_to(np.asarray(
-        ex.eval_expr(ex.parse(s), cenv), dtype=float), (1,)) for s in gt_diag])
-    p_tilde = int((gt_vals > 0).sum())
+    p_tilde = int(sum(overall * v > 0 for v in gt_raw))
     q_tilde = n - p_tilde
 
     # primary signature: P_i > 0 under the ordering, so the sign of g_ii is

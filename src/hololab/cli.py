@@ -508,6 +508,10 @@ def cmd_algebra(args):
                           "for a custom manifold, got true")
     n_random = _integer(aspec.get("random_loops", 40 if not loops else 0),
                         "algebra.random_loops", 0)
+    for key in ("region", "basepoint"):
+        if key in aspec and not n_random:
+            raise ConfigError(f"algebra.{key} applies only to random loops, "
+                              "and none are drawn (algebra.random_loops is 0)")
     _check_keys(config, _CONFIG_KEYS["algebra"].split())
     if n_random:
         region = aspec.get("region")
@@ -591,6 +595,9 @@ def cmd_verify(args):
                               f"known: {list(verify.CHECK_NAMES)}")
     mspec = _object(config.get("manifold", {}), "manifold")
     if "custom" in mspec:
+        if "entries" in config:
+            raise ConfigError("entries does not apply beside manifold.custom, "
+                              "the one manifold verified")
         M = _build_custom_manifold(mspec["custom"])
         region = config.get("region")
         region = (M.chart.sample_box() if region is None
@@ -598,6 +605,9 @@ def cmd_verify(args):
         basepoint = np.array([(lo + hi) / 2 for lo, hi in region])
         entries = [cat.CatalogEntry(name=M.name, manifold=M, basepoint=basepoint,
                                     sample_region=tuple(tuple(r) for r in region))]
+    elif "region" in config:
+        raise ConfigError("region applies only to manifold.custom; "
+                          "a catalog entry samples its own region")
     elif "entries" in config:
         entries = [cat.get_entry(name) for name in _strings(config["entries"], "entries")]
     else:

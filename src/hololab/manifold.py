@@ -10,17 +10,17 @@ torsion-free connections live on it:
 the last two being dual to each other with respect to h = e^{-phi} g.
 
 Metric entries and the density are expressions (``expr``), differentiated
-exactly in forward mode, in batch over (m, n) point arrays.  Geometry is
-evaluated as first-order jets: ``jet(pts)`` returns a field's values with
-all its coordinate partials.  An expression field records which
-coordinates its expression contains; its partials in the others are
-exactly 0 and are never computed.  Fields are evaluated together in one
-jet pass: ``expr.eval_dual`` runs one ``expr.Program`` of their
-expressions, which computes a subexpression that they share once, and
-``_Pass.jets`` writes their rows into one (k, n + 1, m) array J, point
-axis last.  A metric's pass has its ``slots`` (every diagonal entry of a
-diagonal metric, else those that are not the literal 0), a manifold's
-those entries and the density: the geometry's pass.
+exactly in forward mode, in batch over (m, n) point arrays.  A field is a
+record of its expression and of the coordinates that it contains; its
+partials in the others are exactly 0 and are never computed.  A manifold
+evaluates its fields by two programs (``_Pass``), each one
+``expr.Program``, which computes a subexpression that its expressions
+share once: the metric's, of its ``slots`` (every diagonal entry of a
+diagonal metric, else those that are not the literal 0), which the
+Levi-Civita connection, ``matrices`` and validation run; and the
+geometry's, of those entries and then the density, which everything that
+reads phi runs.  A jet pass writes their rows into one (k, n + 1, m)
+array J, point axis last (``_Pass.jets``).
 
 ``christoffel_many`` is the one coefficient kernel.  Each call runs one
 jet pass: the geometry's, or the metric's alone for the Levi-Civita
@@ -185,7 +185,8 @@ def grid_points(box, per_axis=3):
 # ---------------------------------------------------------------------------
 
 class ExprScalarField:
-    """Scalar field backed by an expression AST; derivatives are exact.
+    """Scalar field backed by an expression AST; a manifold's programs
+    evaluate it.
 
     ``axes`` lists the coordinates the expression contains; the partials
     in every other coordinate are exactly 0.
@@ -201,28 +202,12 @@ class ExprScalarField:
         self.expression = expression
         self.chart = chart
         self.axes = tuple(i for i, name in enumerate(chart.coord_names) if name in free)
-        self.constant = not free  # every partial derivative is exactly 0
-
-    @functools.cached_property
-    def _pass(self):
-        return _Pass(self.chart, [self])
-
-    def values(self, pts):
-        env = self.chart.env(pts)
-        out, = ex.eval_expr(self._pass.program, env)
-        return np.broadcast_to(np.asarray(out, dtype=float),
-                               (np.atleast_2d(pts).shape[0],)).copy()
-
-    def jet(self, pts):
-        """(m,) values and (m, n) gradient from one forward-mode pass."""
-        J = self._pass.jets(np.atleast_2d(np.asarray(pts, dtype=float)))
-        return J[0, 0], J[0, 1:].T
 
 
 class _Pass:
     """Scalar fields on one chart lowered into one ``expr.Program``, their
-    expressions in order.  Called on (m, n) points it runs one forward-mode
-    pass and returns the fields' jet rows as one flat list, in the order
+    expressions in order: a manifold's metric's or geometry's program.
+    Called on (m, n) points it runs one forward-mode pass and returns the fields' jet rows as one flat list, in the order
     of ``rows``: field f's values (f, 0), then its partials in its own
     ``axes`` (f, 1 + a), a constant as a scalar.  ``jets`` lays them out
     in a (k, n + 1, m) array J, its other rows 0.  Some field contains
@@ -259,9 +244,8 @@ class _Pass:
 class MetricField:
     """Symmetric bilinear field with declared signature (p, q).
 
-    ``varying`` lists the upper-triangle entries (i, j) that are not
-    variable-free, ``nonzero`` those that are not the literal 0;
-    ``diagonal`` is true when every off-diagonal entry is the literal 0.
+    ``nonzero`` lists the upper-triangle entries (i, j) that are not the
+    literal 0; ``diagonal`` is true when every off-diagonal entry is.
     ``slots`` are the entries that the metric's pass evaluates: every
     (a, a) of a diagonal metric, else ``nonzero``.  All are fixed at
     construction from the entries' ASTs.
@@ -275,8 +259,6 @@ class MetricField:
         self.chart = chart
         self.entries = entry_fields  # n x n nested list of scalar fields (symmetric)
         self.signature = (p, q)
-        self.varying = tuple((i, j) for i in range(n) for j in range(i, n)
-                             if not entry_fields[i][j].constant)
         self.nonzero = tuple((i, j) for i in range(n) for j in range(i, n)
                              if entry_fields[i][j].expression != ex.Num(0.0))
         self.diagonal = all(i == j for i, j in self.nonzero)
@@ -307,12 +289,16 @@ class MetricField:
     # -- evaluation --------------------------------------------------------
 
     def matrices(self, pts):
-        """(m, n, n) metric values from one plain pass over its ``slots``;
-        symmetry is structural."""
+        """(m, n, n) metric values from one plain pass over its ``slots``."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        m, n = pts.shape[0], self.chart.dim
+        return self._assemble(ex.eval_expr(self._pass.program, self.chart.env(pts)), len(pts))
+
+    def _assemble(self, values, m):
+        """(m, n, n) matrices from the values of ``slots`` at m points, in
+        order; symmetry is structural."""
+        n = self.chart.dim
         g = np.zeros((m, n, n))
-        for (i, j), v in zip(self.slots, ex.eval_expr(self._pass.program, self.chart.env(pts))):
+        for (i, j), v in zip(self.slots, values):
             g[:, i, j] = v
             g[:, j, i] = v
         return g
@@ -322,19 +308,14 @@ class MetricField:
         """The entries of ``slots``, in order."""
         return _Pass(self.chart, [self.entries[i][j] for i, j in self.slots])
 
-    def jet(self, pts):
-        """(m, n, n) values g and (m, n, n, n) partials d_l g_ij, index order
-        [l, i, j], from one pass over its ``slots``."""
-        return self._unpack(self._pass.jets(np.atleast_2d(np.asarray(pts, dtype=float))), False)
-
-    def _unpack(self, J, diagonal):
+    def _unpack(self, J):
         """(g, d g) from the ``_Pass.jets`` J of a pass whose first outputs
         are the entries of ``slots``: if ``diagonal``, (n, m) values g_aa and
         (n, n, m) partials D[a, l] = d_l g_aa, views of J, point axis last;
         else the dense (m, n, n) values and (m, n, n, n) partials d_l g_ij,
         index order [l, i, j]."""
         n, m = self.chart.dim, J.shape[2]
-        if diagonal:
+        if self.diagonal:
             return J[:n, 0], J[:n, 1:]
         i, j = np.array(self.slots).T
         g, dg = np.zeros((m, n, n)), np.zeros((m, n, n, n))
@@ -364,7 +345,7 @@ class MetricField:
 
 
 class DensityField:
-    """The weight function phi of the triple (M, g, phi)."""
+    """The weight function phi of the triple (M, g, phi); see ``density_jet``."""
 
     def __init__(self, scalar_field):
         self.field = scalar_field
@@ -377,16 +358,6 @@ class DensityField:
     @classmethod
     def zero(cls, chart):
         return cls(ExprScalarField(ex.Num(0.0), chart))
-
-    def values(self, pts):
-        return self.field.values(pts)
-
-    def jet(self, pts):
-        """(m,) values phi and (m, n) rows of coordinate partials d_i phi;
-        DensityOverflow at the first point where any is not finite."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        J = _require_finite_density(pts, "phi or its gradient", self.field._pass.jets(pts)[0])
-        return J[0], J[1:].T
 
 
 def _require_finite_density(pts, what, a):
@@ -440,12 +411,23 @@ def weighted_metric_at(M: WeightedManifold, x) -> np.ndarray:
 
 
 def weighted_metrics_at(M: WeightedManifold, pts) -> list:
-    """``weighted_metric_at`` at each of the (m, n) points, from one pass
-    of the density and one of the metric; e^{-phi} is taken by math.exp,
-    point by point."""
+    """``weighted_metric_at`` at each of the (m, n) points, from one value
+    pass of the geometry's program: a metric entry's DomainError comes
+    before the density's.  e^{-phi} is taken by math.exp, point by point."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
     M.chart.require_inside(pts)
-    scales = [math.exp(-phi) for phi in M.density.values(pts)]
-    return [s * g for s, g in zip(scales, M.metric.matrices(pts))]
+    *slots, phi = ex.eval_expr(M._pass.program, M.chart.env(pts))
+    scales = [math.exp(-p) for p in np.broadcast_to(phi, len(pts))]
+    return [s * g for s, g in zip(scales, M.metric._assemble(slots, len(pts)))]
+
+
+def density_jet(M: WeightedManifold, pts):
+    """(m,) values phi and (m, n) rows of coordinate partials d_i phi at
+    each of the (m, n) points, from one pass of the geometry's program;
+    DensityOverflow at the first point where any is not finite."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    J = _require_finite_density(pts, "phi or its gradient", M._pass.jets(pts)[-1])
+    return J[0], J[1:].T
 
 
 def _require_nonsingular(pts, dets, finite=None):
@@ -588,9 +570,9 @@ def _jets(M, pts, density):
         J = (M if density else metric)._pass.jets(pts)
     except DomainError:
         if density:  # the metric's pass raises the error if it is a metric entry's
-            _inverse_metric(metric._unpack(metric._pass.jets(pts), metric.diagonal)[0], pts)
+            _inverse_metric(metric._unpack(metric._pass.jets(pts))[0], pts)
         raise
-    g, dg = metric._unpack(J, metric.diagonal)
+    g, dg = metric._unpack(J)
     # a dense metric's jets are copies: its J is freed before the inverse
     phi = J[-1] if metric.diagonal else J[-1].copy() if density else None
     del J

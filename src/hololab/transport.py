@@ -114,7 +114,7 @@ import numpy as np
 from .errors import (EmptyRegion, FamilyNotTrivial, NotClosed, NotTotallyGeodesic,
                      OutOfDomain, StepUnderflow)
 from .manifold import (ConnectionKind, WeightedManifold, christoffel_many,
-                       restrict_manifold)
+                       density_jet, restrict_manifold)
 
 DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
@@ -170,7 +170,7 @@ def rectangle_loop(corner, axis_a, axis_b, extent_a, extent_b, basepoint=None):
     e1 = np.zeros_like(corner); e1[axis_a] = extent_a
     e2 = np.zeros_like(corner); e2[axis_b] = extent_b
     ring = [corner, corner + e1, corner + e1 + e2, corner + e2, corner]
-    if basepoint is None or np.allclose(basepoint, corner):
+    if basepoint is None or np.array_equal(basepoint, corner):
         return Loop(segments=polyline_segments(ring), basepoint=corner)
     base = np.asarray(basepoint, dtype=float)
     pts = [base] + ring + [base]
@@ -902,7 +902,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
 
     fixed = {j: float(fixed_values[j]) for j in normal}
     sub = restrict_manifold(N, free, fixed)
-    base_phi = float(N.density.values(np.atleast_2d(loop.basepoint))[0])
+    base_phi = float(density_jet(N, loop.basepoint)[0][0])
     s = len(free)
     d = s + N.dim
 
@@ -913,7 +913,7 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         A[:, :s, :s] = -christoffel_many(sub, ConnectionKind.WEIGHTED, pos[:, free],
                                          sub_vel)
         # source: lambda(t) * sigma'_tangent (x) dphi acting on the normal flow
-        phi, dphi = N.density.jet(pos)
+        phi, dphi = density_jet(N, pos)
         lam = np.exp(phi - base_phi)
         A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
         return A

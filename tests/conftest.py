@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -9,6 +10,31 @@ from hololab import catalog, expr, transport
 # a slow shared host must not turn a passing example into a failure
 settings.register_profile("hololab", derandomize=True, deadline=None)
 settings.load_profile("hololab")
+
+
+def expression_jet(expression, env, names, m):
+    """(1 + len(names), m) value and partials of an expression, each from
+    its own per-expression evaluation: ``expr.eval_expr`` for the value and
+    the single-name ``expr.eval_dual`` for the partial in each of
+    ``names``; a program's jet rows equal these bit for bit."""
+    return np.stack([np.broadcast_to(np.asarray(expr.eval_expr(expression, env), float), m)]
+                    + [np.broadcast_to(np.asarray(expr.eval_dual(expression, env, name)[1],
+                                                  float), m) for name in names])
+
+
+def reference_jets(M, pts):
+    """(m, n, n) g, (m, n, n, n) d g, index order [l, i, j], (m,) phi and
+    (m, n) d phi of a weighted manifold at (m, n) points, every field by
+    ``expression_jet``: reference inputs that read none of its programs."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    (m, n), env, names = pts.shape, M.chart.env(pts), M.chart.coord_names
+    g, dg = np.zeros((m, n, n)), np.zeros((m, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            J = expression_jet(M.metric.entries[i][j].expression, env, names, m)
+            g[:, i, j], dg[:, :, i, j] = J[0], J[1:].T
+    J = expression_jet(M.density.field.expression, env, names, m)
+    return g, dg, J[0], J[1:].T
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from hololab import catalog
 from hololab.errors import BadDimension, BadSignature, OrderingViolated, UnknownExample
-from hololab.manifold import ConnectionKind, christoffel_many, metric_at
+from hololab.manifold import ConnectionKind, christoffel_many, density_jet, metric_at
 from hololab.transport import holonomy, random_rectangle_loops
 
 W = ConnectionKind.WEIGHTED
@@ -23,9 +23,9 @@ def test_latitude_constant_against_root_finder(sphere2):
 
 
 def test_sphere_densities_and_charts(sphere2, sphere3):
-    dphi = sphere2.manifold.density.jet(np.array([[math.pi / 2, 0.3]]))[1][0]
+    dphi = density_jet(sphere2.manifold, [math.pi / 2, 0.3])[1][0]
     assert dphi[0] == pytest.approx(-1.0)
-    phi = sphere2.manifold.density.values(np.array([[math.pi / 2, 0.1]]))[0]
+    phi = density_jet(sphere2.manifold, [math.pi / 2, 0.1])[0][0]
     assert phi == pytest.approx(0.0, abs=1e-15)
     assert sphere2.manifold.chart.periodicity[-1] == pytest.approx(2 * math.pi)
     g = metric_at(sphere3.manifold, [1.0, 0.5, 2.0])
@@ -36,7 +36,7 @@ def test_sphere_densities_and_charts(sphere2, sphere3):
 
 
 def test_triangular_values(tri2, tri3):
-    assert tri3.manifold.density.values(np.zeros((1, 3)))[0] == 0.0
+    assert density_jet(tri3.manifold, np.zeros(3))[0][0] == 0.0
     g = metric_at(tri3.manifold, [0.1, 0.2, 0.3])
     expected = [math.exp(0.1), math.exp(0.2 + 0.2), math.exp(0.2 + 0.4 + 0.3)]
     assert np.allclose(np.diag(g), expected, rtol=1e-14)
@@ -55,7 +55,7 @@ def test_triangular_loops_are_unit_upper_triangular(tri3):
 
 
 def test_so11_values(so11):
-    phi = so11.manifold.density.values(np.array([[0.7, math.pi / 2]]))[0]
+    phi = density_jet(so11.manifold, [0.7, math.pi / 2])[0][0]
     assert phi == pytest.approx(0.5 * math.log(2), rel=1e-15)
     gt = metric_at(so11.companion, [0.0, 0.0])
     assert np.allclose(gt, np.diag([4 / 3, -4 / 9]), rtol=1e-14)
@@ -115,11 +115,20 @@ def test_so_pq_parameters_and_signature():
     assert e11.constants["companion_signature"] == (1, 1)
 
 
+def test_building_so_pq_compiles_one_program_per_evaluation_site(program_passes):
+    """so_pq(1,2) runs one value pass for each place where it evaluates:
+    its phi_i and its A_i on the sample grid, prod phi and the companion's
+    raw diagonal at the center, and each metric's validation; no more than
+    5 of its passes compile (one program per expression string made 13)."""
+    catalog.so_pq_example(1, 2)
+    assert sum(compiled for _, _, compiled in program_passes) <= 5
+
+
 def test_so_pq_density_value():
     # at x_n = pi/2 the varying eigenfunction equals the ambient dimension
     e = catalog.so_pq_example(1, 2)
     pt = np.array([[0.0, 0.0, math.pi / 2]])
-    phi = e.manifold.density.values(pt)[0]
+    phi = density_jet(e.manifold, pt)[0][0]
     assert phi == pytest.approx(0.5 * math.log(abs(-1.0 * 1.0 * 3.0)), rel=1e-12)
 
 

@@ -274,6 +274,28 @@ def test_unknown_config_keys_exit_2_before_any_integration(tmp_path, capsys, ker
     assert kernel_calls == []
 
 
+@pytest.mark.parametrize("command,doc,message", [
+    ("verify", {"entries": ["borel2d"], "region": [[-1, 1], [-1, 1]]},
+     "region applies only to manifold.custom; a catalog entry samples its own region"),
+    ("verify", {"manifold": {"custom": PLANE}, "entries": ["borel2d"]},
+     "entries does not apply beside manifold.custom, the one manifold verified"),
+    ("algebra", {"manifold": BOREL, "loops": [{"rect": SQUARE}],
+                 "algebra": {"region": [[-1, 1], [-1, 1]]}},
+     "algebra.region applies only to random loops, and none are drawn "
+     "(algebra.random_loops is 0)"),
+    ("algebra", {"manifold": BOREL, "algebra": {"random_loops": 0, "basepoint": [0, 0]}},
+     "algebra.basepoint applies only to random loops, and none are drawn "
+     "(algebra.random_loops is 0)"),
+])
+def test_config_keys_that_cannot_apply_exit_2(tmp_path, capsys, kernel_calls,
+                                              command, doc, message):
+    """A known key that the rest of the config leaves unread is an error,
+    not silently dropped."""
+    assert run([command, write_config(tmp_path, "c.json", doc)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert kernel_calls == []
+
+
 def test_integral_float_steps_read_as_an_integer(tmp_path):
     results = []
     for steps in (20, 20.0):

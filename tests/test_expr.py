@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hololab import expr as ex
 from hololab.errors import (DomainError, ExprSyntaxError, UnboundVariable,
                             UnknownIdentifier)
-from hololab.manifold import CoordinateChart, ExprScalarField
+from hololab.manifold import CoordinateChart, ExprScalarField, _Pass
 
 
 def ev(src, **env):
@@ -238,10 +238,11 @@ JET_POINTS = np.random.default_rng(0).uniform(-1.0, 1.5, (7, 3))
         st.builds(ex.Call, st.sampled_from(sorted(ex._CALL_TABLE)), leaf)),
     max_leaves=12))
 def test_jet_equals_per_coordinate_duals(tree):
-    """One vector-dual pass gives the plain value and, row by row, the
-    single-coordinate partials, equal as floats (an exact zero may differ in
-    sign); it raises DomainError exactly where plain evaluation does."""
-    field = ExprScalarField(tree, JET_CHART)
+    """One vector-dual pass of a one-field program gives the plain value
+    and, row by row, the single-coordinate partials, equal as floats (an
+    exact zero may differ in sign); it raises DomainError exactly where
+    plain evaluation does."""
+    one = _Pass(JET_CHART, [ExprScalarField(tree, JET_CHART)])
     env = JET_CHART.env(JET_POINTS)
     m = len(JET_POINTS)
     with np.errstate(all="ignore"):
@@ -249,9 +250,9 @@ def test_jet_equals_per_coordinate_duals(tree):
             plain = ex.eval_expr(tree, env)
         except DomainError:
             with pytest.raises(DomainError):
-                field.jet(JET_POINTS)
+                one.jets(JET_POINTS)
             return
-        val, grad = field.jet(JET_POINTS)
+        val, *grad = one.jets(JET_POINTS)[0]
         ref = np.stack([np.broadcast_to(np.asarray(ex.eval_dual(tree, env, name)[1],
                                                    dtype=float), (m,))
                         for name in JET_CHART.coord_names], axis=1)
@@ -259,4 +260,4 @@ def test_jet_equals_per_coordinate_duals(tree):
     # 0 * inf in a seeded zero row is nan where a single pass has no row
     assume(np.isfinite(plain).all() and np.isfinite(ref).all())
     assert np.array_equal(val, plain)
-    assert np.array_equal(grad, ref)
+    assert np.array_equal(np.transpose(grad), ref)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import expression_jet, reference_jets
 
 from hololab import catalog
 from hololab import expr as ex
@@ -16,8 +17,8 @@ from hololab.manifold import (DET_FLOOR, ConnectionKind, CoordinateChart,
                               DensityField, ExprScalarField, MetricField,
                               WeightedManifold, _inverse_metric,
                               amari_chentsov_many, christoffel_derivative_many,
-                              christoffel_many, curvature_many, metric_at,
-                              nabla_h_many, ricci_at, weighted_metric_at,
+                              christoffel_many, curvature_many, density_jet,
+                              metric_at, nabla_h_many, ricci_at, weighted_metric_at,
                               weighted_metrics_at)
 
 E = math.e
@@ -76,7 +77,7 @@ def test_weighted_metrics_at_equal_one_point_evaluations():
 def test_conformal_metric_at(tri2):
     # e^{-2 phi} g, the metric of the dual triple, is e^{-phi} h
     def conformal_metric_at(M, x):
-        phi = M.density.values(np.array([x], dtype=float))[0]
+        phi = density_jet(M, x)[0][0]
         return math.exp(-phi) * weighted_metric_at(M, x)
 
     M = tri2.manifold  # metric diag(e^x, e^{2x+y}), phi = x+y
@@ -89,9 +90,9 @@ def test_conformal_metric_at(tri2):
 
 
 def test_dphi_at(sphere2, tri2):
-    # d phi at one point, from the density's gradient pass
+    # d phi at one point, from the geometry's jet pass
     def dphi_at(M, x):
-        return M.density.jet(np.array([x], dtype=float))[1][0]
+        return density_jet(M, x)[1][0]
 
     assert np.allclose(dphi_at(tri2.manifold, [0.3, -0.7]), [1.0, 1.0], rtol=1e-14)
     assert np.allclose(dphi_at(euclidean("5"), [0.1, 0.2]), [0.0, 0.0])
@@ -155,7 +156,7 @@ def test_covariant_derivative_metric_compatibility(sphere2):
     M = sphere2.manifold
     pts = sphere2.random_points(5, seed=1)
     h = np.array(weighted_metrics_at(M, pts))
-    dphi = M.density.jet(pts)[1]
+    dphi = reference_jets(M, pts)[3]
     T = nabla_h_many(M, LC, pts)
     assert np.abs(T + np.einsum('mi,mjk->mijk', dphi, h)).max() < 1e-8
 
@@ -196,7 +197,7 @@ def test_weighted_ricci_is_levi_civita_ricci_plus_hessian_terms(entry):
         for b in range(n):
             d2phi[:, a, b] = ex.eval_dual2(M.density.field.expression, env,
                                            names[a], names[b])[3]
-    dphi = M.density.jet(pts)[1]
+    dphi = reference_jets(M, pts)[3]
     hess = d2phi - np.einsum('mkab,mk->mab', christoffel_many(M, LC, pts), dphi)
     ric_w, ric_lc = (np.einsum('miijk->mjk', curvature_many(M, kind, pts)) for kind in (W, LC))
     expected = ric_lc + (n - 1) * (hess + np.einsum('ma,mb->mab', dphi, dphi))
@@ -288,19 +289,16 @@ def test_chart_invariants():
 def reference_christoffel(M, kind, pts):
     """Full Gamma by the textbook assembly: LAPACK det/inv, the (m, n, n, n)
     array c_aij and each correction as its own (m, n, n, n) array."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    g = M.metric.matrices(pts)
+    g, dg, _, grad_phi = reference_jets(M, pts)
     dets = np.linalg.det(g)
     if np.abs(dets).min() <= DET_FLOOR:
         k = int(np.abs(dets).argmin())
         raise SingularMetric(tuple(pts[k]), dets[k])
     ginv = np.linalg.inv(g)
-    dg = M.metric.jet(pts)[1]
     c = (np.einsum('miaj->maij', dg) + np.einsum('mjai->maij', dg) - dg)
     gamma = 0.5 * np.einsum('mka,maij->mkij', ginv, c)
     if kind == LC:
         return gamma
-    grad_phi = M.density.jet(pts)[1]
     eye = np.eye(M.dim)
     if kind == W:
         return gamma - (np.einsum('mi,kj->mkij', grad_phi, eye)
@@ -408,10 +406,9 @@ def test_golden_weighted_christoffel_tables_keep_their_signed_zeros(name, zeros)
 
 def test_constant_entries_are_recorded(sphere2):
     metric = sphere2.manifold.metric  # diag(1, sin(r)^2)
-    assert metric.diagonal and metric.varying == ((1, 1),)
+    assert metric.diagonal
     full = full_metric_3d().manifold.metric
     assert not full.diagonal
-    assert (0, 2) not in full.varying and len(full.varying) == 5
 
 
 @pytest.mark.parametrize("entries,diagonal,singular_at", [
@@ -439,41 +436,38 @@ def test_runtime_singular_metric_detection(entries, diagonal, singular_at):
 # Field jets and the single factorization
 # ---------------------------------------------------------------------------
 
-def _fields(M):
-    n = M.dim
-    return ([M.metric.entries[i][j] for i in range(n) for j in range(i, n)]
-            + [M.density.field])
-
-
 @pytest.mark.parametrize("entry", catalog.default_entries(), ids=lambda e: e.name)
 def test_jet_equals_per_coordinate_duals_on_catalog(entry):
+    """Every row of the geometry's and the metric's jet pass, of the entry
+    and of its companion, has the bits of the single-name dual of its
+    field's expression, the value that of plain evaluation: the rows that
+    the pass does not compute are 0 there too."""
     pts = entry.random_points(30, seed=9)
     env = entry.manifold.chart.env(pts)
     names = entry.manifold.chart.coord_names
-    models = [entry.manifold] + ([entry.companion] if entry.companion else [])
-    for field in (f for M in models for f in _fields(M)):
-        assert isinstance(field, ExprScalarField)
-        val, grad = field.jet(pts)
-        assert val.shape == (30,) and grad.shape == (30, len(names))
-        assert np.array_equal(val, field.values(pts))
-        for i, name in enumerate(names):
-            _, d = ex.eval_dual(field.expression, env, name)
-            assert np.array_equal(grad[:, i], np.broadcast_to(d, (30,)))
+    for M in filter(None, (entry.manifold, entry.companion)):
+        assert all(isinstance(f, ExprScalarField) for row in M.metric.entries for f in row)
+        for one in (M._pass, M.metric._pass):
+            J = one.jets(pts)
+            assert J.shape == (len(one.program.exprs), len(names) + 1, 30)
+            for jet, expression in zip(J, one.program.exprs):
+                assert np.array_equal(jet, expression_jet(expression, env, names, 30))
 
 
 def test_metric_and_density_jets_match_their_views():
-    """Each field's own jet has the bits of its values and of the
-    geometry's one jet pass, which the tensors read."""
+    """The metric's jet pass and ``density_jet`` have the bits of their
+    value passes and of the geometry's one jet pass, which the tensors
+    read."""
     M = full_metric_3d().manifold
     pts = np.random.default_rng(2).uniform(-0.8, 0.8, (25, 3))
-    g, dg = M.metric.jet(pts)
+    g, dg = M.metric._unpack(M.metric._pass.jets(pts))
     assert np.array_equal(g, M.metric.matrices(pts))
     assert np.array_equal(dg, np.swapaxes(dg, 2, 3))
-    phi, dphi = M.density.jet(pts)
-    assert np.array_equal(phi, M.density.values(pts))
+    phi, dphi = density_jet(M, pts)
+    assert np.array_equal(phi, ex.eval_expr(M._pass.program, M.chart.env(pts))[-1])
     J = M._pass.jets(pts)
     assert all(np.array_equal(a, b) for a, b in zip(
-        (g, dg, phi, dphi), M.metric._unpack(J, False) + (J[-1, 0], J[-1, 1:].T)))
+        (g, dg, phi, dphi), M.metric._unpack(J) + (J[-1, 0], J[-1, 1:].T)))
 
 
 def _random_metrics(rng, n, m, signs):
@@ -639,6 +633,23 @@ def test_singular_metric_is_named_before_the_density_error():
     assert np.isfinite(christoffel_many(model("1+x^2", "log(x)"), LC, pts)).all()
 
 
+def test_weighted_metrics_at_names_a_metric_entry_before_the_density(program_passes):
+    """weighted_metrics_at keeps the kernel's order of errors, a metric
+    entry's DomainError before the density's, from one value pass of the
+    geometry's program."""
+    chart = CoordinateChart(dim=2, coord_names=("x", "y"))
+    metric = MetricField.from_expressions(chart, ["sqrt(x-1)", "1"], signature=(2, 0),
+                                          validate=False)
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "log(x)"))
+    pts = np.array([[0.5, 0.5], [0.0, 0.5]])  # each field fails at one point
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        weighted_metrics_at(M, pts)
+    assert [program for program, _, _ in program_passes] == [M._pass.program]
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        christoffel_many(M, W, pts)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
 def test_validate_reports_an_overflowing_metric_as_singular():
     chart = CoordinateChart(dim=2, coord_names=("x", "y"), domain=((-3, 3), (-3, 3)))
@@ -694,10 +705,11 @@ def test_christoffel_evaluates_each_varying_field_once(jet_passes, monkeypatch):
     assert all(ex.Num(0.0) not in exprs for exprs in compiled.values())
 
 
-def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
+def test_diagonal_kernel_skips_the_dense_jet():
     """A diagonal metric is evaluated from its diagonal jet alone, for every
     kind, with and without velocities; the second derivatives densify that
-    jet, with the bits of the dense one."""
+    jet, with the bits of the dense one, here from each entry's own
+    expression."""
     entry = catalog.sphere_with_density(4)
     pts = entry.random_points(20, seed=3)
     vel = np.random.default_rng(4).standard_normal(pts.shape)
@@ -705,12 +717,7 @@ def test_diagonal_kernel_skips_the_dense_jet(monkeypatch):
                        christoffel_many(entry.manifold, kind, pts, vel),
                        christoffel_derivative_many(entry.manifold, kind, pts))
                 for kind in (LC, W, DW)}
-    g, dg = entry.manifold.metric.jet(pts)
-
-    def dense_jet(self, pts):
-        raise AssertionError("the dense metric jet was evaluated")
-
-    monkeypatch.setattr(MetricField, "jet", dense_jet)
+    g, dg = reference_jets(entry.manifold, pts)[:2]
     for kind, (full, contracted, derivative) in expected.items():
         assert np.array_equal(christoffel_many(entry.manifold, kind, pts), full)
         assert np.array_equal(christoffel_many(entry.manifold, kind, pts, vel), contracted)

@@ -400,6 +400,16 @@ def test_family_derivative_step_underflow(sphere2, monkeypatch):
         family_derivative(sphere2.manifold, W, sphere2.families["beta"])
 
 
+def test_rectangle_loop_keeps_a_basepoint_near_its_corner():
+    """Only a basepoint equal to the corner bases the loop at the corner:
+    one 1e-6 away keeps its own place and its two spokes."""
+    at = rectangle_loop([1.0, 1.0], 0, 1, 0.3, 0.2, basepoint=[1.0, 1.0])
+    assert len(at.segments) == 4 and np.array_equal(at.basepoint, [1.0, 1.0])
+    near = rectangle_loop([1.0, 1.0], 0, 1, 0.3, 0.2, basepoint=[1.0 + 1e-6, 1.0])
+    assert len(near.segments) == 6 and np.array_equal(near.basepoint, [1.0 + 1e-6, 1.0])
+    assert np.array_equal(near.segments[0].start, [1.0 + 1e-6, 1.0])
+
+
 def test_random_rectangle_loops_deterministic(borel):
     a = random_rectangle_loops(borel.manifold, borel.sample_region, 5, seed=3)
     b = random_rectangle_loops(borel.manifold, borel.sample_region, 5, seed=3)

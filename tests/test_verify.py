@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import reference_jets
 
 from hololab import catalog, experiments, transport, verify
 from hololab.errors import OutOfDomain
@@ -49,11 +50,10 @@ def test_codazzi_on_catalog(sphere2, tri3):
 
 def reference_codazzi_tensors(M, x):
     """(nabla^w h, nabla^d h, D) at the point x, written out one point at a
-    time from the metric's and the density's own jets, with h = e^{-phi} g
-    and D the Amari-Chentsov tensor dphi (x) h, totally symmetrized."""
+    time from each field's own expression, with h = e^{-phi} g and D the
+    Amari-Chentsov tensor dphi (x) h, totally symmetrized."""
     pts = np.array([x], dtype=float)
-    (g,), (dg,) = M.metric.jet(pts)
-    (phi,), (dphi,) = M.density.jet(pts)
+    (g,), (dg,), (phi,), (dphi,) = reference_jets(M, pts)
     h = math.exp(-phi) * g
     dh = math.exp(-phi) * (dg - np.einsum('l,ij->lij', dphi, g))
     D = (np.einsum('i,jk->ijk', dphi, h) + np.einsum('j,ki->ijk', dphi, h)
@@ -86,7 +86,7 @@ def test_codazzi_batch_matches_pointwise_reference(monkeypatch):
 
 def test_codazzi_runs_only_the_geometrys_program(program_passes):
     """check_codazzi evaluates its three tensors from one jet pass of the
-    geometry's one program: never the metric's or the density's own."""
+    geometry's one program: never the metric's alone."""
     for entry in (catalog.borel_2d(), catalog.so_pq_example(1, 2)):
         program_passes.clear()
         assert verify.check_codazzi(entry, n_points=8, seed=1).passed
@@ -247,17 +247,19 @@ def test_planning_failure_is_raised_when_its_check_is_judged(lockstep_batches):
 
 
 @pytest.mark.parametrize("check", ["duality_pairing", "dual_vector_fields"])
-def test_path_checks_evaluate_the_weighted_metric_once(borel, monkeypatch, check):
-    """One density and one metric pass over the ends of all the paths."""
-    passes = []
-    values, matrices = DensityField.values, MetricField.matrices
-    monkeypatch.setattr(DensityField, "values",
-                        lambda self, pts: passes.append(("phi", len(pts))) or values(self, pts))
-    monkeypatch.setattr(MetricField, "matrices",
-                        lambda self, pts: passes.append(("g", len(pts))) or matrices(self, pts))
+def test_path_checks_evaluate_the_weighted_metric_once(borel, program_passes, monkeypatch,
+                                                      check):
+    """One value pass of the geometry's program over the ends of all the
+    paths, and no other value pass."""
+    ends = []
+    weighted = verify.weighted_metrics_at
+    monkeypatch.setattr(verify, "weighted_metrics_at",
+                        lambda M, pts: ends.append(len(pts)) or weighted(M, pts))
     report = getattr(verify, f"check_{check}")(borel, n_paths=5, steps=STEPS)
     assert report.samples == 5 and report.passed
-    assert passes == [("phi", 10), ("g", 10)]
+    assert ends == [10]
+    assert [(program, variant) for program, variant, _ in program_passes
+            if variant == (0,)] == [(borel.manifold._pass.program, (0,))]
 
 
 def test_non_finite_violation_fails_the_report():
