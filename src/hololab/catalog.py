@@ -88,31 +88,31 @@ class CatalogEntry:
         return lo + (hi - lo) * rng.random((count, len(lo)))
 
 
-def _table_check(name, table, count=20, seed=0, tol=1e-8):
+def _table_check(name, table):
     """Golden comparison of weighted Christoffels against a closed form."""
 
     def run(entry):
-        pts = entry.random_points(count, seed)
+        pts = entry.random_points(20, 0)
         computed = christoffel_many(entry.manifold, ConnectionKind.WEIGHTED, pts)
         expected = np.stack([table(p) for p in pts])
         return computed, expected
 
-    return GoldenCheck(name=name, tol=tol, run=run)
+    return GoldenCheck(name=name, tol=1e-8, run=run)
 
 
-def _loop_check(name, loop_key, expected, tol=1e-6):
+def _loop_check(name, loop_key, expected):
     def run(entry):
         h = holonomy(entry.manifold, ConnectionKind.WEIGHTED, entry.loops[loop_key])
         return h.matrix, expected
 
-    return GoldenCheck(name=name, tol=tol, run=run)
+    return GoldenCheck(name=name, tol=1e-6, run=run)
 
 
-def _ricci_check(name, point, expected, tol=1e-6):
+def _ricci_check(name, point, expected):
     def run(entry):
         return ricci_at(entry.manifold, ConnectionKind.WEIGHTED, point), expected
 
-    return GoldenCheck(name=name, tol=tol, run=run)
+    return GoldenCheck(name=name, tol=1e-6, run=run)
 
 
 def _family_check(name, family_key, expected, tol, rel):
@@ -124,16 +124,16 @@ def _family_check(name, family_key, expected, tol, rel):
     return GoldenCheck(name=name, tol=tol, run=run, rel=rel)
 
 
-def _projective_check(name, count=20, seed=3, tol=1e-7):
+def _projective_check(name):
     """Weighted Christoffels of (g, phi) vs Levi-Civita of the companion."""
 
     def run(entry):
-        pts = entry.random_points(count, seed)
+        pts = entry.random_points(20, 3)
         weighted = christoffel_many(entry.manifold, ConnectionKind.WEIGHTED, pts)
         lc = christoffel_many(entry.companion, ConnectionKind.LEVI_CIVITA, pts)
         return weighted, lc
 
-    return GoldenCheck(name=name, tol=tol, run=run)
+    return GoldenCheck(name=name, tol=1e-7, run=run)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdenti
 __all__ = [
     "Expr", "Num", "Const", "Var", "Neg", "BinOp", "Call",
     "Program", "parse", "to_source", "eval_expr", "eval_dual", "eval_dual2",
-    "substitute", "variables",
+    "variables",
 ]
 
 _FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "cosh", "sinh")
@@ -671,19 +671,6 @@ def eval_dual2(e, env: dict, wrt1: str, wrt2: str):
     results = [(val, *(np.zeros(np.shape(val)) if r is None else r for r in parts))
                for val, *parts in _results(e, (2, wrt1, wrt2), env)]
     return results if isinstance(e, Program) else results[0]
-
-
-def substitute(e: Expr, bindings: dict) -> Expr:
-    """Replace variables by numeric constants (used for coordinate slices)."""
-    if isinstance(e, Var) and e.name in bindings:
-        return Num(float(bindings[e.name]))
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, bindings))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, bindings), substitute(e.right, bindings))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, bindings))
-    return e
 
 
 def variables(e: Expr) -> set:

@@ -67,7 +67,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -145,11 +144,11 @@ class CoordinateChart:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return {name: pts[:, i] for i, name in enumerate(self.coord_names)}
 
-    def sample_box(self, width=2.0):
+    def sample_box(self):
         """A finite box inside the domain, used for validation grids.
 
-        Unbounded sides are clamped to +-width/2 around 0 (or just inside a
-        half-bounded edge).
+        Unbounded sides are clamped to +-1 around 0 (or to a width of 2 just
+        inside a half-bounded edge).
         """
         box = []
         for lo, hi in self.domain:
@@ -157,11 +156,11 @@ class CoordinateChart:
                 pad = 0.05 * (hi - lo)
                 box.append((lo + pad, hi - pad))
             elif math.isfinite(lo):
-                box.append((lo + 0.1, lo + 0.1 + width))
+                box.append((lo + 0.1, lo + 0.1 + 2.0))
             elif math.isfinite(hi):
-                box.append((hi - 0.1 - width, hi - 0.1))
+                box.append((hi - 0.1 - 2.0, hi - 0.1))
             else:
-                box.append((-width / 2, width / 2))
+                box.append((-1.0, 1.0))
         return tuple(box)
 
     def wrap_difference(self, a, b):
@@ -748,34 +747,3 @@ def codazzi_tensors_many(M: WeightedManifold, pts):
     jets = _jets(M, pts, True)
     return (_amari_chentsov(jets), _nabla_h(ConnectionKind.WEIGHTED, pts, jets),
             _nabla_h(ConnectionKind.DUAL_WEIGHTED, pts, jets))
-
-
-def restrict_manifold(M: WeightedManifold, free_indices: Sequence[int], fixed_values: dict) -> WeightedManifold:
-    """Coordinate slice {x_j = c_j for j not free} as its own manifold.
-
-    The fixed values are substituted into the entries' ASTs.  The induced
-    metric is the free-by-free block; the density is restricted.
-    Validation is skipped: the caller samples the slice.
-    """
-    free = list(free_indices)
-    names = [M.chart.coord_names[i] for i in free]
-    bindings = {M.chart.coord_names[j]: fixed_values[j]
-                for j in range(M.dim) if j not in free}
-    sub_chart = CoordinateChart(
-        dim=len(free),
-        coord_names=tuple(names),
-        periodicity=tuple(M.chart.periodicity[i] for i in free),
-        domain=tuple(M.chart.domain[i] for i in free),
-    )
-    entries = [[None] * len(free) for _ in free]
-    for a, i in enumerate(free):
-        for b, j in enumerate(free):
-            entries[a][b] = ex.substitute(M.metric.entries[i][j].expression, bindings)
-    p, q = M.metric.signature
-    sub_metric = MetricField.from_expressions(
-        sub_chart, entries, signature=(min(p, len(free)), len(free) - min(p, len(free))),
-        validate=False)
-    sub_density = DensityField.from_expression(
-        sub_chart, ex.substitute(M.density.field.expression, bindings))
-    return WeightedManifold(chart=sub_chart, metric=sub_metric, density=sub_density,
-                            name=f"{M.name}|slice" if M.name else "slice")

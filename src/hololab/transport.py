@@ -113,8 +113,7 @@ import numpy as np
 
 from .errors import (EmptyRegion, FamilyNotTrivial, NotClosed, NotTotallyGeodesic,
                      OutOfDomain, StepUnderflow)
-from .manifold import (ConnectionKind, WeightedManifold, christoffel_many,
-                       density_jet, restrict_manifold)
+from .manifold import ConnectionKind, WeightedManifold, christoffel_many, density_jet
 
 DEFAULT_ERROR_TARGET = 1e-10
 MIN_STEPS = 8          # coarse steps a step-controlled segment starts from
@@ -872,20 +871,29 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         [ induced weighted transport   sourced mixing block ]
         [            0                 ambient metric transport on normals ]
 
-    The mixing block transports each normal by the ambient metric
-    connection and feeds e^{phi(sigma(t)) - phi(p)} dphi(normal) sigma'
-    into the induced weighted equation.  The slice must be totally geodesic
-    and metric-orthogonal to the normal coordinate directions, both checked
-    to GEODESY_TOL at sample points along the loop.  The block system is
-    integrated like any transport (see ``path_transport_matrix`` for
-    ``steps`` and ``error_target``): step-controlled per segment unless
-    ``steps`` fixes the grid.
+    The induced block's coefficients are the tangent block of N's weighted
+    ones: on a totally geodesic slice metric-orthogonal to its coordinate
+    normals, the Gauss formula makes the induced Levi-Civita coefficients
+    the ambient ones' tangent block, and the weighted corrections read only
+    the tangential dphi.  Both conditions are checked to GEODESY_TOL at
+    sample points along the loop, and each segment's ends (so the whole
+    straight segment) to lie in the slice to ENDPOINT_TOL, or a ValueError
+    names the coordinate.  The mixing block transports each normal by the
+    ambient metric connection and feeds e^{phi(sigma(t)) - phi(p)}
+    dphi(normal) sigma' into the induced weighted equation.  The block
+    system is integrated like any transport (see ``path_transport_matrix``
+    for ``steps`` and ``error_target``): step-controlled per segment
+    unless ``steps`` fixes the grid.
     """
     free = sorted(int(i) for i in free_indices)
     normal = [j for j in range(N.dim) if j not in free]
     if not normal:
         raise ValueError("slice is the whole manifold")
     loop.validate(N.chart)
+    ends = np.array([p for seg in loop.segments for p in (seg.start, seg.end)])
+    for j in normal:
+        if np.abs(ends[:, j] - fixed_values[j]).max() > ENDPOINT_TOL:
+            raise ValueError(f"loop leaves the slice: coordinate {j} is not {fixed_values[j]}")
 
     # sample geodesy along the loop: Gamma^k_ij = 0 for i,j tangent, k normal
     probe_ts = np.linspace(0.05, 0.95, 20)
@@ -900,22 +908,18 @@ def predicted_block_transport(N: WeightedManifold, free_indices, fixed_values,
         raise NotTotallyGeodesic(
             f"coordinate normals not metric-orthogonal to the slice ({cross:.3e})")
 
-    fixed = {j: float(fixed_values[j]) for j in normal}
-    sub = restrict_manifold(N, free, fixed)
     base_phi = float(density_jet(N, loop.basepoint)[0][0])
     s = len(free)
     d = s + N.dim
 
     def coeffs(pos, vel):
-        sub_vel = vel[:, free]
         A = np.zeros((pos.shape[0], d, d))
         A[:, s:, s:] = _transport_matrices(N, ConnectionKind.LEVI_CIVITA, pos, vel)
-        A[:, :s, :s] = -christoffel_many(sub, ConnectionKind.WEIGHTED, pos[:, free],
-                                         sub_vel)
+        A[:, :s, :s] = -christoffel_many(N, ConnectionKind.WEIGHTED, pos, vel)[:, free][:, :, free]
         # source: lambda(t) * sigma'_tangent (x) dphi acting on the normal flow
         phi, dphi = density_jet(N, pos)
         lam = np.exp(phi - base_phi)
-        A[:, :s, s:] = lam[:, None, None] * sub_vel[:, :, None] * dphi[:, None, :]
+        A[:, :s, s:] = lam[:, None, None] * vel[:, free][:, :, None] * dphi[:, None, :]
         return A
     coeffs.chart = N.chart
 

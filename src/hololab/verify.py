@@ -13,13 +13,15 @@ judge turns the matrices into the CheckReport.  ``_judged`` integrates the
 requests of all the plans it is given as one ``path_transport_many`` batch
 per kind, direction and error target (the engine gives a segment the same
 bits in any batch), then judges each plan: a ``check_*`` function its own
-plan, ``default_suite`` all the plans of an entry.
+plan, ``default_suite`` all the plans of an entry.  The unimodularity and
+block checks have no ``check_*`` of their own: ``default_suite(...,
+checks=[name])`` runs one alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -54,15 +56,7 @@ class CheckReport:
     details: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "check_name": self.check_name,
-            "entry_name": self.entry_name,
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "tol": self.tol,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(check_name, entry_name, tol, violations):
@@ -83,14 +77,15 @@ def _report(check_name, entry_name, tol, violations):
     )
 
 
-def _random_open_paths(entry: CatalogEntry, count, seed, waypoints=2):
-    """Seeded random polyline paths (not loops) inside the sample region."""
+def _random_open_paths(entry: CatalogEntry, count, seed):
+    """Seeded random two-segment polyline paths (not loops) inside the
+    sample region."""
     rng = np.random.default_rng(seed)
     lo = np.array([a for a, _ in entry.sample_region])
     hi = np.array([b for _, b in entry.sample_region])
     paths = []
     for _ in range(count):
-        pts = lo + (hi - lo) * rng.random((waypoints + 1, len(lo)))
+        pts = lo + (hi - lo) * rng.random((3, len(lo)))
         paths.append(polyline_segments(pts))
     return paths
 
@@ -306,16 +301,6 @@ def _plan_totally_geodesic_blocks(entry, free_indices, fixed_values, loops, tol,
                  target, judge)
 
 
-def check_totally_geodesic_blocks(entry: CatalogEntry, free_indices, fixed_values,
-                                  loops, tol=CHECK_TOL, steps=None) -> CheckReport:
-    """Block-assembled prediction vs full ambient weighted holonomy, both
-    integrated to the same error target.  Each loop's prediction is a batch
-    of its own, integrated when the check is judged."""
-    plan = _plan_totally_geodesic_blocks(entry, free_indices, fixed_values, loops, tol,
-                                         steps)
-    return _judged(entry.manifold, steps, [plan])[0]
-
-
 def _plan_unimodularity(entry, n_loops, seed, tol, steps):
     loops = _loop_paths(entry, random_rectangle_loops(
         entry.manifold, entry.sample_region, n_loops, seed, basepoint=entry.basepoint))
@@ -325,13 +310,6 @@ def _plan_unimodularity(entry, n_loops, seed, tol, steps):
                       for k, P in enumerate(weighted)]
         return _report("unimodularity", entry.name, tol, violations)
     return _Plan(((ConnectionKind.WEIGHTED, False, loops),), _target(tol, steps), judge)
-
-
-def check_unimodularity(entry: CatalogEntry, n_loops=20, seed=5, tol=CHECK_TOL,
-                        steps=None) -> CheckReport:
-    """Weighted loop transports have unit determinant on orientable charts."""
-    plan = _plan_unimodularity(entry, n_loops, seed, tol, steps)
-    return _judged(entry.manifold, steps, [plan])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +327,7 @@ def default_suite(entries, seed=0, n_paths=20, n_loops=20, n_points=50,
     Entry by entry, the transports of all the checks are integrated as one
     batch per connection kind and direction: weighted vectors, then dual
     vectors, then dual covectors; each block prediction is a batch of its
-    own.  A report equals that of its ``check_*`` alone.  The first failure
+    own.  A report equals that of its plan judged alone.  The first failure
     is reported: one in the entry's batches comes first, since they are
     integrated before any check is judged; then the checks are judged in
     the order below, and a check's own failure, one in drawing its loops

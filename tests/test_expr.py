@@ -192,13 +192,6 @@ def test_printer_round_trip_property(tree):
     assert ex.parse(printed) == tree
 
 
-def test_substitute_binds_constants():
-    e = ex.parse("exp(x+2*z)")
-    bound = ex.substitute(e, {"z": 0.25})
-    assert ex.variables(bound) == {"x"}
-    assert ex.eval_expr(bound, {"x": 0.5}) == pytest.approx(math.exp(1.0), rel=1e-15)
-
-
 def test_eval_dual_tuple_stacks_partials():
     e = ex.parse("exp(2*x*y)+z")
     env = {"x": np.array([0.5, 1.0]), "y": np.array([0.25, -1.0]), "z": np.zeros(2)}

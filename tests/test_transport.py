@@ -12,7 +12,8 @@ from hololab.catalog import (ALPHA_DERIVATIVE, BETA_DERIVATIVE, BOREL_LOOP1_MATR
 from hololab.cli import _build_custom_manifold
 from hololab.errors import (EmptyRegion, FamilyNotTrivial, NotClosed,
                             NotTotallyGeodesic, OutOfDomain, StepUnderflow)
-from hololab.manifold import ConnectionKind, metric_at
+from hololab.manifold import (ConnectionKind, CoordinateChart, DensityField, MetricField,
+                              WeightedManifold, metric_at)
 from hololab.transport import (MIN_STEPS, Line, Loop, LoopFamily, holonomy,
                                holonomy_many, path_transport_many,
                                path_transport_matrix, polyline_segments,
@@ -506,6 +507,56 @@ def test_predicted_block_rejects_non_geodesic_slice(sphere3):
     loop = rectangle_loop(base, 0, 2, 0.3, 0.3)
     with pytest.raises(NotTotallyGeodesic):
         predicted_block_transport(sphere3.manifold, [0, 2], {1: 1.1}, loop)
+
+
+def test_predicted_block_rejects_a_loop_off_its_slice():
+    """The loop lies in z = 0.5 but the slice is declared z = 0: a ValueError
+    names the coordinate.  Without the slice check the prediction reads
+    0.36 off the ambient holonomy, and no error is raised."""
+    chart = CoordinateChart(dim=3, coord_names=("x", "y", "z"))
+    metric = MetricField.from_expressions(chart, ["1", "1", "1"], signature=(3, 0))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x*z+y^2*z"))
+    loop = rectangle_loop(np.array([0.1, -0.2, 0.5]), 0, 1, 0.7, 0.6)
+    with pytest.raises(ValueError, match="coordinate 2"):
+        predicted_block_transport(M, [0, 1], {2: 0.0}, loop)
+    on_slice = predicted_block_transport(M, [0, 1], {2: 0.5}, loop)
+    assert np.abs(on_slice - holonomy(M, W, loop).matrix).max() < 1e-9
+
+
+@pytest.mark.parametrize("name", ["tri3", "sphere3"])
+def test_warm_block_prediction_runs_only_the_manifolds_programs(name, request,
+                                                                program_passes):
+    """The induced block is read from N's own coefficients: a warm block
+    prediction runs only N's metric program and its geometry's, and compiles
+    nothing: no slice manifold is built and compiled per call."""
+    entry = request.getfixturevalue(name)
+    N = entry.manifold
+    [(free, fixed, (loop,))] = entry.block_slices
+    predicted_block_transport(N, free, fixed, loop, steps=20)
+    program_passes.clear()
+    predicted_block_transport(N, free, fixed, loop, steps=20)
+    assert program_passes
+    assert {program for program, _, _ in program_passes} <= {N.metric._pass.program,
+                                                            N._pass.program}
+    assert not any(compiled for _, _, compiled in program_passes)
+
+
+def test_predicted_block_on_a_dense_metric_matches_holonomy():
+    """A non-diagonal metric whose slice z = 0 is metric-orthogonal to dz and
+    totally geodesic (the tangent entries are even in z), with a density
+    whose normal gradient feeds the mixing block."""
+    chart = CoordinateChart(dim=3, coord_names=("x", "y", "z"))
+    metric = MetricField.from_expressions(chart, [["2+sin(y)+z^2", "0.3*cos(x)", "0"],
+                                                  ["0.3*cos(x)", "2+cos(x)", "0"],
+                                                  ["0", "0", "1+z^2"]], signature=(3, 0))
+    M = WeightedManifold(chart=chart, metric=metric,
+                         density=DensityField.from_expression(chart, "x*y+0.5*z"))
+    assert not M.metric.diagonal
+    loop = rectangle_loop(np.array([-0.3, -0.2, 0.0]), 0, 1, 0.7, 0.6)
+    pred = predicted_block_transport(M, [0, 1], {2: 0.0}, loop)
+    assert np.abs(pred - holonomy(M, W, loop).matrix).max() < 1e-9
+    assert np.abs(pred[:2, 2]).min() > 1e-2  # the mixing block is exercised
 
 
 def test_frame_trajectory_endpoint_matches_holonomy(borel):

@@ -32,7 +32,8 @@ def test_checks_trivial_on_flat_density(flat_entry):
     assert r.passed
     r = verify.check_codazzi(flat_entry, n_points=10, seed=2)
     assert r.passed and r.max_violation < 1e-14
-    r = verify.check_unimodularity(flat_entry, n_loops=4, seed=3, steps=STEPS)
+    [r] = verify.default_suite([flat_entry], n_loops=4, steps=STEPS,
+                               checks=["unimodularity"])
     assert r.passed
 
 
@@ -109,9 +110,8 @@ def test_projective_check(so11, sopq12):
 
 
 def test_blocks_check(tri3):
-    r = verify.check_totally_geodesic_blocks(tri3, [0, 1], {2: 0.0},
-                                             [tri3.loops["square"]], steps=STEPS)
-    assert r.passed
+    [r] = verify.default_suite([tri3], steps=STEPS, checks=["totally_geodesic_blocks"])
+    assert r.passed and r.samples == 1
 
 
 def test_riemannian_guard(sopq12):
@@ -123,7 +123,8 @@ def test_riemannian_guard(sopq12):
 
 
 def test_report_fields_and_serialization(flat_entry):
-    r = verify.check_unimodularity(flat_entry, n_loops=3, seed=9, steps=STEPS)
+    [r] = verify.default_suite([flat_entry], seed=4, n_loops=3, steps=STEPS,
+                               checks=["unimodularity"])
     d = r.to_dict()
     assert set(d) == {"check_name", "entry_name", "samples", "max_violation",
                       "tol", "passed", "details"}
@@ -211,7 +212,8 @@ def test_suite_reports_equal_each_check_alone(steps, borel, sopq12):
                   verify.check_dual_holonomy(entry, 2, seed + 1, steps=steps),
                   verify.check_dual_vector_fields(entry, 2, seed + 2, steps=steps),
                   verify.check_codazzi(entry, 5, seed + 3),
-                  verify.check_unimodularity(entry, 2, seed + 5, steps=steps)]
+                  verify._judged(entry.manifold, steps, [verify._plan_unimodularity(
+                      entry, 2, seed + 5, verify.CHECK_TOL, steps)])[0]]
         if entry.companion is not None:
             alone.append(verify.check_projective_equivalence(entry, 5, seed + 4))
     alone.sort(key=lambda r: (r.check_name, r.entry_name))
